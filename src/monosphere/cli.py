@@ -28,7 +28,7 @@ from .axial import (
     sech_field,
     zero_mass_field,
 )
-from .boundary import degree_integral, reconstruct_psi_from_metric, sample_boundary
+from .boundary import degree_integral, metric_h, reconstruct_psi_from_metric, sample_boundary
 from .centering import center_flow, moment_map, norm2
 from .charge2 import (
     bracket,
@@ -199,12 +199,10 @@ def cmd_reconstruct(args) -> dict:
         out = reconstruct_psi_from_metric(pairs, k)
         return ser.curve_to_json(out)
     # Curve input: sample its own boundary metric, then recover.
-    from .boundary import metric_h
-
     S = ser.curve_from_json(doc)
     angles = args.grid or max(6, (S.k + 1) ** 2)
     pts = list(_boundary_rings(S.k, angles))
-    pairs = [(z, metric_h(S, z)) for z in pts]
+    pairs = list(zip(pts, metric_h(S, np.array(pts))))
     out = reconstruct_psi_from_metric(pairs, S.k)
     result = ser.curve_to_json(out)
     result["max_abs_deviation"] = float(np.max(np.abs(out.psi - S.psi)))

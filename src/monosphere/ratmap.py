@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from .curves import SpectralMatrix
 from .errors import (
@@ -181,6 +180,18 @@ def _zero_span(q: HoloSphere, zeros: list[SpherePoint]) -> np.ndarray:
     return np.stack(rows)
 
 
+def _line_angle(a: ProjLine, b: ProjLine) -> float:
+    """Largest principal angle between two lines.
+
+    With orthonormal bases A and B it is arcsin ||B - A (A^H B)||_2, the
+    sine form, which stays accurate at small angles (where the cosine
+    form loses everything below about 1e-8).
+    """
+    A, B = a.basis(), b.basis()
+    sine = np.linalg.norm(B - A @ (np.conj(A).T @ B), 2)
+    return float(np.arcsin(min(sine, 1.0)))
+
+
 def find_line(
     q: HoloSphere,
     w,
@@ -233,7 +244,7 @@ def find_line(
             )
         u2_new = n / norm
         new_line = ProjLine(u1, u2_new)
-        ang = float(np.max(subspace_angles(line.basis(), new_line.basis()), initial=0.0))
+        ang = _line_angle(line, new_line)
         line = new_line
         if ang <= tol:
             return line, it

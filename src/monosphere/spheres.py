@@ -18,10 +18,10 @@ and coincides with eval_psi of the associated curve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
 
 from .curves import HERM_TOL, SpectralMatrix, require_hermitian
 from .errors import NotFull, NotPositiveDefinite
@@ -32,7 +32,7 @@ FULL_TOL = 1e-10
 
 def binom_weights(k: int) -> np.ndarray:
     """sqrt(binom(k, j)) for j = 0..k."""
-    return np.sqrt(comb(k, np.arange(k + 1)))
+    return np.sqrt(np.array([math.comb(k, j) for j in range(k + 1)], dtype=float))
 
 
 def _is_canonical(Q: np.ndarray) -> bool:

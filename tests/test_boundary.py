@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from monosphere.boundary import (
+    DEGREE_TOL,
     connection_at_infinity,
     curvature_density,
     degree_integral,
@@ -12,7 +13,7 @@ from monosphere.boundary import (
     sample_boundary,
 )
 from monosphere.curves import SpectralMatrix, axial_spectral
-from monosphere.errors import Underdetermined
+from monosphere.errors import QuadratureNotConverged, Underdetermined
 
 
 def _rand_hermitian_pd(rng, n):
@@ -104,6 +105,57 @@ def test_degree_integral_axial():
     assert abs(val - 2.0) < 1e-5
 
 
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
+def test_degree_integral_random_within_bound(k):
+    rng = np.random.default_rng(100 + k)
+    val, bound = degree_integral(SpectralMatrix(k, _rand_hermitian_pd(rng, k + 1)))
+    assert abs(val - k) <= bound <= DEGREE_TOL
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 16])
+@pytest.mark.parametrize("m", [0.5, 1.0])
+def test_degree_integral_axial_within_bound(k, m):
+    val, bound = degree_integral(axial_spectral(k, m))
+    assert abs(val - k) <= bound <= DEGREE_TOL
+
+
+def test_degree_integral_split_radius_invariant_charge8():
+    rng = np.random.default_rng(8)
+    S = SpectralMatrix(8, _rand_hermitian_pd(rng, 9))
+    for r in (0.5, 1.0, 2.0):
+        val, bound = degree_integral(S, split_radius=r)
+        assert abs(val - 8.0) <= bound <= DEGREE_TOL
+
+
+def test_degree_integral_unreachable_tol():
+    with pytest.raises(QuadratureNotConverged, match="exceeds 1.00e-20"):
+        degree_integral(axial_spectral(2, 0.5), tol=1e-20)
+
+
+def test_degree_integral_overflow_is_not_converged():
+    # h = 1 + 1e300 |z|^2 overflows; the estimate is not finite
+    with pytest.raises(QuadratureNotConverged, match="not finite"):
+        degree_integral(SpectralMatrix(1, np.diag([1.0, 1e300])))
+
+
+@pytest.mark.parametrize("chart", ["z", "inv"])
+def test_array_calls_match_scalar_calls(chart):
+    rng = np.random.default_rng(21)
+    S = SpectralMatrix(5, _rand_hermitian_pd(rng, 6))
+    zs = (rng.standard_normal(12) + 1j * rng.standard_normal(12)).reshape(3, 4)
+    for fn, kind in (
+        (metric_h, float),
+        (connection_at_infinity, complex),
+        (curvature_density, float),
+    ):
+        arr = fn(S, zs, chart)
+        assert arr.shape == zs.shape
+        for z, got in zip(zs.ravel(), arr.ravel()):
+            one = fn(S, z, chart)
+            assert type(one) is kind
+            assert abs(got - one) <= 1e-13 * max(1.0, abs(one))
+
+
 def test_reconstruct_exact_count_charge2():
     rng = np.random.default_rng(12)
     psi = _rand_hermitian_pd(rng, 3)
@@ -137,3 +189,31 @@ def test_sample_rows():
     rows = sample_boundary(S, [0.0, 1.0])
     assert rows[0].h == 1.0 and rows[1].h == 2.0
     assert rows[0].f_density == 1.0
+
+
+def test_sample_rows_match_pointwise_calls():
+    rng = np.random.default_rng(22)
+    S = SpectralMatrix(3, _rand_hermitian_pd(rng, 4))
+    zs = [0.3 - 0.2j, 1.5 + 0.1j, -2.0j]
+    for z, row in zip(zs, sample_boundary(S, zs)):
+        assert row.z == z
+        assert abs(row.h - metric_h(S, z)) <= 1e-13 * row.h
+        assert abs(row.a_z - connection_at_infinity(S, z)) <= 1e-13
+        assert abs(row.f_density - curvature_density(S, z)) <= 1e-13
+
+
+def test_design_matrix_matches_loop_rows():
+    from monosphere.boundary import _design_matrix
+
+    rng = np.random.default_rng(23)
+    k = 3
+    zs = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    A = _design_matrix(zs, k)
+    for z, row in zip(zs, A):
+        mono = [z**j for j in range(k + 1)]
+        ref = [abs(m) ** 2 for m in mono]
+        for i in range(k + 1):
+            for j in range(i + 1, k + 1):
+                cross = np.conj(mono[i]) * mono[j]
+                ref += [2.0 * cross.real, -2.0 * cross.imag]
+        assert np.allclose(row, ref, rtol=1e-14, atol=0.0)

@@ -69,6 +69,20 @@ class TestValidationAndExitCodes:
         assert code == 3
         assert report["error"]["code"] == "NoEstimate"
 
+    def test_unreachable_degree_tolerance_exits_3(self, tmp_path):
+        code, report = run_cli(tmp_path, ["boundary", "--tol", "1e-20"], half_mass_curve())
+        assert code == 3
+        assert report["status"] == "error"
+        assert report["command"] == "boundary"
+        assert report["error"]["code"] == "QuadratureNotConverged"
+        assert "1.00e-20" in report["error"]["message"]
+
+    def test_overflowing_degree_integral_exits_3(self, tmp_path):
+        doc = {"k": 1, "psi": [[[1, 0], [0, 0]], [[0, 0], [1e300, 0]]]}
+        code, report = run_cli(tmp_path, ["boundary"], doc)
+        assert code == 3
+        assert report["error"]["code"] == "QuadratureNotConverged"
+
     def test_check_accepts_positive_curve(self, tmp_path):
         code, report = run_cli(tmp_path, ["check"], half_mass_curve())
         assert code == 0
@@ -272,3 +286,13 @@ class TestPipelineAndDeterminism:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["mass"] == 0.5
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    code = (
+        "import sys, monosphere, monosphere.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

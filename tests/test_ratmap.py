@@ -262,3 +262,43 @@ class TestZeroSpanJets:
         span = _zero_span(q, pts)
         assert np.allclose(span[0], [0.0, 0.0, 1.0])
         assert np.allclose(span[1], [0.0, 1.0, 0.0])
+
+
+class TestLineAngle:
+    @staticmethod
+    def _line_pair(rng, n, angle):
+        """Two lines through the same u1 whose u2 differ by a rotation of angle."""
+
+        def unit(x):
+            return x / np.linalg.norm(x)
+
+        def gauss():
+            return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+        u1 = unit(gauss())
+        u2 = gauss()
+        u2 = unit(u2 - np.vdot(u1, u2) * u1)
+        d = gauss()
+        d = unit(d - np.vdot(u1, d) * u1 - np.vdot(u2, d) * u2)
+        w2 = np.cos(angle) * u2 + np.sin(angle) * d
+        w2 = unit(w2 - np.vdot(u1, w2) * u1)
+        return ProjLine(u1, u2), ProjLine(u1, w2)
+
+    @pytest.mark.parametrize("angle", [1e-12, 1e-10, 1e-6, 1e-3, 0.5, 1.5])
+    def test_matches_scipy_subspace_angles(self, angle):
+        linalg = pytest.importorskip("scipy.linalg")
+        from monosphere.ratmap import _line_angle
+
+        rng = np.random.default_rng(int(-np.log10(angle) * 10) + 3)
+        for n in (3, 9, 25):
+            a, b = self._line_pair(rng, n, angle)
+            ref = float(np.max(linalg.subspace_angles(a.basis(), b.basis())))
+            got = _line_angle(a, b)
+            assert got == pytest.approx(ref, rel=1e-10, abs=1e-15)
+            assert got == pytest.approx(angle, rel=1e-3, abs=1e-15)
+
+    def test_same_line_is_zero(self):
+        from monosphere.ratmap import _line_angle
+
+        a, _ = self._line_pair(np.random.default_rng(0), 5, 0.1)
+        assert _line_angle(a, a) <= 1e-15

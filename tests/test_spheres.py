@@ -143,3 +143,15 @@ def test_full_sphere_immersion_rank():
         m = np.stack([eval_sphere(q, z), eval_sphere_derivative(q, z)])
         s = np.linalg.svd(m, compute_uv=False)
         assert s[1] > 1e-8 * s[0]
+
+
+def test_binom_weights_match_exact_binomials():
+    import math
+
+    from monosphere.spheres import binom_weights
+
+    for k in range(1, 65):
+        exact = np.array([math.comb(k, j) for j in range(k + 1)], dtype=float)
+        got = binom_weights(k)
+        assert got.shape == (k + 1,)
+        assert np.all(np.abs(got**2 - exact) <= 4e-16 * exact)
