@@ -53,7 +53,6 @@ from .charge2 import (
     mass_flow_check,
     p_sequence,
     poncelet,
-    spectral_roots_at,
     to_su2_triple,
     triple_product,
     z_lattice,

@@ -14,8 +14,8 @@ and the total curvature recovers the charge:
 
     (1/pi) * integral of F_density over the sphere = k.
 
-Everything here needs only the jets v(z) and v'(z), which one array
-kernel (vander_jets) returns for many points at once; the derivatives
+Everything here needs only the jets v(z) and v'(z), which the kernel
+of module projective returns for many points at once; the derivatives
 of h are exact polynomial pairings: d_z h = v(z)* Psi v'(z) and
 d_z d_zbar h = v'(z)* Psi v'(z).  metric_h, connection_at_infinity and
 curvature_density take a point or an array of points.
@@ -41,8 +41,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import SpectralMatrix, require_hermitian
+from .curves import SpectralMatrix, hermitian_form, require_hermitian, times
 from .errors import NotPositive, QuadratureNotConverged, Underdetermined
+from .projective import vander, vander_derivative
 
 DEGREE_TOL = 1e-7
 # Tensor-rule sizes: n Gauss-Legendre nodes in r, doubled from the
@@ -51,7 +52,6 @@ RULE_FIRST = 16
 RULE_CAP = 256
 # Points per kernel call in the degree integral, so temporaries stay small.
 BLOCK = 2048
-GEMM_MAX = 2**16
 
 
 def _chart_matrix(S: SpectralMatrix, chart: str) -> np.ndarray:
@@ -63,44 +63,12 @@ def _chart_matrix(S: SpectralMatrix, chart: str) -> np.ndarray:
     raise ValueError(f"unknown chart {chart!r}")
 
 
-def vander_jets(z, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Jets v(z) = (1, z, ..., z^k) and v'(z) at every point of the array z.
-
-    Both have shape (k + 1,) + z.shape: row j holds z^j and j z^(j-1).
-    """
-    z = np.asarray(z, dtype=complex)
-    v = np.empty((k + 1,) + z.shape, dtype=complex)
-    v[0] = 1.0
-    for j in range(1, k + 1):
-        np.multiply(v[j - 1, ...], z, out=v[j, ...])
-    dv = np.zeros_like(v)
-    dv[1:] = v[:-1] * np.arange(1.0, k + 1).reshape((k,) + (1,) * z.ndim)
-    return v, dv
-
-
-def _times(psi: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Psi x for every column x of the jet array x.
-
-    The product is taken in slices of at most GEMM_MAX multiply-adds:
-    OpenBLAS hands larger complex products to its thread pool, and on a
-    two-core machine that hand-off was measured at about 8 ms a call,
-    a hundred times the product itself.
-    """
-    flat = x.reshape(x.shape[0], -1)
-    out = np.empty_like(flat)
-    cols = max(1, GEMM_MAX // psi.size)
-    for start in range(0, flat.shape[1], cols):
-        part = slice(start, start + cols)
-        np.matmul(psi, flat[:, part], out=out[:, part])
-    return out.reshape(x.shape)
-
-
 def _h_jets(psi: np.ndarray, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """h, d_z h and d_z d_zbar h at every point of the array z."""
-    v, dv = vander_jets(z, psi.shape[0] - 1)
-    psi_dv = _times(psi, dv)
-    h = np.vecdot(v, _times(psi, v), axis=0).real
-    return h, np.vecdot(v, psi_dv, axis=0), np.vecdot(dv, psi_dv, axis=0).real
+    v = vander(z, psi.shape[0] - 1)
+    dv = vander_derivative(v)
+    psi_dv = times(psi, dv)
+    return hermitian_form(psi, v), np.vecdot(v, psi_dv, axis=0), np.vecdot(dv, psi_dv, axis=0).real
 
 
 def _curvature(psi: np.ndarray, z) -> np.ndarray:
@@ -115,8 +83,7 @@ def _scalar_or_array(out: np.ndarray, z, kind: type):
 def metric_h(S: SpectralMatrix, z, chart: str = "z"):
     """h(z) = v(z)* Psi v(z) in the given chart; real and positive for
     positive definite Psi.  A float at a point, an array on an array."""
-    v, _ = vander_jets(z, S.k)
-    h = np.vecdot(v, _times(_chart_matrix(S, chart), v), axis=0).real
+    h = hermitian_form(_chart_matrix(S, chart), vander(z, S.k))
     return _scalar_or_array(h, z, float)
 
 
@@ -226,7 +193,7 @@ def _design_matrix(z: np.ndarray, k: int) -> np.ndarray:
     Unknowns ordered: diagonal Psi[i,i] (i = 0..k), then for i < j the
     pair (Re Psi[i,j], Im Psi[i,j]).
     """
-    v = vander_jets(z, k)[0].T
+    v = vander(z, k).T
     upper = np.triu_indices(k + 1, 1)
     cross = np.conj(v[:, upper[0]]) * v[:, upper[1]]
     pairs = np.stack([2.0 * cross.real, -2.0 * cross.imag], axis=-1)
@@ -234,16 +201,12 @@ def _design_matrix(z: np.ndarray, k: int) -> np.ndarray:
 
 
 def _assemble(coeffs: np.ndarray, k: int) -> np.ndarray:
-    n = k + 1
-    psi = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        psi[i, i] = coeffs[i]
-    pos = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            psi[i, j] = coeffs[pos] + 1j * coeffs[pos + 1]
-            psi[j, i] = coeffs[pos] - 1j * coeffs[pos + 1]
-            pos += 2
+    """Hermitian Psi from the unknowns in the order of _design_matrix."""
+    upper = np.triu_indices(k + 1, 1)
+    pairs = coeffs[k + 1 :].reshape(-1, 2)
+    psi = np.diag(coeffs[: k + 1]).astype(complex)
+    psi[upper] = pairs[:, 0] + 1j * pairs[:, 1]
+    psi[upper[::-1]] = pairs[:, 0] - 1j * pairs[:, 1]
     return psi
 
 

@@ -45,8 +45,9 @@ from .errors import (
     NotFull,
     NotOnCurve,
 )
-from .projective import SpherePoint, chordal, folded_vector, hom_vector, proj_roots
-from .spheres import CoeffTuple, HoloSphere, eval_sphere, require_full
+from .projective import SpherePoint, chordal, folded_vector, hom_vector, proj_roots, vander
+from .ratmap import spectral_slice
+from .spheres import CoeffTuple, HoloSphere, require_full
 
 CONSTRAINT_TOL = 1e-10
 CLOSURE_TOL = 1e-8
@@ -295,7 +296,7 @@ def z_lattice(
     if q.k != 2:
         raise DomainViolation("the lattice is a charge-2 construction")
     z0 = SpherePoint.of(z0)
-    roots0 = spectral_roots_at(q, z0)
+    roots0 = spectral_slice(q, z0)
     if prev is None:
         if chordal(roots0[0], roots0[1]) <= tol:
             raise BranchPoint("double root at the start point")
@@ -314,17 +315,11 @@ def z_lattice(
     for _ in range(max_steps - 1):
         if chordal(points[-1], z0) <= tol:
             return ZLattice(points[:-1], True, len(points) - 1, tuple(roots0))
-        roots = spectral_roots_at(q, points[-1])
+        roots = spectral_slice(q, points[-1])
         points.append(_other_root(roots, points[-2], tol))
     if chordal(points[-1], z0) <= tol:
         return ZLattice(points[:-1], True, len(points) - 1, tuple(roots0))
     return ZLattice(points, False, None, tuple(roots0))
-
-
-def spectral_roots_at(q: HoloSphere, z) -> list[SpherePoint]:
-    """Roots of <q(z), q(.)> = 0; the two lattice neighbours of z."""
-    u = eval_sphere(q, z)
-    return proj_roots(np.conj(u) @ q.Q)
 
 
 @dataclass(frozen=True)
@@ -342,9 +337,10 @@ def _vertical_roots(S: SpectralMatrix, w) -> list[SpherePoint]:
 
 def _horizontal_roots(S: SpectralMatrix, z) -> list[SpherePoint]:
     """Roots in w of psi(., z) = 0 (the horizontal line at z)."""
+    # psi(w, z) = sum_i d_i (-1/w)^i; times w^k, the w^(k-i) coefficient
+    # is (-1)^i d_i.
     d = S.psi @ hom_vector(z, S.k)
-    signs = np.array([(-1.0) ** i for i in range(S.k + 1)])
-    return proj_roots((signs * d)[::-1])
+    return proj_roots((vander(-1.0, S.k) * d)[::-1])
 
 
 def p_sequence(
@@ -394,8 +390,6 @@ def estimate_mass(S: SpectralMatrix, max_steps: int = 60) -> float:
         try:
             roots = _vertical_roots(S, w)
             seq = p_sequence(S, (w, roots[0]), max_steps=max_steps)
-        except NoEstimate:
-            raise
         except MonosphereError as exc:
             raise NoEstimate(f"start w = {w} failed: {exc}") from exc
         if not seq.closed:
@@ -408,15 +402,11 @@ def estimate_mass(S: SpectralMatrix, max_steps: int = 60) -> float:
 
 def is_centred(S: SpectralMatrix, tol: float = 1e-10) -> bool:
     """Invariance under the factor swap: psi_ab = (-1)^(k-a-b) psi_{k-b,k-a}."""
-    k = S.k
     scale = max(float(np.max(np.abs(S.psi))), 1e-300)
-    for a in range(k + 1):
-        for b in range(k + 1):
-            lhs = S.psi[a, b]
-            rhs = (-1.0) ** (k - a - b) * S.psi[k - b, k - a]
-            if abs(lhs - rhs) > tol * scale:
-                return False
-    return True
+    # psi_{k-b,k-a} is entry (a, b) of the transposed index-reversed matrix.
+    s = vander(-1.0, S.k)
+    signs = np.outer(s[::-1], s)  # (-1)^(k-a) (-1)^b
+    return bool(np.max(np.abs(S.psi - signs * S.psi[::-1, ::-1].T)) <= tol * scale)
 
 
 @dataclass(frozen=True)
@@ -444,12 +434,25 @@ def _fit_conic(pts: list[tuple[complex, complex]]) -> np.ndarray:
     return coef / lead
 
 
+def _edge_residuals(p, q, s: complex) -> tuple[float, float]:
+    """Incidence and tangency residuals of the line u = a v + b through
+    the vertex images p and q: (a, b) against (s, -s^2), the line of the
+    shared coordinate s, and a^2 + b, the discriminant of v^2 = 4u on it."""
+    (u1, v1), (u2, v2) = p, q
+    a = (u2 - u1) / (v2 - v1)
+    b = u1 - a * v1
+    incidence = max(abs(a - s) / max(1.0, abs(s)), abs(b + s * s) / max(1.0, abs(s) ** 2))
+    tangency = abs(a * a + b) / max(1.0, abs(a) ** 2, abs(b))
+    return incidence, tangency
+
+
 def poncelet(S: SpectralMatrix, p0, steps: int = 40, tol: float = CLOSURE_TOL) -> PonceletPolygon:
     """Polygon pi(P-sequence) inscribed in a fitted conic, edges tangent to v^2 = 4u.
 
     Requires a centred curve.  Edge through consecutive vertices with
-    shared coordinate s is u = s v - s^2; its intersection with the
-    parabola is the double point v = 2s, checked by root separation.
+    shared coordinate s is u = s v - s^2, which meets the parabola in
+    the double point v = 2s; both facts are checked on the line through
+    the two vertex images (_edge_residuals).
     """
     if not is_centred(S):
         raise NotCentred("curve is not swap-invariant")
@@ -467,13 +470,10 @@ def poncelet(S: SpectralMatrix, p0, steps: int = 40, tol: float = CLOSURE_TOL) -
     rows = np.array([[u * u, u * v, v * v, u, v, 1.0] for u, v in verts], dtype=complex)
     vres = np.abs(rows @ conic) / (np.linalg.norm(rows, axis=1) * np.linalg.norm(conic))
 
-    pairs = list(zip(seq.points[:-1], seq.points[1:]))
-    if seq.closed:
-        pairs.append((seq.points[-1], seq.points[0]))
-    params = []
-    ires = []
-    tres = []
-    for idx, ((w1, z1), (w2, z2)) in enumerate(pairs):
+    n = len(verts)
+    params, residuals = [], []
+    for i in range(n if seq.closed else n - 1):
+        (w1, z1), (w2, z2) = seq.points[i], seq.points[(i + 1) % n]
         if chordal(w1, w2) <= tol:
             s = w1.chart
         elif chordal(z1, z2) <= tol:
@@ -481,23 +481,14 @@ def poncelet(S: SpectralMatrix, p0, steps: int = 40, tol: float = CLOSURE_TOL) -
         else:
             raise BranchPoint("consecutive vertices share no coordinate")
         params.append(s)
-        ends = [verts[idx], verts[(idx + 1) % len(verts)]]
-        worst = 0.0
-        for u, v in ends:
-            scale = max(1.0, abs(u), abs(s * v), abs(s) ** 2)
-            worst = max(worst, abs(u - s * v + s * s) / scale)
-        ires.append(worst)
-        # line u = sv - s^2 against v^2 = 4u: discriminant of v^2 - 4sv + 4s^2
-        bq = -4.0 * s
-        cq = 4.0 * s * s
-        disc = bq * bq - 4.0 * cq
-        tres.append(abs(disc) / max(1.0, abs(bq) ** 2, 4.0 * abs(cq)))
+        residuals.append(_edge_residuals(verts[i], verts[(i + 1) % n], s))
+    ires, tres = np.array(residuals).reshape(-1, 2).T
     return PonceletPolygon(
         vertices=verts,
         conic=conic,
         vertex_residuals=vres,
         edge_params=params,
-        edge_incidence_residuals=np.array(ires),
-        tangency_residuals=np.array(tres),
+        edge_incidence_residuals=ires,
+        tangency_residuals=tres,
         closed=seq.closed,
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -68,26 +69,6 @@ def _finite(x: float):
     return x if math.isfinite(x) else repr(x)
 
 
-def _read_document(args) -> dict:
-    if args.input:
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise SchemaError(f"cannot read input: {exc}") from exc
-    else:
-        text = sys.stdin.read()
-    import json
-
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("input document must be a JSON object")
-    return doc
-
-
 def _parse_point(text: str, name: str) -> SpherePoint:
     try:
         return SpherePoint.of(text)
@@ -122,13 +103,13 @@ def _write_csv_file(path: str, header, rows) -> None:
 
 
 def cmd_normalize(args) -> dict:
-    S = ser.curve_from_json(_read_document(args))
+    S = ser.curve_from_json(ser.read_document(args.input))
     out = normalize_reality(S, **_opt(tol=args.tol))
     return ser.curve_to_json(out)
 
 
 def cmd_check(args) -> dict:
-    S = ser.curve_from_json(_read_document(args))
+    S = ser.curve_from_json(ser.read_document(args.input))
     vals, ok = positivity_check(S, **_opt(tol=args.tol))
     if not ok:
         raise NotPositiveDefinite(
@@ -147,7 +128,7 @@ def cmd_check(args) -> dict:
 
 
 def cmd_factor(args) -> dict:
-    S = ser.curve_from_json(_read_document(args))
+    S = ser.curve_from_json(ser.read_document(args.input))
     norm = normalize_reality(S, **_opt(tol=args.tol))
     return ser.sphere_to_json(factor_sphere(norm, **_opt(tol=args.tol)))
 
@@ -159,7 +140,7 @@ def _boundary_rings(k: int, angles: int):
 
 
 def cmd_boundary(args) -> dict:
-    S = ser.curve_from_json(_read_document(args))
+    S = ser.curve_from_json(ser.read_document(args.input))
     value, bound = degree_integral(S, **_opt(tol=args.tol))
     report = {"k": S.k, "degree": float(value), "error_bound": float(bound)}
     if args.csv:
@@ -179,25 +160,10 @@ def cmd_boundary(args) -> dict:
 
 
 def cmd_reconstruct(args) -> dict:
-    doc = _read_document(args)
+    doc = ser.read_document(args.input)
     if "samples" in doc:
-        if "k" not in doc or not isinstance(doc["k"], int) or doc["k"] < 1:
-            raise SchemaError("sample document needs an integer charge 'k' >= 1")
-        k = doc["k"]
-        raw = doc["samples"]
-        if not isinstance(raw, list):
-            raise SchemaError("'samples' must be a list of [[re, im], h] pairs")
-        pairs = []
-        for entry in raw:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise SchemaError(f"bad sample {entry!r}; expected [[re, im], h]")
-            z = ser.complex_from_json(entry[0], "sample point")
-            h = entry[1]
-            if isinstance(h, bool) or not isinstance(h, (int, float)):
-                raise SchemaError(f"bad metric value {h!r}")
-            pairs.append((z, float(h)))
-        out = reconstruct_psi_from_metric(pairs, k)
-        return ser.curve_to_json(out)
+        k, pairs = ser.samples_from_json(doc)
+        return ser.curve_to_json(reconstruct_psi_from_metric(pairs, k))
     # Curve input: sample its own boundary metric, then recover.
     S = ser.curve_from_json(doc)
     angles = args.grid or max(6, (S.k + 1) ** 2)
@@ -210,7 +176,7 @@ def cmd_reconstruct(args) -> dict:
 
 
 def cmd_center(args) -> dict:
-    t = ser.tuple_from_json(_read_document(args))
+    t = ser.tuple_from_json(ser.read_document(args.input))
     flow = center_flow(t, **_opt(tol=args.tol, max_iter=args.max_iter))
     centred = flow.tuple_centred
     if args.csv:
@@ -227,7 +193,7 @@ def cmd_center(args) -> dict:
 
 
 def cmd_ratmap(args) -> dict:
-    q = ser.sphere_from_json(_read_document(args))
+    q = ser.sphere_from_json(ser.read_document(args.input))
     w = _parse_point(args.w, "--w")
     line, iterations = find_line(q, w, **_opt(tol=args.tol, max_iter=args.max_iter))
     f = project_map(q, w, line)
@@ -247,7 +213,7 @@ def cmd_ratmap(args) -> dict:
 
 
 def cmd_massless(args) -> dict:
-    f = ser.ratmap_from_json(_read_document(args))
+    f = ser.ratmap_from_json(ser.read_document(args.input))
     S = massless_curve(f, **_opt(tol=args.tol))
     return ser.curve_to_json(S)
 
@@ -256,8 +222,6 @@ def _curve_start_point(S: SpectralMatrix, w: SpherePoint):
     """(w, z) on the curve: z the first vertical root over w, ordered
     deterministically (finite points by chart value, infinity last)."""
     roots = proj_roots(folded_vector(w, S.k) @ S.psi)
-    if not roots:
-        raise SchemaError(f"no vertical intersection over w={args_repr(w)}")
 
     def key(p: SpherePoint):
         if p.is_infinity:
@@ -268,12 +232,8 @@ def _curve_start_point(S: SpectralMatrix, w: SpherePoint):
     return w, sorted(roots, key=key)[0]
 
 
-def args_repr(p: SpherePoint) -> str:
-    return "inf" if p.is_infinity else repr(p.chart)
-
-
 def cmd_charge2_lattice(args) -> dict:
-    q = ser.sphere_from_json(_read_document(args))
+    q = ser.sphere_from_json(ser.read_document(args.input))
     z0 = _parse_point(args.z0, "--z0")
     lat = z_lattice(q, z0, **_opt(max_steps=args.max_iter, tol=args.tol))
     return {
@@ -285,7 +245,7 @@ def cmd_charge2_lattice(args) -> dict:
 
 
 def cmd_charge2_pseq(args) -> dict:
-    S = ser.curve_from_json(_read_document(args))
+    S = ser.curve_from_json(ser.read_document(args.input))
     p0 = _curve_start_point(S, _parse_point(args.w, "--w"))
     seq = p_sequence(S, p0, **_opt(max_steps=args.max_iter, tol=args.tol))
     return {
@@ -300,7 +260,7 @@ def cmd_charge2_pseq(args) -> dict:
 
 
 def cmd_charge2_poncelet(args) -> dict:
-    S = ser.curve_from_json(_read_document(args))
+    S = ser.curve_from_json(ser.read_document(args.input))
     p0 = _curve_start_point(S, _parse_point(args.w, "--w"))
     poly = poncelet(S, p0, **_opt(steps=args.max_iter, tol=args.tol))
     if args.csv:
@@ -322,13 +282,13 @@ def cmd_charge2_poncelet(args) -> dict:
 
 
 def cmd_charge2_mass(args) -> dict:
-    S = ser.curve_from_json(_read_document(args))
+    S = ser.curve_from_json(ser.read_document(args.input))
     mass = estimate_mass(S, **_opt(max_steps=args.max_iter))
     return {"mass": float(mass)}
 
 
 def cmd_charge2_involution(args) -> dict:
-    nu = ser.triple_from_json(_read_document(args))
+    nu = ser.triple_from_json(ser.read_document(args.input))
     br = bracket(nu)
     flow = mass_flow_check(nu, **_opt(step=args.step))
     return {
@@ -428,7 +388,7 @@ def cmd_field_sample(args) -> dict:
 
 
 def cmd_pipeline(args) -> dict:
-    S = ser.curve_from_json(_read_document(args))
+    S = ser.curve_from_json(ser.read_document(args.input))
     vals, ok = positivity_check(S, **_opt(tol=args.tol))
     if not ok:
         raise NotPositiveDefinite(
@@ -461,7 +421,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--input", help="input JSON path (default: stdin)")
     common.add_argument("--output", help="report path (default: stdout)")
     common.add_argument("--tol", type=float, help="tolerance override")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     common.add_argument("--max-iter", type=int, dest="max_iter", help="iteration/step budget")
     common.add_argument("--grid", type=int, help="grid resolution")
     return common
@@ -531,13 +490,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, report: dict) -> None:
+def _emit(args, report: dict, code: int) -> int:
+    """Write the report to --output, or stdout, and return the exit code;
+    an unwritable output gives an error report on stdout and exit 2."""
     text = ser.dumps_report(report)
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if args.output:
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            error = SchemaError(f"cannot write output: {exc}")
+            sys.stdout.write(ser.dumps_report(_error_report(args, error)))
+            return 2
     else:
         sys.stdout.write(text)
+    return code
 
 
 def _command_name(args) -> str:
@@ -552,15 +518,12 @@ def main(argv=None) -> int:
     try:
         report = args.handler(args)
     except ValidationError as exc:
-        _emit(args, _error_report(args, exc))
-        return 2
+        return _emit(args, _error_report(args, exc), 2)
     except ConvergenceError as exc:
-        _emit(args, _error_report(args, exc))
-        return 3
+        return _emit(args, _error_report(args, exc), 3)
     report.setdefault("command", _command_name(args))
     report.setdefault("status", "ok")
-    _emit(args, report)
-    return 0
+    return _emit(args, report, 0)
 
 
 def _error_report(args, exc: Exception) -> dict:

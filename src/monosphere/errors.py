@@ -93,6 +93,10 @@ class ConicFitFailed(ValidationError):
     """Vertex images do not determine a unique conic."""
 
 
+class DegenerateMap(ValidationError):
+    """Rational map is constant, of degree 0, or below its nominal degree."""
+
+
 # -- convergence -----------------------------------------------------------
 
 class QuadratureNotConverged(ConvergenceError):

@@ -9,12 +9,18 @@ The antipodal map is z -> -1/conj(z), homogeneously
 (z0 : z1) -> (-conj(z1) : conj(z0)).  It is a fixed-point-free
 involution; the spherical chordal distance below is invariant under it
 in the sense that antipodal pairs are at maximal distance 1.
+
+Every evaluation vector of the package comes from one kernel here:
+vander(z, k) = (1, z, ..., z^k) at a chart value or on an array of
+them, with vander_derivative for its chart derivatives and
+hom_vector / folded_vector for its homogeneous forms at a point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,21 +102,64 @@ def chordal(p, q) -> float:
     return num / den
 
 
+@lru_cache(maxsize=None)
+def _exponents(k: int) -> np.ndarray:
+    e = np.arange(k + 1.0)
+    e.setflags(write=False)
+    return e
+
+
+def vander(z, k: int) -> np.ndarray:
+    """v(z) = (1, z, ..., z^k) at a chart value, or at every point of an array.
+
+    The shape is (k + 1,) + z.shape: row j holds z^j.  A single point
+    takes one power call against cached exponents; an array takes
+    running products, which are cheaper once there are many points.
+    """
+    z = np.asarray(z, dtype=complex)
+    if z.ndim == 0:
+        return np.power(z, _exponents(k))
+    v = np.empty((k + 1,) + z.shape, dtype=complex)
+    v[0] = 1.0
+    for j in range(1, k + 1):
+        np.multiply(v[j - 1], z, out=v[j])
+    return v
+
+
+def vander_derivative(v: np.ndarray, order: int = 1) -> np.ndarray:
+    """Chart derivative of the given order of the jets v = vander(z, k):
+    row j is the falling factorial j!/(j - order)! times z^(j - order)."""
+    k = v.shape[0] - 1
+    falling = np.prod(np.arange(order, k + 1.0)[:, None] - np.arange(order), axis=1)
+    out = np.zeros_like(v)
+    out[order:] = v[: k + 1 - order] * falling.reshape((-1,) + (1,) * (v.ndim - 1))
+    return out
+
+
+def _hom(z0: complex, z1: complex, k: int) -> np.ndarray:
+    """(z0^k, z0^(k-1) z1, ..., z1^k) = z0^k v(z1/z0); z1^k e_k when z0 = 0."""
+    if z0 == 0.0:
+        return z1**k * np.eye(1, k + 1, k, dtype=complex)[0]
+    v = vander(z1 / z0, k)
+    return v if z0 == 1.0 else z0**k * v
+
+
 def hom_vector(p, k: int) -> np.ndarray:
     """Evaluation vector (z0^k, z0^{k-1} z1, ..., z1^k); row j is z^j in the chart."""
     p = SpherePoint.of(p)
-    return np.array([p.z0 ** (k - j) * p.z1 ** j for j in range(k + 1)], dtype=complex)
+    return _hom(p.z0, p.z1, k)
 
 
 def folded_vector(p, k: int) -> np.ndarray:
     """conj(hom_vector(antipode(p), k)) computed without conjugating p.
 
-    Entry i is (-z1)^{k-i} z0^i, holomorphic in the coordinates of p.
-    Pairing it against a coefficient matrix realizes evaluation at the
-    antipode with the conjugation folded through.
+    Entry i is (-z1)^{k-i} z0^i, holomorphic in the coordinates of p:
+    the homogeneous vector of (-z1 : z0), which is that of (z0 : -z1)
+    reversed; at infinity the unit vector (-1)^k e_0.  Pairing it against
+    a coefficient matrix evaluates at the antipode, conjugation folded in.
     """
     p = SpherePoint.of(p)
-    return np.array([(-p.z1) ** (k - i) * p.z0 ** i for i in range(k + 1)], dtype=complex)
+    return _hom(p.z0, -p.z1, k)[::-1]
 
 
 def proj_roots(coeffs, rel_tol: float = COEFF_TOL) -> list[SpherePoint]:

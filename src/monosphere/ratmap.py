@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SpectralMatrix
+from .curves import SpectralMatrix, antidiagonal_form
 from .errors import (
+    DegenerateMap,
     DegenerateZeros,
     IdenticallyZero,
     LineNotThroughQw,
@@ -171,12 +172,10 @@ def _zero_span(q: HoloSphere, zeros: list[SpherePoint]) -> np.ndarray:
     for point, mult in _cluster_points(zeros):
         if point.is_infinity:
             # 1/z chart: jets at infinity are the reversed columns
-            for d in range(mult):
-                rows.append(q.Q[:, q.k - d])
+            rows.extend(q.Q[:, q.k - d] for d in range(mult))
         else:
             rows.append(eval_sphere(q, point))
-            for d in range(1, mult):
-                rows.append(eval_sphere_derivative(q, point, order=d))
+            rows.extend(eval_sphere_derivative(q, point, order=d) for d in range(1, mult))
     return np.stack(rows)
 
 
@@ -265,23 +264,21 @@ def massless_curve(f: RationalMap, tol: float = 1e-12) -> SpectralMatrix:
     """
     n = f.degree
     if n < 1:
-        raise ValueError("degree 0 maps have no spectral curve")
+        raise DegenerateMap("degree 0 maps have no spectral curve")
     C = np.stack([f.den, f.num])
     sv = np.linalg.svd(C, compute_uv=False)
     if sv[1] <= tol * sv[0]:
-        raise ValueError("map is constant (num proportional to den)")
+        raise DegenerateMap("map is constant (num proportional to den)")
     psi = np.conj(C).T @ C
     psi = (psi + np.conj(psi).T) / 2.0
     S = SpectralMatrix(n, psi, normalized=True, massless=True)
     # bidegree check: top row/column must survive
     scale = np.max(np.abs(psi))
     if np.max(np.abs(psi[n, :])) <= tol * scale or np.max(np.abs(psi[:, n])) <= tol * scale:
-        raise ValueError("map degenerates below its nominal degree")
-    for t in np.linspace(0.0, 2.0 * np.pi, ANTIDIAG_SAMPLES, endpoint=False):
-        for r in (0.0, 0.5, 1.0, 2.0):
-            z = r * np.exp(1j * t)
-            v = np.array([z**j for j in range(n + 1)], dtype=complex)
-            val = np.real(np.conj(v) @ psi @ v)
-            if val <= tol * scale:
-                raise RealPointFound(f"curve meets the antidiagonal near z = {z:.4f}")
+        raise DegenerateMap("map degenerates below its nominal degree")
+    t = np.linspace(0.0, 2.0 * np.pi, ANTIDIAG_SAMPLES, endpoint=False)
+    z = np.outer(np.exp(1j * t), (0.0, 0.5, 1.0, 2.0)).ravel()
+    low = np.flatnonzero(antidiagonal_form(S, z) <= tol * scale)
+    if low.size:
+        raise RealPointFound(f"curve meets the antidiagonal near z = {z[low[0]]:.4f}")
     return S

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,7 +37,9 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite JSON number: no boolean, NaN, infinity or integer beyond
+    the float range (Python compares int and float exactly)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def complex_to_json(c) -> list[float]:
@@ -46,7 +50,7 @@ def complex_to_json(c) -> list[float]:
 def complex_from_json(obj, name: str = "value") -> complex:
     _require(
         isinstance(obj, (list, tuple)) and len(obj) == 2 and all(_is_number(x) for x in obj),
-        f"{name} must be a [re, im] pair, got {obj!r}",
+        f"{name} must be a [re, im] pair of finite numbers, got {obj!r}",
     )
     return complex(float(obj[0]), float(obj[1]))
 
@@ -162,10 +166,21 @@ def triple_from_json(d: dict) -> Su2Triple:
         v = d[name]
         _require(
             isinstance(v, list) and len(v) == 3 and all(_is_number(x) for x in v),
-            f"{name} must be a list of 3 real numbers, got {v!r}",
+            f"{name} must be a list of 3 finite real numbers, got {v!r}",
         )
         vecs.append([float(x) for x in v])
     return Su2Triple(*vecs)
+
+
+def samples_from_json(d: dict) -> tuple[int, list[tuple[complex, float]]]:
+    """Charge k and the (z, h) metric samples of a reconstruct document."""
+    k = _read_charge(d)
+    raw = d["samples"]
+    _require(isinstance(raw, list), "'samples' must be a list of [[re, im], h] pairs")
+    for entry in raw:
+        _require(isinstance(entry, list) and len(entry) == 2, f"bad sample {entry!r}; expected [[re, im], h]")
+        _require(_is_number(entry[1]), f"metric value must be a finite number, got {entry[1]!r}")
+    return k, [(complex_from_json(z, "sample point"), float(h)) for z, h in raw]
 
 
 def ratmap_to_json(f: RationalMap) -> dict:
@@ -203,12 +218,27 @@ def parse_payload(d: dict):
     raise SchemaError("unrecognized document: expected one of psi/Q/v/r0/num")
 
 
-def loads_payload(text: str):
+def loads_document(text: str) -> dict:
+    """The JSON object in text; SchemaError on invalid JSON or a non-object."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
-    return parse_payload(doc)
+    _require(isinstance(doc, dict), "input document must be a JSON object")
+    return doc
+
+
+def read_document(path: str | None) -> dict:
+    """The JSON object in the file at path, or on stdin without a path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8") if path else sys.stdin.read()
+    except OSError as exc:
+        raise SchemaError(f"cannot read input: {exc}") from exc
+    return loads_document(text)
+
+
+def loads_payload(text: str):
+    return parse_payload(loads_document(text))
 
 
 def dumps_report(d: dict) -> str:

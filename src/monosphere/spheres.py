@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import HERM_TOL, SpectralMatrix, require_hermitian
+from .curves import HERM_TOL, SpectralMatrix, chart_pairing, require_hermitian
 from .errors import NotFull, NotPositiveDefinite
-from .projective import SpherePoint, folded_vector, hom_vector
+from .projective import SpherePoint, hom_vector, vander, vander_derivative
 
 FULL_TOL = 1e-10
 
@@ -106,20 +106,12 @@ def spectral_from_sphere(q: HoloSphere) -> SpectralMatrix:
 
 def eval_sphere(q: HoloSphere, z) -> np.ndarray:
     """q(z) = Q v(z) in homogeneous coordinates; at infinity Q e_k."""
-    return q.Q @ hom_vector(SpherePoint.of(z), q.k)
+    return q.Q @ hom_vector(z, q.k)
 
 
 def eval_sphere_derivative(q: HoloSphere, z, order: int = 1) -> np.ndarray:
     """Chart derivative q^(order)(z) = Q v^(order)(z) at finite z."""
-    z = SpherePoint.of(z)
-    zc = z.chart
-    v = np.zeros(q.k + 1, dtype=complex)
-    for j in range(order, q.k + 1):
-        fall = 1.0
-        for i in range(order):
-            fall *= (j - i)
-        v[j] = fall * zc ** (j - order)
-    return q.Q @ v
+    return q.Q @ vander_derivative(vander(SpherePoint.of(z).chart, q.k), order)
 
 
 def pairing(q: HoloSphere, w, z) -> complex:
@@ -130,16 +122,7 @@ def pairing(q: HoloSphere, w, z) -> complex:
     ever taken.  Matches eval_psi(spectral_from_sphere(q), w, z)
     including the chart scale convention.
     """
-    w = SpherePoint.of(w)
-    z = SpherePoint.of(z)
-    left = np.conj(q.Q) @ folded_vector(w, q.k)
-    right = q.Q @ hom_vector(z, q.k)
-    raw = left @ right
-    if w.z1 != 0.0:
-        raw = raw / (-w.z1) ** q.k
-    if z.z0 != 0.0:
-        raw = raw / z.z0 ** q.k
-    return complex(raw)
+    return chart_pairing(np.conj(q.Q).T @ q.Q, w, z)
 
 
 def fullness_check(q: HoloSphere, tol: float = FULL_TOL):

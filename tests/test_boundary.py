@@ -13,7 +13,7 @@ from monosphere.boundary import (
     sample_boundary,
 )
 from monosphere.curves import SpectralMatrix, axial_spectral
-from monosphere.errors import QuadratureNotConverged, Underdetermined
+from monosphere.errors import NotPositive, QuadratureNotConverged, Underdetermined
 
 
 def _rand_hermitian_pd(rng, n):
@@ -164,6 +164,15 @@ def test_reconstruct_exact_count_charge2():
     samples = [(z, metric_h(S, z)) for z in zs]
     out = reconstruct_psi_from_metric(samples, 2)
     assert np.max(np.abs(out.psi - psi)) < 1e-10 * np.max(np.abs(psi))
+
+
+def test_reconstruct_inconsistent_samples_not_positive():
+    # -h is the metric of -Psi, which is negative definite
+    rng = np.random.default_rng(14)
+    S = SpectralMatrix(1, _rand_hermitian_pd(rng, 2))
+    zs = [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(6)]
+    with pytest.raises(NotPositive):
+        reconstruct_psi_from_metric([(z, -metric_h(S, z)) for z in zs], 1)
 
 
 def test_reconstruct_underdetermined():

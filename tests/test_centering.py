@@ -12,7 +12,7 @@ from monosphere.centering import (
     norm2,
     stability_check,
 )
-from monosphere.errors import NotStable
+from monosphere.errors import MaxIterExceeded, NotStable
 from monosphere.spheres import CoeffTuple, HoloSphere, sphere_to_tuple
 
 
@@ -246,3 +246,11 @@ def test_centre_su2_invariant():
         a = centre_point(g).X
         b = centre_point(u.compose(g)).X
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_flow_budget_exhausted_carries_best():
+    rng = np.random.default_rng(61)
+    t = _rand_tuple(rng, 2)
+    with pytest.raises(MaxIterExceeded) as info:
+        center_flow(t, max_iter=1)
+    assert info.value.best is not None

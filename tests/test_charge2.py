@@ -14,13 +14,14 @@ from monosphere.charge2 import (
     mass_flow_check,
     p_sequence,
     poncelet,
-    spectral_roots_at,
     to_su2_triple,
     triple_product,
     z_lattice,
 )
 from monosphere.curves import SpectralMatrix, axial_spectral, metric_scale_residual
 from monosphere.errors import (
+    BranchPoint,
+    ConicFitFailed,
     ConstraintViolated,
     IdenticallyZero,
     NoEstimate,
@@ -210,6 +211,11 @@ class TestMassFlow:
 
 
 class TestZLattice:
+    def test_double_root_start_is_branch_point(self):
+        # <q(0), q(z)> = Psi[0, 0] for a diagonal Psi: both roots at infinity
+        with pytest.raises(BranchPoint):
+            z_lattice(factor_sphere(identity_curve()), 0.0)
+
     def test_half_mass_lattice(self):
         q = factor_sphere(identity_curve())
         lat = z_lattice(q, 1.0, max_steps=12)
@@ -334,6 +340,38 @@ class TestPoncelet:
         c = poly.conic
         align = abs(np.vdot(c, target)) / (np.linalg.norm(c) * np.linalg.norm(target))
         assert align == pytest.approx(1.0, abs=1e-10)
+
+    def test_perturbed_vertex_shows_in_residuals(self, monkeypatch):
+        import monosphere.charge2 as charge2
+
+        walk = charge2.p_sequence
+
+        def moved(*args, **kwargs):
+            seq = walk(*args, **kwargs)
+            points = list(seq.points)
+            w, z = points[2]
+            points[2] = (w, SpherePoint.of(z.chart + 1e-9))
+            return charge2.PSequence(points, seq.closed, seq.period, seq.max_residual)
+
+        monkeypatch.setattr(charge2, "p_sequence", moved)
+        poly = poncelet(identity_curve(), (np.exp(1j * np.pi / 3), 1.0))
+        assert np.max(poly.edge_incidence_residuals) > 1e-11
+        assert np.max(poly.tangency_residuals) > 1e-11
+
+    def test_edge_residuals_vanish_only_on_the_tangent_line(self):
+        from monosphere.charge2 import _edge_residuals
+
+        s = 0.4 - 0.3j
+        p, q = [(s * z, s + z) for z in (1.2 + 0.5j, -0.7 + 0.2j)]
+        assert max(_edge_residuals(p, q, s)) < 1e-15
+        incidence, tangency = _edge_residuals(p, (q[0] + 1e-3, q[1]), s)
+        assert incidence > 1e-4 and tangency > 1e-4
+
+    def test_conic_needs_five_points(self):
+        from monosphere.charge2 import _fit_conic
+
+        with pytest.raises(ConicFitFailed):
+            _fit_conic([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (4.0, 1.0)])
 
     def test_not_centred_rejected(self):
         with pytest.raises(NotCentred):

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from monosphere.curves import axial_spectral
-from monosphere.errors import LineNotThroughQw, RealPointFound
+from monosphere.errors import (
+    DegenerateMap,
+    DegenerateZeros,
+    LineNotThroughQw,
+    NoConvergence,
+    RealPointFound,
+)
 from monosphere.projective import SpherePoint, antipode, chordal
 from monosphere.ratmap import (
     ProjLine,
@@ -12,7 +18,7 @@ from monosphere.ratmap import (
     project_map,
     spectral_slice,
 )
-from monosphere.spheres import HoloSphere, eval_sphere
+from monosphere.spheres import HoloSphere, eval_sphere, factor_sphere
 
 
 def identity_sphere(k):
@@ -163,6 +169,20 @@ class TestFindLine:
                 line2, its2 = find_line(q, w)
                 assert abs(abs(np.vdot(line.u2, line2.u2)) - 1.0) < 1e-9
 
+    def test_unsettled_line_raises_with_last_line(self):
+        # one sweep settles on these inputs, so only an unreachable
+        # tolerance leaves the budget of one sweep exhausted
+        q = random_sphere(np.random.default_rng(7), 3)
+        with pytest.raises(NoConvergence) as info:
+            find_line(q, 0.3 + 0.1j, tol=0.0, max_iter=1)
+        assert isinstance(info.value.last, ProjLine)
+        assert info.value.residual > 0.0
+
+    def test_axial_charge24_zeros_degenerate(self):
+        q = factor_sphere(axial_spectral(24, 0.5))
+        with pytest.raises(DegenerateZeros):
+            find_line(q, 0.3 + 0.2j)
+
     def test_returned_line_orthocomplement_property(self):
         rng = np.random.default_rng(5)
         q = random_sphere(rng, 3)
@@ -213,8 +233,16 @@ class TestMasslessCurve:
             assert ev[-3] <= 1e-12 * ev[-1]
 
     def test_constant_map_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateMap):
             massless_curve(RationalMap.normalized([2.0, 2.0], [1.0, 1.0]))
+
+    def test_degree_zero_map_rejected(self):
+        with pytest.raises(DegenerateMap):
+            massless_curve(RationalMap.normalized([2.0], [1.0]))
+
+    def test_map_below_nominal_degree_rejected(self):
+        with pytest.raises(DegenerateMap):
+            massless_curve(RationalMap.normalized([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
 
     def test_common_root_hits_antidiagonal(self):
         # num and den share the root z = 1, which lies on the sample grid

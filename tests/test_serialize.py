@@ -45,6 +45,14 @@ class TestComplexAndPoints:
             with pytest.raises(SchemaError):
                 complex_from_json(bad)
 
+    def test_non_finite_numbers_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        for bad in ([nan, 0.0], [0.0, inf], [-inf, 0.0], [10**400, 0]):
+            with pytest.raises(SchemaError):
+                complex_from_json(bad)
+        with pytest.raises(SchemaError):
+            triple_from_json({"r0": [1, 0, nan], "r1": [0, 1, 0], "r2": [0, 0, 1]})
+
     def test_point_infinity_token(self):
         p = point_from_json("inf")
         assert p.is_infinity
