@@ -19,16 +19,21 @@ The moment map of the SU(2) action is
 
 inner product conjugate linear in the first slot, with magnitude
 |mu| = sqrt(mu_r^2 + 2 |mu_c|^2).  A tuple is a critical point of the
-norm on its orbit exactly when mu = 0; the flow descends along the
-Hermitian direction
+norm on its orbit exactly when mu = 0, and that critical point is the
+minimum (Kempf-Ness).  The Hermitian direction
 
-    xi(mu) = [[mu_r, conj(mu_c)], [mu_c, -mu_r]]
+    X(p) = [[p0, p1 - i p2], [p1 + i p2, -p0]]
 
-with backtracking line search (the directional derivative of norm2
-along -xi(mu) is exactly -2 |mu|^2).  Stability (v_0 != 0, v_k != 0,
-tuple full) guarantees a minimum exists; the minimizing tuple is
-unique up to SU(2) x U(k+1), so the spectrum of the Gram matrix
-Psi = conj(Q)^T Q is the invariant the tests compare.
+acts on the weighted coordinates as the Hermitian tridiagonal matrix
+D(p) = p0 H0 + p1 H1 + p2 H2, with H0 = diag(2j - k), H1 = L + L^T,
+H2 = i (L - L^T) and L the subdiagonal sqrt((j+1)(k-j)).  So
+F(p) = norm2(exp X(p) . t) = <v, exp(2 D(p)) v> has the exact gradient
+2 (mu_r, 2 Re mu_c, 2 Im mu_c) and Hessian 4 Re <H_i v, H_j v> at
+p = 0, and the flow takes damped Newton steps on F.  Stability
+(v_0 != 0, v_k != 0, tuple full) guarantees a minimum exists and makes
+the Hessian positive definite; the minimizing tuple is unique up to
+SU(2) x U(k+1), so the spectrum of the Gram matrix Psi = conj(Q)^T Q
+is the invariant the tests compare.
 
 The centre of the monopole is the point of hyperbolic 3-space
 X = g^-1 (g^-1)* (determinant normalized to 1), in upper-half-space
@@ -46,7 +51,6 @@ from .spheres import CoeffTuple, binom_weights, tuple_to_sphere
 
 FLOW_TOL = 1e-10
 FLOW_MAX_ITER = 10000
-NEWTON_SWITCH = 1e-4  # |mu|/norm2 below which the Newton polish is tried
 DET_TOL = 1e-12
 STAB_TOL = 1e-12
 
@@ -149,82 +153,29 @@ def stability_check(t: CoeffTuple, tol: float = STAB_TOL) -> bool:
     return bool(svals[-1] > 1e-10 * svals[0])
 
 
-def _xi_direction(mu: MomentValue) -> np.ndarray:
-    return np.array(
-        [[mu.mu_r, np.conj(mu.mu_c)], [mu.mu_c, -mu.mu_r]], dtype=complex
-    )
-
-
-def _exp_step(xi: np.ndarray, s: float) -> Mobius:
-    """exp(-s xi) for Hermitian traceless xi, closed form, det exactly 1."""
-    lam = np.sqrt(abs(xi[0, 0]) ** 2 + abs(xi[1, 0]) ** 2)
+def _exp_step(p) -> Mobius:
+    """exp X(p) in closed form, det exactly 1."""
+    lam = float(np.linalg.norm(p))
     if lam == 0.0:
         return Mobius.identity()
-    ch = np.cosh(s * lam)
-    sh = np.sinh(s * lam) / lam
-    m = ch * np.eye(2) - sh * xi
-    return Mobius(complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1]))
+    ch = np.cosh(lam)
+    sh = np.sinh(lam) / lam
+    off = complex(p[1], p[2])
+    return Mobius(complex(ch + sh * p[0]), sh * off.conjugate(), sh * off, complex(ch - sh * p[0]))
 
 
-def _xi_from_components(p) -> np.ndarray:
-    bc = p[1] + 1j * p[2]
-    return np.array([[p[0], np.conj(bc)], [bc, -p[0]]], dtype=complex)
-
-
-def _mu_components(t: CoeffTuple) -> tuple[np.ndarray, float]:
-    mu = moment_map(t)
-    return np.array([mu.mu_r, mu.mu_c.real, mu.mu_c.imag]), mu.magnitude
-
-
-def _newton_polish(g0: Mobius, t0: CoeffTuple, tol: float, trace: list, it0: int):
-    """Damped Newton on the three real moment components.
-
-    Steepest descent only creeps once the basin is reached; Newton on
-    the 3x3 finite-difference Jacobian converges quadratically there.
-    Returns (g, tuple, last_iteration) or None when the Jacobian is
-    unusable or damping fails, in which case the caller keeps flowing.
-    """
-    g, cur = g0, t0
-    it = it0
-    h = 1e-6
-    for _ in range(40):
-        f, mag = _mu_components(cur)
-        if mag <= tol * norm2(cur):
-            return g, cur, it
-        jac = np.empty((3, 3))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            fp, _ = _mu_components(act_sl2(_exp_step(_xi_from_components(e), 1.0), cur))
-            fm, _ = _mu_components(act_sl2(_exp_step(_xi_from_components(-e), 1.0), cur))
-            jac[:, j] = (fp - fm) / (2.0 * h)
-        try:
-            delta = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            return None
-        lam = float(np.linalg.norm(delta))
-        if not np.isfinite(lam):
-            return None
-        if lam > 0.5:
-            # keep the group displacement moderate
-            delta = delta * (0.5 / lam)
-        alpha = 1.0
-        trial = None
-        trial_mag = np.inf
-        for _ in range(8):
-            g_step = _exp_step(_xi_from_components(alpha * delta), 1.0)
-            trial = act_sl2(g_step, cur)
-            _, trial_mag = _mu_components(trial)
-            if trial_mag <= (1.0 - 0.25 * alpha) * mag:
-                break
-            alpha *= 0.5
-        else:
-            return None
-        cur = trial
-        g = g.compose(g_step)
-        it += 1
-        trace.append((it, norm2(cur), trial_mag))
-    return None
+def _hessian(t: CoeffTuple) -> np.ndarray:
+    """4 Re <H_i v, H_j v>, the Hessian of p -> norm2(exp X(p) . t) at p = 0."""
+    k, v = t.k, t.v
+    j = np.arange(k)
+    sub = np.sqrt((j + 1) * (k - j))[:, None]
+    lo = np.zeros_like(v)
+    up = np.zeros_like(v)
+    lo[1:] = sub * v[:-1]  # L v
+    up[:-1] = sub * v[1:]  # L^T v
+    hv = np.stack([(2.0 * np.arange(k + 1) - k)[:, None] * v, lo + up, 1j * (lo - up)])
+    hv = hv.reshape(3, -1)
+    return 4.0 * np.real(np.conj(hv) @ hv.T)
 
 
 @dataclass(frozen=True)
@@ -242,67 +193,53 @@ def center_flow(
 ) -> FlowResult:
     """Flow to the zero of the moment map on the SL(2,C) orbit.
 
-    Steepest descent on norm2 along -xi(mu) with Armijo backtracking,
-    switching to a damped Newton polish on the moment components once
-    |mu|/norm2 falls under NEWTON_SWITCH; converged when
+    Damped Newton on F(p) = norm2(exp X(p) . t), whose gradient
+    2 (mu_r, 2 Re mu_c, 2 Im mu_c) and Hessian (_hessian) are exact:
+    each step is p = -Hess^-1 grad, |p| capped, backtracked until
+    norm2 satisfies the Armijo condition along p; converged when
     |mu| <= tol * norm2.  Refuses unstable tuples (NotStable); raises
-    MaxIterExceeded carrying the best iterate when the budget runs out.
+    MaxIterExceeded carrying the best iterate when the budget runs out
+    or the line search finds no decrease.
     """
     if not stability_check(t):
         raise NotStable("tuple is not stable (v_0, v_k or fullness fails)")
     g_total = Mobius.identity()
     cur = t
     trace = []
-    step = 1.0
-    best = None
-    next_rel = NEWTON_SWITCH
-    it = 0
+    best = (moment_map(t).magnitude, g_total, t)
     for it in range(max_iter):
         mu = moment_map(cur)
         n2 = norm2(cur)
         trace.append((it, n2, mu.magnitude))
-        if best is None or mu.magnitude < best[0]:
+        if mu.magnitude < best[0]:
             best = (mu.magnitude, g_total, cur)
         if mu.magnitude <= tol * n2:
             return FlowResult(g_total, cur, it, tuple(trace))
-        if mu.magnitude <= next_rel * n2:
-            polished = _newton_polish(g_total, cur, tol, trace, it)
-            if polished is not None:
-                g_p, t_p, last = polished
-                return FlowResult(g_p, t_p, last, tuple(trace))
-            next_rel = mu.magnitude / n2 / 4.0
-        xi = _xi_direction(mu)
-        slope = 2.0 * mu.magnitude ** 2  # exact derivative along -xi(mu)
-        lam = np.sqrt(mu.mu_r**2 + abs(mu.mu_c) ** 2)
-        # cap so the group displacement s * |xi| stays moderate
-        s = min(step, 5.0 / max(lam, 1e-300))
-        accepted = False
+        grad = 2.0 * np.array([mu.mu_r, 2.0 * mu.mu_c.real, 2.0 * mu.mu_c.imag])
+        p = -np.linalg.solve(_hessian(cur), grad)
+        lam = np.linalg.norm(p)
+        if lam > 5.0:
+            # cap so the group displacement |p| stays moderate
+            p *= 5.0 / lam
+        slope = float(grad @ p)
+        alpha = 1.0
         for _ in range(60):
-            g_step = _exp_step(xi, s)
+            g_step = _exp_step(alpha * p)
             trial = act_sl2(g_step, cur)
-            if norm2(trial) <= n2 - 0.25 * s * slope:
-                accepted = True
+            if norm2(trial) <= n2 + 0.25 * alpha * slope:
                 break
-            s *= 0.5
-        if not accepted:
-            break
+            alpha *= 0.5
+        else:
+            raise MaxIterExceeded(
+                f"line search stalled at iteration {it} (best |mu| {best[0]:.3e}); "
+                f"tol {tol:.0e} is below the attainable floor for this tuple",
+                best={"g": best[1], "tuple": best[2]},
+                trace=tuple(trace),
+            )
         cur = trial
         g_total = g_total.compose(g_step)  # right action: total = s0 s1 ... sn
-        step = min(s * 2.0, 1e8 / max(slope, 1e-300))
-    else:
-        raise MaxIterExceeded(
-            f"no convergence in {max_iter} iterations (best |mu| {best[0]:.3e})",
-            best={"g": best[1], "tuple": best[2]},
-            trace=tuple(trace),
-        )
-    # line search found no visible decrease: norm2 is flat to roundoff
-    polished = _newton_polish(g_total, cur, tol, trace, it)
-    if polished is not None:
-        g_p, t_p, last = polished
-        return FlowResult(g_p, t_p, last, tuple(trace))
     raise MaxIterExceeded(
-        f"line search stalled at iteration {it} (best |mu| {best[0]:.3e}); "
-        f"tol {tol:.0e} is below the attainable floor for this tuple",
+        f"no convergence in {max_iter} iterations (best |mu| {best[0]:.3e})",
         best={"g": best[1], "tuple": best[2]},
         trace=tuple(trace),
     )

@@ -7,7 +7,7 @@ repeated job produces identical bytes.  Transform commands (normalize,
 factor, center, massless, reconstruct) emit the payload type itself
 extended with diagnostic keys, so their output feeds the next command
 directly.  Exit status: 0 success, 2 validation failure, 3 numerical
-non-convergence.
+non-convergence or overflow.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .curves import (
 )
 from .errors import (
     ConvergenceError,
+    NonFiniteResult,
     NotPositiveDefinite,
     SchemaError,
     ValidationError,
@@ -492,8 +493,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, report: dict, code: int) -> int:
     """Write the report to --output, or stdout, and return the exit code;
-    an unwritable output gives an error report on stdout and exit 2."""
-    text = ser.dumps_report(report)
+    an unwritable output gives an error report on stdout and exit 2, and
+    a report holding a non-finite number (an overflow) an error report
+    and exit 3."""
+    try:
+        text = ser.dumps_report(report)
+    except ValueError as exc:
+        error = NonFiniteResult(f"report holds a non-finite number: {exc}")
+        report, code = _error_report(args, error), 3
+        text = ser.dumps_report(report)
     if args.output:
         try:
             Path(args.output).write_text(text, encoding="utf-8")
@@ -519,7 +527,8 @@ def main(argv=None) -> int:
         report = args.handler(args)
     except ValidationError as exc:
         return _emit(args, _error_report(args, exc), 2)
-    except ConvergenceError as exc:
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
+        # LAPACK failures, such as an SVD that does not converge on overflowed entries
         return _emit(args, _error_report(args, exc), 3)
     report.setdefault("command", _command_name(args))
     report.setdefault("status", "ok")

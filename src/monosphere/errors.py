@@ -94,7 +94,8 @@ class ConicFitFailed(ValidationError):
 
 
 class DegenerateMap(ValidationError):
-    """Rational map is constant, of degree 0, or below its nominal degree."""
+    """Rational map is constant, of degree 0, below its nominal degree, or
+    overflows when normalized."""
 
 
 # -- convergence -----------------------------------------------------------
@@ -127,3 +128,7 @@ class BranchPoint(ConvergenceError):
 
 class NoEstimate(ConvergenceError):
     """No closure observed, so no mass estimate is available."""
+
+
+class NonFiniteResult(ConvergenceError):
+    """A computed value overflowed the floating-point range."""

@@ -38,6 +38,7 @@ from .errors import (
     IdenticallyZero,
     LineNotThroughQw,
     NoConvergence,
+    NonFiniteResult,
     RealPointFound,
 )
 from .projective import SpherePoint, chordal, proj_roots
@@ -108,7 +109,11 @@ class RationalMap:
         sd = den[np.argmax(np.abs(den))]
         if abs(sn) == 0.0 or abs(sd) == 0.0:
             raise IdenticallyZero("rational map has a zero polynomial")
-        return RationalMap(num / sn, den / sd, complex(sn / sd))
+        with np.errstate(over="ignore", invalid="ignore"):
+            num, den, scale = num / sn, den / sd, complex(sn / sd)
+        if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den)) and np.isfinite(scale)):
+            raise DegenerateMap("normalized coefficients or scale are not finite")
+        return RationalMap(num, den, scale)
 
     def poles(self) -> list[SpherePoint]:
         return proj_roots(self.den)
@@ -138,14 +143,22 @@ def spectral_slice(q: HoloSphere, w) -> list[SpherePoint]:
     return proj_roots(coeffs)
 
 
+def _unit(x: np.ndarray) -> np.ndarray:
+    """x / |x|, divided by its largest entry first so the norm cannot overflow."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x = x / np.max(np.abs(x))
+        u = x / np.linalg.norm(x)
+    if not np.all(np.isfinite(u)):
+        raise NonFiniteResult("a sphere value is zero or overflows")
+    return u
+
+
 def project_map(q: HoloSphere, w, L: ProjLine, tol: float = 1e-8) -> RationalMap:
     """f(z) = [<u2, q(z)> : <u1, q(z)>], zero at z = w, poles on the slice.
 
     Requires u1 parallel to q(w) (LineNotThroughQw otherwise).
     """
-    qw = eval_sphere(q, w)
-    qw = qw / np.linalg.norm(qw)
-    align = abs(np.vdot(L.u1, qw))
+    align = abs(np.vdot(L.u1, _unit(eval_sphere(q, w))))
     if align < 1.0 - tol:
         raise LineNotThroughQw(f"u1 is not parallel to q(w) (|<u1, q(w)>| = {align:.6f})")
     num = np.conj(L.u2) @ q.Q
@@ -207,16 +220,16 @@ def find_line(
     """
     require_full(q)
     w = SpherePoint.of(w)
-    u1 = eval_sphere(q, w)
-    u1 = u1 / np.linalg.norm(u1)
-    cand = eval_sphere(q, w.antipode())
+    u1 = _unit(eval_sphere(q, w))
+    cand = _unit(eval_sphere(q, w.antipode()))
     cand = cand - (np.conj(u1) @ cand) * u1
     if np.linalg.norm(cand) < 1e-12:
         basis = np.eye(q.k + 1, dtype=complex)
         overlaps = np.abs(np.conj(basis) @ u1)
         cand = basis[int(np.argmin(overlaps))]
         cand = cand - (np.conj(u1) @ cand) * u1
-    u2 = cand / np.linalg.norm(cand)
+    # project again: the first projection leaves an error of eps / |cand|
+    u2 = _unit(cand - (np.conj(u1) @ cand) * u1)
     line = ProjLine(u1, u2)
     if q.k == 1:
         # the only 2-plane in C^2; nothing to iterate

@@ -5,6 +5,8 @@ import pytest
 
 from monosphere.centering import (
     Mobius,
+    _exp_step,
+    _hessian,
     act_sl2,
     center_flow,
     centre_point,
@@ -12,8 +14,9 @@ from monosphere.centering import (
     norm2,
     stability_check,
 )
+from monosphere.curves import SpectralMatrix, axial_spectral
 from monosphere.errors import MaxIterExceeded, NotStable
-from monosphere.spheres import CoeffTuple, HoloSphere, sphere_to_tuple
+from monosphere.spheres import CoeffTuple, HoloSphere, factor_sphere, sphere_to_tuple
 
 
 def _tuple_from_rows(rows):
@@ -136,6 +139,42 @@ def test_moment_gradient_consistency():
             assert abs(fd / 2.0 - want) < 1e-7 * max(1.0, abs(want))
 
 
+def test_gradient_and_hessian_match_central_differences():
+    # F(p) = norm2(exp X(p) . t) has gradient 2 (mu_r, 2 Re mu_c, 2 Im mu_c)
+    # and Hessian 4 Re <H_i v, H_j v> at p = 0
+    rng = np.random.default_rng(41)
+    for k in (1, 2, 4, 8, 16, 32):
+        t = _rand_tuple(rng, k)
+
+        def F(p):
+            return norm2(act_sl2(_exp_step(p), t))
+
+        mu = moment_map(t)
+        grad = 2.0 * np.array([mu.mu_r, 2.0 * mu.mu_c.real, 2.0 * mu.mu_c.imag])
+        hess = _hessian(t)
+        scale = np.max(np.abs(hess))
+        h = 1e-4 / k
+        e = np.eye(3) * h
+        fd_grad = np.array([(F(e[i]) - F(-e[i])) / (2.0 * h) for i in range(3)])
+        fd_hess = np.array([
+            [(F(e[i] + e[j]) - F(e[i] - e[j]) - F(e[j] - e[i]) + F(-e[i] - e[j])) / (4.0 * h * h)
+             for j in range(3)]
+            for i in range(3)
+        ])
+        assert np.max(np.abs(fd_grad - grad)) < 1e-6 * scale
+        assert np.max(np.abs(fd_hess - hess)) < 1e-6 * scale
+        assert np.array_equal(hess, hess.T)
+
+
+def test_hessian_positive_definite_on_stable_tuples():
+    rng = np.random.default_rng(43)
+    for k in range(1, 33):
+        t = _rand_tuple(rng, k)
+        assert stability_check(t)
+        vals = np.linalg.eigvalsh(_hessian(t))
+        assert vals[0] > 0.0
+
+
 # -- stability ----------------------------------------------------------------
 
 def test_stability_identity():
@@ -188,7 +227,7 @@ def test_flow_returns_consistent_g():
 
 def test_flow_recovers_gram_spectrum():
     rng = np.random.default_rng(53)
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 8, 16):
         t0 = center_flow(_rand_tuple(rng, k)).tuple_centred
         base = _gram_spectrum(t0)
         for _ in range(3):
@@ -251,6 +290,42 @@ def test_centre_su2_invariant():
 def test_flow_budget_exhausted_carries_best():
     rng = np.random.default_rng(61)
     t = _rand_tuple(rng, 2)
-    with pytest.raises(MaxIterExceeded) as info:
-        center_flow(t, max_iter=1)
-    assert info.value.best is not None
+    for budget in (1, 0, -2):
+        with pytest.raises(MaxIterExceeded, match=f"in {budget} iterations") as info:
+            center_flow(t, max_iter=budget)
+        assert info.value.best is not None
+    # an empty budget carries the input itself
+    assert info.value.best["tuple"] is t
+    assert info.value.trace == ()
+
+
+def _assert_centred(t, res):
+    n2 = norm2(res.tuple_centred)
+    assert moment_map(res.tuple_centred).magnitude <= 1e-10 * n2
+    moved = act_sl2(res.g, t).v
+    assert np.linalg.norm(moved - res.tuple_centred.v) <= 1e-10 * np.linalg.norm(res.tuple_centred.v)
+
+
+@pytest.mark.parametrize("k", [16, 24])
+def test_flow_centres_moved_axial_tuple(k):
+    move = Mobius.from_matrix([[1.5, 0.3], [0.1, 0.8]])
+    t = act_sl2(move, sphere_to_tuple(factor_sphere(axial_spectral(k, 0.5))))
+    _assert_centred(t, center_flow(t))
+
+
+def test_flow_centres_random_charge32_curve():
+    rng = np.random.default_rng(32)
+    A = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
+    t = sphere_to_tuple(factor_sphere(SpectralMatrix(32, A @ A.conj().T + 33.0 * np.eye(33))))
+    _assert_centred(t, center_flow(t))
+
+
+def test_flow_converges_within_40_iterations_up_to_charge32():
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        k = int(rng.integers(1, 33))
+        A = rng.standard_normal((k + 1, k + 1)) + 1j * rng.standard_normal((k + 1, k + 1))
+        Q = factor_sphere(SpectralMatrix(k, A @ A.conj().T + (k + 1) * np.eye(k + 1))).Q
+        t = act_sl2(_rand_sl2(rng, spread=0.3), sphere_to_tuple(HoloSphere(k, Q)))
+        res = center_flow(t, max_iter=40)
+        assert moment_map(res.tuple_centred).magnitude <= 1e-10 * norm2(res.tuple_centred)

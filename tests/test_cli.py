@@ -66,8 +66,13 @@ class TestValidationAndExitCodes:
 
     @pytest.mark.parametrize(
         "num, den",
-        [([[2, 0], [2, 0]], [[1, 0], [1, 0]]), ([[2, 0]], [[1, 0]])],
-        ids=["constant", "degree-0"],
+        [
+            ([[2, 0], [2, 0]], [[1, 0], [1, 0]]),
+            ([[2, 0]], [[1, 0]]),
+            ([[1, 0], [0, 0]], [[1e-320, 0], [0, 0]]),
+            ([[1.7e308, 1.7e308], [1, 0]], [[1, 0], [1, 0]]),
+        ],
+        ids=["constant", "degree-0", "subnormal-den", "overflowing-num"],
     )
     def test_degenerate_massless_map_exits_2(self, tmp_path, num, den):
         code, report = run_cli(tmp_path, ["massless"], {"num": num, "den": den})
@@ -114,6 +119,32 @@ class TestValidationAndExitCodes:
         code, report = run_cli(tmp_path, ["boundary"], doc)
         assert code == 3
         assert report["error"]["code"] == "QuadratureNotConverged"
+
+    @pytest.mark.parametrize("command, budget", [("center", "0"), ("center", "-2"), ("pipeline", "0")])
+    def test_empty_flow_budget_exits_3(self, tmp_path, command, budget):
+        doc = tuple_to_json(sphere_to_tuple(factor_sphere(axial_spectral(2, 0.5))))
+        if command == "pipeline":
+            doc = half_mass_curve()
+        code, report = run_cli(tmp_path, [command, "--max-iter", budget], doc)
+        assert code == 3
+        assert report["error"]["code"] == "MaxIterExceeded"
+
+    def test_overflowing_report_exits_3(self, tmp_path):
+        doc = {"r0": [0, 0, 0], "r1": [0, 0, 0], "r2": [0, 0, 1e300]}
+        code, report = run_cli(tmp_path, ["charge2", "involution"], doc)
+        assert code == 3
+        assert report["error"]["code"] == "NonFiniteResult"
+
+    def test_lapack_failure_exits_3(self, tmp_path):
+        samples = [
+            [[1e-09, -5.960464477539063e-08], 1e-300],
+            [[-2.037049791317448, 0.0], 3.345402395167215e277],
+            [[1e-300, 1.7e308], 3.9948586049514976],
+            [[3.5786261093645564, 1.92618603980502e231], 0.2],
+        ]
+        code, report = run_cli(tmp_path, ["reconstruct"], {"k": 2, "samples": samples * 3})
+        assert code == 3
+        assert report["error"]["code"] == "LinAlgError"
 
     def test_check_accepts_positive_curve(self, tmp_path):
         code, report = run_cli(tmp_path, ["check"], half_mass_curve())

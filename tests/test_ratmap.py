@@ -7,6 +7,7 @@ from monosphere.errors import (
     DegenerateZeros,
     LineNotThroughQw,
     NoConvergence,
+    NonFiniteResult,
     RealPointFound,
 )
 from monosphere.projective import SpherePoint, antipode, chordal
@@ -197,6 +198,27 @@ class TestFindLine:
             assert abs(np.vdot(line.u2, vec)) <= 1e-7 * np.linalg.norm(vec)
 
 
+    def test_initial_line_orthonormal_on_badly_scaled_sphere(self):
+        # q(w) ~ 6e7 while q(antipode(w)) ~ 3: one projection leaves u2
+        # off orthogonal by 1e-8, which ProjLine refuses
+        q = HoloSphere(1, np.array([[1e-300j, 63600498.168835886], [-1.5645884147832496j, 3.33498827476768]]))
+        line, _ = find_line(q, 1.0)
+        assert abs(np.vdot(line.u1, line.u2)) < 1e-12
+
+    def test_sphere_values_near_float_max_project(self):
+        # q(w) is finite but the sum of its squared entries overflows
+        q = HoloSphere(1, np.array([[1.7e308 + 1e300j, -1.66e-110j], [-0.55 + 1e300j, 1e-258 + 1e300j]]))
+        w = 0.3 + 0.2j
+        line, _ = find_line(q, w)
+        (zero,) = project_map(q, w, line).zeros()
+        assert chordal(zero, SpherePoint.of(w)) < 1e-8
+
+    def test_overflowing_sphere_value_raises(self):
+        q = HoloSphere(1, np.array([[1e308, 1e308], [-1e308, 1e308]]))
+        with pytest.raises(NonFiniteResult):
+            find_line(q, 1.0)
+
+
 class TestRationalMap:
     def test_resultant_identity(self):
         f = RationalMap.normalized([0.0, 1.0], [1.0, 0.0])
@@ -206,6 +228,15 @@ class TestRationalMap:
         # num = (z-1)(z-2), den = (z-1)(z+3)
         f = RationalMap.normalized([2.0, -3.0, 1.0], [-3.0, 2.0, 1.0])
         assert abs(f.resultant()) < 1e-10
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [([1.0, 0.0], [1e-320, 0.0]), ([1.7e308 + 1.7e308j, 1.0], [1.0, 1.0])],
+        ids=["subnormal-den", "overflowing-num"],
+    )
+    def test_non_finite_normalization_rejected(self, num, den):
+        with pytest.raises(DegenerateMap):
+            RationalMap.normalized(num, den)
 
     def test_scale_recorded(self):
         f = RationalMap.normalized([0.0, 5.0j], [2.0, 0.0])
