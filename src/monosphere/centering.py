@@ -51,6 +51,8 @@ from .spheres import CoeffTuple, binom_weights, tuple_to_sphere
 
 FLOW_TOL = 1e-10
 FLOW_MAX_ITER = 10000
+# Iterations without a smaller |mu| that mark the rounding floor.
+FLOW_STALL = 10
 DET_TOL = 1e-12
 STAB_TOL = 1e-12
 
@@ -198,8 +200,9 @@ def center_flow(
     each step is p = -Hess^-1 grad, |p| capped, backtracked until
     norm2 satisfies the Armijo condition along p; converged when
     |mu| <= tol * norm2.  Refuses unstable tuples (NotStable); raises
-    MaxIterExceeded carrying the best iterate when the budget runs out
-    or the line search finds no decrease.
+    MaxIterExceeded carrying the best iterate when the budget runs out,
+    when the line search finds no decrease, or when |mu| has not
+    improved for FLOW_STALL iterations (tol below the rounding floor).
     """
     if not stability_check(t):
         raise NotStable("tuple is not stable (v_0, v_k or fullness fails)")
@@ -207,12 +210,14 @@ def center_flow(
     cur = t
     trace = []
     best = (moment_map(t).magnitude, g_total, t)
+    best_it = 0
     for it in range(max_iter):
         mu = moment_map(cur)
         n2 = norm2(cur)
         trace.append((it, n2, mu.magnitude))
         if mu.magnitude < best[0]:
             best = (mu.magnitude, g_total, cur)
+            best_it = it
         if mu.magnitude <= tol * n2:
             return FlowResult(g_total, cur, it, tuple(trace))
         grad = 2.0 * np.array([mu.mu_r, 2.0 * mu.mu_c.real, 2.0 * mu.mu_c.imag])
@@ -223,7 +228,7 @@ def center_flow(
             p *= 5.0 / lam
         slope = float(grad @ p)
         alpha = 1.0
-        for _ in range(60):
+        for _ in range(60 if it - best_it < FLOW_STALL else 0):  # at the floor: raise
             g_step = _exp_step(alpha * p)
             trial = act_sl2(g_step, cur)
             if norm2(trial) <= n2 + 0.25 * alpha * slope:

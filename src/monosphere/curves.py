@@ -76,7 +76,7 @@ class SpectralMatrix:
 
 
 def times(psi: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Psi x for every column x of the jet array x.
+    """Psi x for every column x of the jet array x; Psi may be rectangular.
 
     The product is taken in slices of at most GEMM_MAX multiply-adds:
     OpenBLAS hands larger complex products to its thread pool, and on a
@@ -84,12 +84,12 @@ def times(psi: np.ndarray, x: np.ndarray) -> np.ndarray:
     a hundred times the product itself.
     """
     flat = x.reshape(x.shape[0], -1)
-    out = np.empty_like(flat)
+    out = np.empty((psi.shape[0], flat.shape[1]), dtype=np.result_type(psi, flat))
     cols = max(1, GEMM_MAX // psi.size)
     for start in range(0, flat.shape[1], cols):
         part = slice(start, start + cols)
         np.matmul(psi, flat[:, part], out=out[:, part])
-    return out.reshape(x.shape)
+    return out.reshape(psi.shape[:1] + x.shape[1:])
 
 
 def hermitian_form(psi: np.ndarray, v: np.ndarray) -> np.ndarray:

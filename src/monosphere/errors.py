@@ -101,7 +101,12 @@ class DegenerateMap(ValidationError):
 # -- convergence -----------------------------------------------------------
 
 class QuadratureNotConverged(ConvergenceError):
-    pass
+    """Carries the smallest bound reached (None if not finite) and the last n."""
+
+    def __init__(self, message, best=None, nodes=None):
+        super().__init__(message)
+        self.best = best
+        self.nodes = nodes
 
 
 class MaxIterExceeded(ConvergenceError):

@@ -5,6 +5,11 @@ import pytest
 
 from monosphere.boundary import (
     DEGREE_TOL,
+    RULE_CAP,
+    RULE_FIRST,
+    _chart_matrix,
+    _patch,
+    _ring_scatter,
     connection_at_infinity,
     curvature_density,
     degree_integral,
@@ -105,14 +110,14 @@ def test_degree_integral_axial():
     assert abs(val - 2.0) < 1e-5
 
 
-@pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 16, 24, 32])
 def test_degree_integral_random_within_bound(k):
     rng = np.random.default_rng(100 + k)
     val, bound = degree_integral(SpectralMatrix(k, _rand_hermitian_pd(rng, k + 1)))
     assert abs(val - k) <= bound <= DEGREE_TOL
 
 
-@pytest.mark.parametrize("k", [2, 4, 8, 16])
+@pytest.mark.parametrize("k", [2, 4, 8, 16, 24, 32])
 @pytest.mark.parametrize("m", [0.5, 1.0])
 def test_degree_integral_axial_within_bound(k, m):
     val, bound = degree_integral(axial_spectral(k, m))
@@ -136,6 +141,35 @@ def test_degree_integral_overflow_is_not_converged():
     # h = 1 + 1e300 |z|^2 overflows; the estimate is not finite
     with pytest.raises(QuadratureNotConverged, match="not finite"):
         degree_integral(SpectralMatrix(1, np.diag([1.0, 1e300])))
+
+
+def test_quadrature_not_converged_carries_best_and_nodes():
+    with pytest.raises(QuadratureNotConverged) as info:
+        degree_integral(axial_spectral(2, 0.5), tol=1e-20)
+    assert info.value.nodes == RULE_CAP
+    assert 1e-20 < info.value.best < 1e-12
+    assert f"{info.value.best:.2e}" in str(info.value)
+    with pytest.raises(QuadratureNotConverged) as info:
+        degree_integral(SpectralMatrix(1, np.diag([1.0, 1e300])))
+    assert info.value.nodes == RULE_FIRST
+    assert info.value.best is None
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("k", [1, 2, 8, 16, 32])
+def test_ring_kernel_matches_pointwise_rule(k, n):
+    # the n x 2n tensor rule summed point by point; k = 32 at n = 16 folds
+    S = SpectralMatrix(k, _rand_hermitian_pd(np.random.default_rng(200 + k), k + 1))
+    x, w = np.polynomial.legendre.leggauss(n)
+    r = (x + 1.0) / 2.0
+    theta = np.pi * np.arange(2 * n) / n
+    for chart in ("z", "inv"):
+        for radius in (0.5, 2.0):
+            z = (radius * r[:, None] * np.exp(1j * theta)).ravel()
+            weights = np.repeat(w / 2.0 * r * (np.pi / n), 2 * n) * radius**2
+            expect = weights @ curvature_density(S, z, chart)
+            got = _patch(_ring_scatter(_chart_matrix(S, chart)), radius, n)
+            assert abs(got - expect) <= 1e-12 * abs(expect)
 
 
 @pytest.mark.parametrize("chart", ["z", "inv"])

@@ -329,3 +329,14 @@ def test_flow_converges_within_40_iterations_up_to_charge32():
         t = act_sl2(_rand_sl2(rng, spread=0.3), sphere_to_tuple(HoloSphere(k, Q)))
         res = center_flow(t, max_iter=40)
         assert moment_map(res.tuple_centred).magnitude <= 1e-10 * norm2(res.tuple_centred)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 16])
+def test_flow_below_rounding_floor_stops_early(k):
+    # tol = 0 cannot be met; the flow stops once |mu| no longer improves
+    t = _rand_tuple(np.random.default_rng(1), k)
+    with pytest.raises(MaxIterExceeded, match="below the attainable floor") as info:
+        center_flow(t, tol=0.0)
+    assert len(info.value.trace) <= 100
+    assert info.value.best["tuple"] is not None
+    assert info.value.best["g"] is not None

@@ -16,7 +16,7 @@ from monosphere.serialize import (
     tuple_to_json,
 )
 from monosphere.charge2 import Su2Triple
-from monosphere.spheres import factor_sphere, sphere_to_tuple
+from monosphere.spheres import CoeffTuple, factor_sphere, sphere_to_tuple
 
 
 def write_doc(tmp_path, name, doc):
@@ -128,6 +128,14 @@ class TestValidationAndExitCodes:
         code, report = run_cli(tmp_path, [command, "--max-iter", budget], doc)
         assert code == 3
         assert report["error"]["code"] == "MaxIterExceeded"
+
+    def test_flow_tolerance_below_floor_exits_3(self, tmp_path):
+        rng = np.random.default_rng(1)
+        v = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        code, report = run_cli(tmp_path, ["center", "--tol", "0"], tuple_to_json(CoeffTuple(8, v)))
+        assert code == 3
+        assert report["error"]["code"] == "MaxIterExceeded"
+        assert "below the attainable floor" in report["error"]["message"]
 
     def test_overflowing_report_exits_3(self, tmp_path):
         doc = {"r0": [0, 0, 0], "r1": [0, 0, 0], "r2": [0, 0, 1e300]}
@@ -352,10 +360,11 @@ class TestPipelineAndDeterminism:
 
 
 def test_import_leaves_scipy_unloaded():
-    # numpy is the only runtime dependency; scipy serves the tests alone
+    # numpy is the only runtime dependency; scipy serves the tests alone,
+    # and numpy.fft loads only when a degree integral runs
     code = (
         "import sys, monosphere, monosphere.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.fft')))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
