@@ -196,7 +196,7 @@ def cmd_center(args) -> dict:
 def cmd_ratmap(args) -> dict:
     q = ser.sphere_from_json(ser.read_document(args.input))
     w = _parse_point(args.w, "--w")
-    line, iterations = find_line(q, w, **_opt(tol=args.tol, max_iter=args.max_iter))
+    line, _ = find_line(q, w)
     f = project_map(q, w, line)
     return {
         "w": ser.point_to_json(w),
@@ -209,7 +209,6 @@ def cmd_ratmap(args) -> dict:
             "u1": ser.vector_to_json(line.u1),
             "u2": ser.vector_to_json(line.u2),
         },
-        "iterations": iterations,
     }
 
 

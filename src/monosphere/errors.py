@@ -65,10 +65,6 @@ class LineNotThroughQw(ValidationError):
     """Projection line does not contain the required point q(w)."""
 
 
-class DegenerateZeros(ValidationError):
-    """Zero structure too degenerate to continue (beyond multiplicity handling)."""
-
-
 class NotOnCurve(ValidationError):
     """Starting point does not satisfy the curve equation."""
 
@@ -116,15 +112,6 @@ class MaxIterExceeded(ConvergenceError):
         super().__init__(message)
         self.best = best
         self.trace = trace
-
-
-class NoConvergence(ConvergenceError):
-    """Fixed-point iteration failed to settle.  Carries the last iterate."""
-
-    def __init__(self, message, last=None, residual=None):
-        super().__init__(message)
-        self.last = last
-        self.residual = residual
 
 
 class BranchPoint(ConvergenceError):

@@ -12,7 +12,7 @@ in the sense that antipodal pairs are at maximal distance 1.
 
 Every evaluation vector of the package comes from one kernel here:
 vander(z, k) = (1, z, ..., z^k) at a chart value or on an array of
-them, with vander_derivative for its chart derivatives and
+them, with vander_derivative for its chart derivative and
 hom_vector / folded_vector for its homogeneous forms at a point.
 """
 
@@ -126,13 +126,11 @@ def vander(z, k: int) -> np.ndarray:
     return v
 
 
-def vander_derivative(v: np.ndarray, order: int = 1) -> np.ndarray:
-    """Chart derivative of the given order of the jets v = vander(z, k):
-    row j is the falling factorial j!/(j - order)! times z^(j - order)."""
+def vander_derivative(v: np.ndarray) -> np.ndarray:
+    """Chart derivative of v = vander(z, k): row j is j z^(j - 1)."""
     k = v.shape[0] - 1
-    falling = np.prod(np.arange(order, k + 1.0)[:, None] - np.arange(order), axis=1)
     out = np.zeros_like(v)
-    out[order:] = v[: k + 1 - order] * falling.reshape((-1,) + (1,) * (v.ndim - 1))
+    out[1:] = v[:k] * np.arange(1.0, k + 1).reshape((-1,) + (1,) * (v.ndim - 1))
     return out
 
 

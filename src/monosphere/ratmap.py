@@ -11,12 +11,14 @@ z, independent of the choice of u2: they are the points z_i with
 (antipode(w), z_i) on the spectral curve.  A degree deficiency d of
 the pole polynomial means a pole at infinity of multiplicity d.
 
-find_line iterates the existence argument: from the current line, take
-the k zeros {w_i} of f_w (w itself among them), form the span of the
-q(w_i) (derivative vectors stand in at multiple zeros), and replace u2
-by the orthogonal complement of that span.  A fixed line of this
-update is self-consistent; convergence is measured by the principal
-angle between successive lines.
+find_line takes u2 from q(antipode(w)) and needs no iteration.  The
+numerator of f_w is <u2, q(z)>, so u2 is orthogonal to q(w_i) at every
+zero w_i of f_w (w itself among them) by construction: to the jets of
+q at a multiple zero, and to the top columns of Q at a zero at
+infinity.  When those vectors span a k-plane, its orthocomplement is
+span{u2}.  So the existence argument's update, which replaces u2 by
+the orthocomplement of the span of the zeros' q-images, maps every
+line through q(w) to itself: the starting line is self-consistent.
 
 The massless spectral curve of a degree-N rational map f = [den : num]
 is {<f(antipode(w)), f(z)> = 0}, bidegree (N, N) with coefficient
@@ -34,19 +36,14 @@ import numpy as np
 from .curves import SpectralMatrix, antidiagonal_form
 from .errors import (
     DegenerateMap,
-    DegenerateZeros,
     IdenticallyZero,
     LineNotThroughQw,
-    NoConvergence,
     NonFiniteResult,
     RealPointFound,
 )
-from .projective import SpherePoint, chordal, proj_roots
-from .spheres import HoloSphere, eval_sphere, eval_sphere_derivative, require_full
+from .projective import SpherePoint, proj_roots
+from .spheres import HoloSphere, eval_sphere, require_full
 
-LINE_TOL = 1e-9
-LINE_MAX_ITER = 40
-CLUSTER_TOL = 1e-6
 ANTIDIAG_SAMPLES = 256
 
 
@@ -166,57 +163,13 @@ def project_map(q: HoloSphere, w, L: ProjLine, tol: float = 1e-8) -> RationalMap
     return RationalMap.normalized(num, den)
 
 
-def _cluster_points(points: list[SpherePoint], tol: float = CLUSTER_TOL):
-    """Group chordal-close points; returns (representative, multiplicity)."""
-    groups: list[list[SpherePoint]] = []
-    for p in points:
-        for g in groups:
-            if chordal(p, g[0]) <= tol:
-                g.append(p)
-                break
-        else:
-            groups.append([p])
-    return [(g[0], len(g)) for g in groups]
+def find_line(q: HoloSphere, w) -> tuple[ProjLine, int]:
+    """Self-consistent projection line at w, the span of q(w) and q(antipode(w)).
 
-
-def _zero_span(q: HoloSphere, zeros: list[SpherePoint]) -> np.ndarray:
-    """Stack q (and derivative) vectors at the zeros, multiplicities via jets."""
-    rows = []
-    for point, mult in _cluster_points(zeros):
-        if point.is_infinity:
-            # 1/z chart: jets at infinity are the reversed columns
-            rows.extend(q.Q[:, q.k - d] for d in range(mult))
-        else:
-            rows.append(eval_sphere(q, point))
-            rows.extend(eval_sphere_derivative(q, point, order=d) for d in range(1, mult))
-    return np.stack(rows)
-
-
-def _line_angle(a: ProjLine, b: ProjLine) -> float:
-    """Largest principal angle between two lines.
-
-    With orthonormal bases A and B it is arcsin ||B - A (A^H B)||_2, the
-    sine form, which stays accurate at small angles (where the cosine
-    form loses everything below about 1e-8).
-    """
-    A, B = a.basis(), b.basis()
-    sine = np.linalg.norm(B - A @ (np.conj(A).T @ B), 2)
-    return float(np.arcsin(min(sine, 1.0)))
-
-
-def find_line(
-    q: HoloSphere,
-    w,
-    tol: float = LINE_TOL,
-    max_iter: int = LINE_MAX_ITER,
-) -> tuple[ProjLine, int]:
-    """Self-consistent projection line at w by fixed-point iteration.
-
-    Initial guess: u2 is the part of q(antipode(w)) orthogonal to q(w)
-    (any orthonormal completion when that degenerates).  Each sweep
-    replaces u2 by the orthocomplement of the span of the q-images of
-    the current zeros.  Returns (line, iterations); NoConvergence
-    carries the last line and residual angle.
+    u1 is q(w) and u2 the part of q(antipode(w)) orthogonal to it (any
+    orthonormal completion when that degenerates).  The line is already
+    self-consistent (module docstring), so no sweep is run: the second
+    entry of the returned (line, sweeps) is always 0.
     """
     require_full(q)
     w = SpherePoint.of(w)
@@ -230,41 +183,7 @@ def find_line(
         cand = cand - (np.conj(u1) @ cand) * u1
     # project again: the first projection leaves an error of eps / |cand|
     u2 = _unit(cand - (np.conj(u1) @ cand) * u1)
-    line = ProjLine(u1, u2)
-    if q.k == 1:
-        # the only 2-plane in C^2; nothing to iterate
-        return line, 0
-
-    ang = np.inf
-    for it in range(1, max_iter + 1):
-        f = project_map(q, w, line)
-        zeros = f.zeros()
-        span = _zero_span(q, zeros)
-        sv = np.linalg.svd(span, compute_uv=False)
-        if sv[-1] <= 1e-10 * sv[0]:
-            raise DegenerateZeros(
-                "q-images of the zeros (with jets) do not span a k-plane"
-            )
-        # unique Hermitian orthocomplement: rows @ conj(n) = 0
-        _, _, vh = np.linalg.svd(span)
-        n = vh[-1]
-        n = n - (np.conj(u1) @ n) * u1
-        norm = np.linalg.norm(n)
-        if norm < 1e-14:
-            raise NoConvergence(
-                "zero span orthocomplement collapsed onto q(w)", last=line
-            )
-        u2_new = n / norm
-        new_line = ProjLine(u1, u2_new)
-        ang = _line_angle(line, new_line)
-        line = new_line
-        if ang <= tol:
-            return line, it
-    raise NoConvergence(
-        f"projection line did not settle in {max_iter} sweeps",
-        last=line,
-        residual=ang,
-    )
+    return ProjLine(u1, u2), 0
 
 
 def massless_curve(f: RationalMap, tol: float = 1e-12) -> SpectralMatrix:

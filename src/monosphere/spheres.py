@@ -25,7 +25,7 @@ import numpy as np
 
 from .curves import HERM_TOL, SpectralMatrix, chart_pairing, require_hermitian
 from .errors import NotFull, NotPositiveDefinite
-from .projective import SpherePoint, hom_vector, vander, vander_derivative
+from .projective import hom_vector
 
 FULL_TOL = 1e-10
 
@@ -107,11 +107,6 @@ def spectral_from_sphere(q: HoloSphere) -> SpectralMatrix:
 def eval_sphere(q: HoloSphere, z) -> np.ndarray:
     """q(z) = Q v(z) in homogeneous coordinates; at infinity Q e_k."""
     return q.Q @ hom_vector(z, q.k)
-
-
-def eval_sphere_derivative(q: HoloSphere, z, order: int = 1) -> np.ndarray:
-    """Chart derivative q^(order)(z) = Q v^(order)(z) at finite z."""
-    return q.Q @ vander_derivative(vander(SpherePoint.of(z).chart, q.k), order)
 
 
 def pairing(q: HoloSphere, w, z) -> complex:

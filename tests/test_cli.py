@@ -8,9 +8,11 @@ import pytest
 from monosphere.axial import sphere_of_sech
 from monosphere.cli import main
 from monosphere.curves import SpectralMatrix, axial_spectral
+from monosphere.projective import hom_vector
 from monosphere.serialize import (
     curve_to_json,
     dumps_report,
+    point_from_json,
     sphere_to_json,
     triple_to_json,
     tuple_to_json,
@@ -230,9 +232,23 @@ class TestRatmapAndMassless:
         )
         assert code == 0
         assert len(report["num"]) == 3 and len(report["den"]) == 3
-        assert len(report["poles"]) == 2 and report["iterations"] >= 1
+        assert len(report["poles"]) == 2
+        assert set(report) == {"command", "status", "w", "num", "den", "scale", "poles", "zeros", "line"}
         u1 = np.array([complex(*c) for c in report["line"]["u1"]])
         assert abs(np.linalg.norm(u1) - 1.0) < 1e-9
+
+    def test_ratmap_at_charge24(self, tmp_path):
+        # the axial k = 24 sphere at this w refused to project while the
+        # line was found by a zero-span sweep
+        S = axial_spectral(24, 0.5)
+        code, report = run_cli(tmp_path, ["ratmap", "--w", "0.3+0.2j"], sphere_to_json(factor_sphere(S)))
+        assert code == 0
+        assert len(report["poles"]) == 24
+        vw = hom_vector(0.3 + 0.2j, 24)
+        scale = np.linalg.norm(S.psi, 2) * np.linalg.norm(vw)
+        for p in report["poles"]:
+            vp = hom_vector(point_from_json(p), 24)
+            assert abs(vw.conj() @ S.psi @ vp) <= 1e-8 * scale * np.linalg.norm(vp)
 
     def test_massless_consumes_ratmap_output(self, tmp_path):
         code, ratmap_report = run_cli(

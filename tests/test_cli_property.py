@@ -40,17 +40,17 @@ def matrices(draw, k):
 
 
 def _keyed(kind):
-    charges = st.integers(1, 3)
+    charges = st.integers(1, 8)
     return charges.flatmap(lambda k: st.fixed_dictionaries({"k": st.just(k), kind: matrices(k)}))
 
 
 curves = st.one_of(
     _keyed("psi"),
-    st.builds(lambda k, m: curve_to_json(axial_spectral(k, m)), st.integers(1, 3), st.sampled_from([0.25, 0.37, 0.5, 1.0])),
+    st.builds(lambda k, m: curve_to_json(axial_spectral(k, m)), st.integers(1, 8), st.sampled_from([0.25, 0.37, 0.5, 1.0])),
 )
 spheres = _keyed("Q")
 tuples = _keyed("v")
-ratmaps = st.integers(1, 3).flatmap(
+ratmaps = st.integers(1, 8).flatmap(
     lambda n: st.fixed_dictionaries({
         "num": st.lists(st.tuples(numbers, numbers).map(list), min_size=n, max_size=n),
         "den": st.lists(st.tuples(numbers, numbers).map(list), min_size=n, max_size=n),
