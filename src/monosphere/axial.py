@@ -54,12 +54,10 @@ DEFAULT_STEP = 1e-3
 
 @dataclass(frozen=True)
 class AxialField:
-    """Radial profile pair (a, b) with the evaluation-domain margins."""
+    """Radial profile pair (a, b), evaluated inside the margins R_MIN, Z_MAX."""
 
     a: Callable[[float], float]
     b: Callable[[float], float]
-    r_min: float = R_MIN
-    z_max: float = Z_MAX
 
     def profile(self, r: float) -> tuple[float, float]:
         """Validated (a(r), b(r)); profiles must stay admissible."""
@@ -86,17 +84,17 @@ def zero_mass_field() -> AxialField:
     return AxialField(a=lambda r: math.exp(-2.0 * r), b=lambda r: 0.0)
 
 
-def _check_point(field: AxialField, z: complex, r: float, margin: float = 0.0) -> None:
-    if not r - margin >= field.r_min:
-        raise DomainViolation(f"r={r} inside the excluded axis margin {field.r_min} (+{margin})")
-    if not abs(z) + margin <= field.z_max:
-        raise DomainViolation(f"|z|={abs(z)} beyond the chart margin {field.z_max} (-{margin})")
+def _check_point(z: complex, r: float, margin: float = 0.0) -> None:
+    if not r - margin >= R_MIN:
+        raise DomainViolation(f"r={r} inside the excluded axis margin {R_MIN} (+{margin})")
+    if not abs(z) + margin <= Z_MAX:
+        raise DomainViolation(f"|z|={abs(z)} beyond the chart margin {Z_MAX} (-{margin})")
 
 
 def H_matrix(field: AxialField, z: complex, r: float) -> np.ndarray:
     """The 2x2 Hermitian metric at (z, r); det H = 1 identically."""
     z = complex(z)
-    _check_point(field, z, r)
+    _check_point(z, r)
     a, b = field.profile(r)
     t = abs(z) ** 2
     s = b * (a + 1.0 / a)
@@ -147,7 +145,7 @@ def gauge_fields(field: AxialField, z: complex, r: float, step: float = DEFAULT_
     z = complex(z)
     if not step > 0.0:
         raise DomainViolation(f"step must be positive, got {step}")
-    _check_point(field, z, r, margin=step)
+    _check_point(z, r, margin=step)
     Hinv = np.linalg.inv(H_matrix(field, z, r))
     dz, dr = _first_derivatives(field, z, r, step)
     dz_half, dr_half = _first_derivatives(field, z, r, step / 2.0)
@@ -229,7 +227,7 @@ def bog_residual(
     rows = []
     for z, r in grid:
         z = complex(z)
-        _check_point(field, z, r, margin=step)
+        _check_point(z, r, margin=step)
         R = _residual_matrix(field, z, r, step)
         rows.append(PointResidual(z=z, r=float(r), residual=float(np.linalg.norm(R))))
     if not rows:

@@ -220,15 +220,14 @@ def _assemble(coeffs: np.ndarray, k: int) -> np.ndarray:
     return psi
 
 
-def reconstruct_psi_from_metric(samples, k: int, require_positive: bool = True) -> SpectralMatrix:
+def reconstruct_psi_from_metric(samples, k: int) -> SpectralMatrix:
     """Recover Psi from (z, h) samples by Hermitian least squares.
 
     Each sample contributes one real equation
     h = sum_i Psi[i,i] |z|^(2i) + sum_{i<j} 2 Re(Psi[i,j] conj(z)^i z^j)
     in the (k+1)^2 real unknowns.  Needs at least (k+1)^2 independent
     samples (Underdetermined otherwise).  The recovered matrix must be
-    positive definite unless require_positive is False (NotPositive
-    flags inconsistent boundary data).
+    positive definite (NotPositive flags inconsistent boundary data).
     """
     pts = [(complex(z), float(h)) for z, h in samples]
     n_unknown = (k + 1) ** 2
@@ -244,10 +243,7 @@ def reconstruct_psi_from_metric(samples, k: int, require_positive: bool = True) 
     coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
     psi = _assemble(coeffs, k)
     out = SpectralMatrix(k, psi, normalized=True)
-    if require_positive:
-        vals = np.linalg.eigvalsh(psi)
-        if vals[0] <= 0.0:
-            raise NotPositive(
-                f"recovered matrix has eigenvalue {vals[0]:.3e}; data inconsistent"
-            )
+    vals = np.linalg.eigvalsh(psi)
+    if vals[0] <= 0.0:
+        raise NotPositive(f"recovered matrix has eigenvalue {vals[0]:.3e}; data inconsistent")
     return out

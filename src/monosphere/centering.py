@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaxIterExceeded, NotStable
-from .spheres import CoeffTuple, binom_weights, tuple_to_sphere
+from .spheres import CoeffTuple, binom_weights, fullness_check
 
 FLOW_TOL = 1e-10
 FLOW_MAX_ITER = 10000
@@ -144,15 +144,14 @@ def moment_map(t: CoeffTuple) -> MomentValue:
     return MomentValue(mu_r, mu_c)
 
 
-def stability_check(t: CoeffTuple, tol: float = STAB_TOL) -> bool:
+def stability_check(t: CoeffTuple) -> bool:
     """True iff v_0 != 0, v_k != 0 and the tuple is full."""
     scale = np.sqrt(norm2(t))
     if scale == 0.0:
         return False
-    if np.linalg.norm(t.v[0]) <= tol * scale or np.linalg.norm(t.v[-1]) <= tol * scale:
+    if np.linalg.norm(t.v[0]) <= STAB_TOL * scale or np.linalg.norm(t.v[-1]) <= STAB_TOL * scale:
         return False
-    svals = np.linalg.svd(t.v, compute_uv=False)
-    return bool(svals[-1] > 1e-10 * svals[0])
+    return fullness_check(t.v)[1]
 
 
 def _exp_step(p) -> Mobius:

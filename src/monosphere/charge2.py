@@ -47,7 +47,7 @@ from .errors import (
 )
 from .projective import SpherePoint, chordal, folded_vector, hom_vector, proj_roots, vander
 from .ratmap import spectral_slice
-from .spheres import CoeffTuple, HoloSphere, require_full
+from .spheres import CoeffTuple, HoloSphere, fullness_check, require_full
 
 CONSTRAINT_TOL = 1e-10
 CLOSURE_TOL = 1e-8
@@ -62,7 +62,6 @@ class TwoMonopole:
     v0: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
-    tol: float = CONSTRAINT_TOL
 
     def __post_init__(self):
         vs = []
@@ -75,9 +74,9 @@ class TwoMonopole:
             object.__setattr__(self, name, v)
         scale = max(sum(float(np.vdot(v, v).real) for v in vs), 1e-300)
         gap, pair = self.residuals()
-        if gap > self.tol * scale or pair > self.tol * scale:
+        if gap > CONSTRAINT_TOL * scale or pair > CONSTRAINT_TOL * scale:
             raise ConstraintViolated(
-                f"constraint residuals ({gap:.2e}, {pair:.2e}) exceed {self.tol:.0e} x {scale:.2e}"
+                f"constraint residuals ({gap:.2e}, {pair:.2e}) exceed {CONSTRAINT_TOL:.0e} x {scale:.2e}"
             )
 
     def residuals(self) -> tuple[float, float]:
@@ -90,10 +89,10 @@ class TwoMonopole:
         return CoeffTuple(2, np.stack([self.v0, self.v1, self.v2]))
 
     @staticmethod
-    def from_tuple(t: CoeffTuple, tol: float = CONSTRAINT_TOL) -> "TwoMonopole":
+    def from_tuple(t: CoeffTuple) -> "TwoMonopole":
         if t.k != 2:
             raise ConstraintViolated("only charge-2 tuples carry the two-monopole structure")
-        return TwoMonopole(t.v[0], t.v[1], t.v[2], tol=tol)
+        return TwoMonopole(t.v[0], t.v[1], t.v[2])
 
 
 @dataclass(frozen=True)
@@ -119,9 +118,8 @@ class Su2Triple:
         m = self.stack()
         return m @ m.T
 
-    def is_full(self, tol: float = 1e-10) -> bool:
-        sv = np.linalg.svd(self.stack(), compute_uv=False)
-        return bool(sv[-1] > tol * max(sv[0], 1e-300))
+    def is_full(self) -> bool:
+        return fullness_check(self.stack())[1]
 
 
 def from_su2_triple(nu: Su2Triple) -> TwoMonopole:
@@ -148,7 +146,7 @@ def _householder_to_real_axis(v: np.ndarray) -> np.ndarray:
     return P @ H
 
 
-def to_su2_triple(t: TwoMonopole, tol: float = 1e-10) -> Su2Triple:
+def to_su2_triple(t: TwoMonopole) -> Su2Triple:
     """Reduce to the canonical slice (v0, v1, -conj(v0)), v1 real, and read off r's.
 
     Two unitaries: one sends v1 to the positive real axis, then a
@@ -157,9 +155,7 @@ def to_su2_triple(t: TwoMonopole, tol: float = 1e-10) -> Su2Triple:
     components.  Only unitaries act, so the real Gram of the returned
     triple is determined by the Hermitian Gram of the input.
     """
-    m = np.stack([t.v0, t.v1, t.v2])
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] <= tol * max(sv[0], 1e-300):
+    if not fullness_check(np.stack([t.v0, t.v1, t.v2]))[1]:
         raise NotFull("triple does not span C^3")
     U1 = _householder_to_real_axis(t.v1)
     beta = float(np.linalg.norm(t.v1))
@@ -348,11 +344,10 @@ def p_sequence(
     p0,
     max_steps: int = 40,
     tol: float = CLOSURE_TOL,
-    curve_tol: float = CURVE_TOL,
 ) -> PSequence:
     """Alternating other-root walk on the curve, starting vertically.
 
-    p0 = (w, z) must lie on the curve to curve_tol (relative residual).
+    p0 = (w, z) must lie on the curve to CURVE_TOL (relative residual).
     Each half-step counts toward the period; closure at the first
     return to p0 in the product chordal metric.
     """
@@ -360,8 +355,8 @@ def p_sequence(
         raise DomainViolation("P-sequences are a charge-2 construction")
     w, z = (SpherePoint.of(p0[0]), SpherePoint.of(p0[1]))
     res0 = metric_scale_residual(S, w, z)
-    if res0 > curve_tol:
-        raise NotOnCurve(f"start point residual {res0:.2e} exceeds {curve_tol:.0e}")
+    if res0 > CURVE_TOL:
+        raise NotOnCurve(f"start point residual {res0:.2e} exceeds {CURVE_TOL:.0e}")
     points = [(w, z)]
     worst = res0
     vertical = True
@@ -400,13 +395,13 @@ def estimate_mass(S: SpectralMatrix, max_steps: int = 60) -> float:
     return (periods[0] - 4) / 4.0
 
 
-def is_centred(S: SpectralMatrix, tol: float = 1e-10) -> bool:
+def is_centred(S: SpectralMatrix) -> bool:
     """Invariance under the factor swap: psi_ab = (-1)^(k-a-b) psi_{k-b,k-a}."""
     scale = max(float(np.max(np.abs(S.psi))), 1e-300)
     # psi_{k-b,k-a} is entry (a, b) of the transposed index-reversed matrix.
     s = vander(-1.0, S.k)
     signs = np.outer(s[::-1], s)  # (-1)^(k-a) (-1)^b
-    return bool(np.max(np.abs(S.psi - signs * S.psi[::-1, ::-1].T)) <= tol * scale)
+    return bool(np.max(np.abs(S.psi - signs * S.psi[::-1, ::-1].T)) <= CONSTRAINT_TOL * scale)
 
 
 @dataclass(frozen=True)

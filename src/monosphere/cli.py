@@ -1,13 +1,14 @@
 """Command-line entry point.
 
-One binary, subcommand style.  Input documents are JSON in the formats
-of the serialize module, read from --input or stdin; the report JSON
-goes to --output or stdout with sorted keys and a fixed layout, so a
-repeated job produces identical bytes.  Transform commands (normalize,
-factor, center, massless, reconstruct) emit the payload type itself
-extended with diagnostic keys, so their output feeds the next command
-directly.  Exit status: 0 success, 2 validation failure, 3 numerical
-non-convergence or overflow.
+One binary, subcommand style; each command takes only the flags it
+reads.  Input documents are JSON in the formats of the serialize
+module, read from --input or stdin (the field commands take none); the
+report JSON goes to --output or stdout with sorted keys and a fixed
+layout, so a repeated job produces identical bytes.  Transform commands
+(normalize, factor, center, massless, reconstruct) emit the payload
+type itself extended with diagnostic keys, so their output feeds the
+next command directly.  Exit status: 0 success, 2 validation failure,
+3 numerical non-convergence or overflow.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import serialize as ser
 from .axial import (
+    DEFAULT_STEP,
     AxialField,
     H_matrix,
     bog_residual,
@@ -41,13 +43,7 @@ from .charge2 import (
     triple_product,
     z_lattice,
 )
-from .curves import (
-    SpectralMatrix,
-    metric_scale_residual,
-    nondegeneracy_check,
-    normalize_reality,
-    positivity_check,
-)
+from .curves import SpectralMatrix, nondegeneracy_check, normalize_reality, positivity_check
 from .errors import (
     ConvergenceError,
     NonFiniteResult,
@@ -68,6 +64,15 @@ def _opt(**pairs) -> dict:
 def _finite(x: float):
     x = float(x)
     return x if math.isfinite(x) else repr(x)
+
+
+def _grid(args, default: int) -> int:
+    """--grid, or default when it is not given; below 1 is a SchemaError."""
+    if args.grid is None:
+        return default
+    if args.grid < 1:
+        raise SchemaError(f"--grid must be at least 1, got {args.grid}")
+    return args.grid
 
 
 def _parse_point(text: str, name: str) -> SpherePoint:
@@ -145,7 +150,7 @@ def cmd_boundary(args) -> dict:
     value, bound = degree_integral(S, **_opt(tol=args.tol))
     report = {"k": S.k, "degree": float(value), "error_bound": float(bound)}
     if args.csv:
-        angles = args.grid or 16
+        angles = _grid(args, 16)
         samples = sample_boundary(S, list(_boundary_rings(S.k, angles)))
         _write_csv_file(
             args.csv,
@@ -167,7 +172,7 @@ def cmd_reconstruct(args) -> dict:
         return ser.curve_to_json(reconstruct_psi_from_metric(pairs, k))
     # Curve input: sample its own boundary metric, then recover.
     S = ser.curve_from_json(doc)
-    angles = args.grid or max(6, (S.k + 1) ** 2)
+    angles = _grid(args, max(6, (S.k + 1) ** 2))
     pts = list(_boundary_rings(S.k, angles))
     pairs = list(zip(pts, metric_h(S, np.array(pts))))
     out = reconstruct_psi_from_metric(pairs, S.k)
@@ -319,24 +324,22 @@ def _field_rows(field: AxialField, report, step: float):
 
 def cmd_field_residual(args) -> dict:
     field = _field_for(args)
-    step = args.step if args.step is not None else 1e-3
-    n_r = args.grid or 8
     grid = [
         (radius * np.exp(2j * np.pi * j / 4) if radius else 0j, r)
-        for r in np.linspace(0.2, 4.0, n_r)
+        for r in np.linspace(0.2, 4.0, _grid(args, 8))
         for radius in (0.0, 1.0, 2.0)
         for j in range(4 if radius else 1)
     ]
-    report = bog_residual(field, grid, step)
+    report = bog_residual(field, grid, args.step)
     if args.csv:
         _write_csv_file(
             args.csv,
             ["r", "re_z", "im_z", "residual", "m"],
-            _field_rows(field, report, step),
+            _field_rows(field, report, args.step),
         )
     return {
         "profile": args.profile,
-        "step": step,
+        "step": args.step,
         "points": len(report.per_point),
         "max_frobenius": report.max_frobenius,
     }
@@ -344,11 +347,10 @@ def cmd_field_residual(args) -> dict:
 
 def cmd_field_mass(args) -> dict:
     field = _field_for(args)
-    step = args.step if args.step is not None else 1e-3
-    rs = [float(r) for r in np.linspace(0.5, 6.0, args.grid or 12)]
-    masses = mass_profile(field, rs, step)
+    rs = [float(r) for r in np.linspace(0.5, 6.0, _grid(args, 12))]
+    masses = mass_profile(field, rs, args.step)
     if args.csv:
-        residuals = bog_residual(field, [(0j, r) for r in rs], step)
+        residuals = bog_residual(field, [(0j, r) for r in rs], args.step)
         _write_csv_file(
             args.csv,
             ["r", "re_z", "im_z", "residual", "m"],
@@ -359,7 +361,7 @@ def cmd_field_mass(args) -> dict:
         )
     return {
         "profile": args.profile,
-        "step": step,
+        "step": args.step,
         "r": rs,
         "m": [float(m) for m in masses],
         "limit_estimate": float(masses[-1]),
@@ -368,15 +370,14 @@ def cmd_field_mass(args) -> dict:
 
 def cmd_field_sample(args) -> dict:
     field = _field_for(args)
-    step = args.step if args.step is not None else 1e-3
     z = _parse_complex(args.z, "--z")
-    sample = gauge_fields(field, z, args.r, step)
+    sample = gauge_fields(field, z, args.r, args.step)
     H = H_matrix(field, z, args.r)
     return {
         "profile": args.profile,
         "z": ser.complex_to_json(z),
         "r": float(args.r),
-        "step": step,
+        "step": args.step,
         "H": ser.matrix_to_json(H),
         "det_H": ser.complex_to_json(np.linalg.det(H)),
         "A_z": ser.matrix_to_json(sample.A_z),
@@ -416,77 +417,71 @@ def cmd_pipeline(args) -> dict:
 # ---------------------------------------------------------------- wiring
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="input JSON path (default: stdin)")
-    common.add_argument("--output", help="report path (default: stdout)")
-    common.add_argument("--tol", type=float, help="tolerance override")
-    common.add_argument("--max-iter", type=int, dest="max_iter", help="iteration/step budget")
-    common.add_argument("--grid", type=int, help="grid resolution")
-    return common
+_FLAGS = {
+    "--tol": {"type": float, "help": "tolerance override"},
+    "--max-iter": {"type": int, "dest": "max_iter", "help": "iteration/step budget"},
+    "--grid": {"type": int, "help": "grid resolution (at least 1)"},
+}
+
+
+def _leaf(sub, name: str, handler, *flags: str, document: bool = True) -> argparse.ArgumentParser:
+    """Subcommand running handler with --output, --input when it reads a
+    document, and exactly the shared flags named; any other flag is a
+    usage error."""
+    leaf = sub.add_parser(name)
+    if document:
+        leaf.add_argument("--input", help="input JSON path (default: stdin)")
+    leaf.add_argument("--output", help="report path (default: stdout)")
+    for flag in flags:
+        leaf.add_argument(flag, **_FLAGS[flag])
+    leaf.set_defaults(handler=handler)
+    return leaf
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
     parser = argparse.ArgumentParser(
         prog="monosphere",
         description="Spectral curves, holomorphic spheres and fields of SU(2) hyperbolic monopoles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("normalize", parents=[common]).set_defaults(handler=cmd_normalize)
-    sub.add_parser("check", parents=[common]).set_defaults(handler=cmd_check)
-    sub.add_parser("factor", parents=[common]).set_defaults(handler=cmd_factor)
-
-    boundary = sub.add_parser("boundary", parents=[common])
+    _leaf(sub, "normalize", cmd_normalize, "--tol")
+    _leaf(sub, "check", cmd_check, "--tol")
+    _leaf(sub, "factor", cmd_factor, "--tol")
+    boundary = _leaf(sub, "boundary", cmd_boundary, "--tol", "--grid")
     boundary.add_argument("--csv", help="boundary sample CSV path")
-    boundary.set_defaults(handler=cmd_boundary)
-
-    sub.add_parser("reconstruct", parents=[common]).set_defaults(handler=cmd_reconstruct)
-
-    center = sub.add_parser("center", parents=[common])
+    _leaf(sub, "reconstruct", cmd_reconstruct, "--grid")
+    center = _leaf(sub, "center", cmd_center, "--tol", "--max-iter")
     center.add_argument("--csv", help="flow trace CSV path")
-    center.set_defaults(handler=cmd_center)
-
-    ratmap = sub.add_parser("ratmap", parents=[common])
+    ratmap = _leaf(sub, "ratmap", cmd_ratmap)
     ratmap.add_argument("--w", required=True, help="boundary point (complex literal or 'inf')")
-    ratmap.set_defaults(handler=cmd_ratmap)
-
-    sub.add_parser("massless", parents=[common]).set_defaults(handler=cmd_massless)
+    _leaf(sub, "massless", cmd_massless, "--tol")
 
     charge2 = sub.add_parser("charge2").add_subparsers(dest="subcommand", required=True)
-    lattice = charge2.add_parser("lattice", parents=[common])
+    lattice = _leaf(charge2, "lattice", cmd_charge2_lattice, "--tol", "--max-iter")
     lattice.add_argument("--z0", default="1", help="lattice start (complex literal or 'inf')")
-    lattice.set_defaults(handler=cmd_charge2_lattice)
-    pseq = charge2.add_parser("pseq", parents=[common])
+    pseq = _leaf(charge2, "pseq", cmd_charge2_pseq, "--tol", "--max-iter")
     pseq.add_argument("--w", default="1", help="starting vertical line")
-    pseq.set_defaults(handler=cmd_charge2_pseq)
-    ponc = charge2.add_parser("poncelet", parents=[common])
+    ponc = _leaf(charge2, "poncelet", cmd_charge2_poncelet, "--tol", "--max-iter")
     ponc.add_argument("--w", default="1", help="starting vertical line")
     ponc.add_argument("--csv", help="polygon vertex CSV path")
-    ponc.set_defaults(handler=cmd_charge2_poncelet)
-    charge2.add_parser("mass", parents=[common]).set_defaults(handler=cmd_charge2_mass)
-    involution = charge2.add_parser("involution", parents=[common])
+    _leaf(charge2, "mass", cmd_charge2_mass, "--max-iter")
+    involution = _leaf(charge2, "involution", cmd_charge2_involution)
     involution.add_argument("--step", type=float, help="finite-difference step")
-    involution.set_defaults(handler=cmd_charge2_involution)
 
     field = sub.add_parser("field").add_subparsers(dest="subcommand", required=True)
-    for name, handler, extra_csv in (
-        ("residual", cmd_field_residual, True),
-        ("mass", cmd_field_mass, True),
-        ("sample", cmd_field_sample, False),
-    ):
-        leaf = field.add_parser(name, parents=[common])
+    residual = _leaf(field, "residual", cmd_field_residual, "--grid", document=False)
+    mass = _leaf(field, "mass", cmd_field_mass, "--grid", document=False)
+    sample = _leaf(field, "sample", cmd_field_sample, document=False)
+    for leaf in (residual, mass, sample):
         leaf.add_argument("--profile", choices=sorted(_PROFILES), default="sech")
-        leaf.add_argument("--step", type=float, help="finite-difference step")
-        if extra_csv:
-            leaf.add_argument("--csv", help="grid CSV path")
-        if name == "sample":
-            leaf.add_argument("--z", default="0", help="chart point (complex literal)")
-            leaf.add_argument("--r", type=float, default=1.0, help="hyperbolic radius")
-        leaf.set_defaults(handler=handler)
+        leaf.add_argument("--step", type=float, default=DEFAULT_STEP, help="finite-difference step")
+    for leaf in (residual, mass):
+        leaf.add_argument("--csv", help="grid CSV path")
+    sample.add_argument("--z", default="0", help="chart point (complex literal)")
+    sample.add_argument("--r", type=float, default=1.0, help="hyperbolic radius")
 
-    sub.add_parser("pipeline", parents=[common]).set_defaults(handler=cmd_pipeline)
+    _leaf(sub, "pipeline", cmd_pipeline, "--tol", "--max-iter")
     return parser
 
 

@@ -160,7 +160,7 @@ def folded_vector(p, k: int) -> np.ndarray:
     return _hom(p.z0, -p.z1, k)[::-1]
 
 
-def proj_roots(coeffs, rel_tol: float = COEFF_TOL) -> list[SpherePoint]:
+def proj_roots(coeffs) -> list[SpherePoint]:
     """Roots on P^1 of sum_j coeffs[j] z^j, infinity included.
 
     Degree deficiency d (the top d coefficients vanish relative to the
@@ -177,9 +177,9 @@ def proj_roots(coeffs, rel_tol: float = COEFF_TOL) -> list[SpherePoint]:
         raise IdenticallyZero("polynomial vanishes identically")
     n = c.size - 1
     deg = n
-    while deg > 0 and abs(c[deg]) <= rel_tol * scale:
+    while deg > 0 and abs(c[deg]) <= COEFF_TOL * scale:
         deg -= 1
-    if deg == 0 and abs(c[0]) <= rel_tol * scale:
+    if deg == 0 and abs(c[0]) <= COEFF_TOL * scale:
         raise IdenticallyZero("polynomial vanishes identically")
     finite = np.roots(c[deg::-1]) if deg > 0 else np.array([], dtype=complex)
     order = np.lexsort((finite.imag, finite.real))

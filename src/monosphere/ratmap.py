@@ -150,13 +150,13 @@ def _unit(x: np.ndarray) -> np.ndarray:
     return u
 
 
-def project_map(q: HoloSphere, w, L: ProjLine, tol: float = 1e-8) -> RationalMap:
+def project_map(q: HoloSphere, w, L: ProjLine) -> RationalMap:
     """f(z) = [<u2, q(z)> : <u1, q(z)>], zero at z = w, poles on the slice.
 
     Requires u1 parallel to q(w) (LineNotThroughQw otherwise).
     """
     align = abs(np.vdot(L.u1, _unit(eval_sphere(q, w))))
-    if align < 1.0 - tol:
+    if align < 1.0 - 1e-8:
         raise LineNotThroughQw(f"u1 is not parallel to q(w) (|<u1, q(w)>| = {align:.6f})")
     num = np.conj(L.u2) @ q.Q
     den = np.conj(L.u1) @ q.Q

@@ -120,19 +120,21 @@ def pairing(q: HoloSphere, w, z) -> complex:
     return chart_pairing(np.conj(q.Q).T @ q.Q, w, z)
 
 
-def fullness_check(q: HoloSphere, tol: float = FULL_TOL):
-    """Smallest/largest singular value ratio and a fullness verdict.
+def fullness_check(m) -> tuple[float, bool]:
+    """Smallest/largest singular value ratio of a coefficient matrix and
+    a fullness verdict, the ratio above FULL_TOL.
 
     Full (Q invertible) implies the map is an embedding; the linearly
     full condition is exactly invertibility of the coefficient matrix.
+    The same test applies to a tuple's rows and a charge-2 triple.
     """
-    svals = np.linalg.svd(q.Q, compute_uv=False)
-    ratio = float(svals[-1] / max(svals[0], 1e-300))
-    return ratio, bool(ratio > tol)
+    svals = np.linalg.svd(m, compute_uv=False)
+    top = max(svals[0], 1e-300)
+    return float(svals[-1] / top), bool(svals[-1] > FULL_TOL * top)
 
 
-def require_full(q: HoloSphere, tol: float = FULL_TOL) -> None:
-    ratio, ok = fullness_check(q, tol)
+def require_full(q: HoloSphere) -> None:
+    ratio, ok = fullness_check(q.Q)
     if not ok:
         raise NotFull(f"coefficient matrix is singular (sv ratio {ratio:.2e})")
 

@@ -81,7 +81,8 @@ class TestSu2Reduction:
         rng = np.random.default_rng(5)
         for _ in range(20):
             nu = random_triple(rng)
-            if not nu.is_full(1e-6):
+            sv = np.linalg.svd(nu.stack(), compute_uv=False)
+            if sv[-1] <= 1e-6 * sv[0]:  # keep well-conditioned triples only
                 continue
             back = to_su2_triple(from_su2_triple(nu))
             assert np.allclose(back.gram(), nu.gram(), atol=1e-9 * max(1, nu.gram().max()))

@@ -156,6 +156,40 @@ class TestValidationAndExitCodes:
         assert code == 3
         assert report["error"]["code"] == "LinAlgError"
 
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["field", "residual", "--grid", "-3"], None),
+            (["field", "mass", "--grid", "-1"], None),
+            (["field", "mass", "--grid", "0"], None),
+            (["reconstruct", "--grid", "0"], random_pd_curve()),
+        ],
+    )
+    def test_grid_below_one_is_schema_error(self, tmp_path, argv, doc):
+        # negative grids ended in a numpy traceback and 0 silently meant the default
+        code, report = run_cli(tmp_path, argv, doc)
+        assert code == 2
+        assert report["error"]["code"] == "SchemaError"
+        assert "--grid must be at least 1" in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ratmap", "--w", "1", "--tol", "1e-3"],
+            ["reconstruct", "--tol", "1e-3"],
+            ["field", "sample", "--grid", "4"],
+            ["field", "mass", "--input", "in.json"],
+            ["charge2", "involution", "--max-iter", "3"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
     def test_check_accepts_positive_curve(self, tmp_path):
         code, report = run_cli(tmp_path, ["check"], half_mass_curve())
         assert code == 0

@@ -1,6 +1,7 @@
-"""Property test of the CLI contract: for any document and flags, every
-document-reading command exits 0, 2 or 3 and writes a JSON report."""
+"""Property test of the CLI contract: for any document and any values of
+its own flags, every command exits 0, 2 or 3 and writes a JSON report."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monosphere.cli import main
+from monosphere.cli import build_parser, main
 from monosphere.curves import axial_spectral
 from monosphere.serialize import curve_to_json
 
@@ -62,52 +63,90 @@ samples = st.fixed_dictionaries({
     "samples": st.lists(st.tuples(st.tuples(numbers, numbers).map(list), numbers).map(list), max_size=12),
 })
 points = st.sampled_from(["0", "1", "0.3+0.2j", "2j", "inf"])
+CSV = "<csv>"  # replaced by a path in the run's temporary directory
 
-COMMANDS = [
-    (["normalize"], curves),
-    (["check"], curves),
-    (["factor"], curves),
-    (["boundary"], curves),
-    (["reconstruct"], st.one_of(curves, samples)),
-    (["center"], tuples),
-    (["massless"], ratmaps),
-    (["pipeline"], curves),
-    (["charge2", "pseq"], curves),
-    (["charge2", "poncelet"], curves),
-    (["charge2", "mass"], curves),
-    (["charge2", "involution"], triples),
-]
-jobs = st.one_of(
-    *(st.tuples(st.just(argv), docs) for argv, docs in COMMANDS),
-    st.tuples(points.map(lambda w: ["ratmap", "--w", w]), spheres),
-    st.tuples(points.map(lambda z: ["charge2", "lattice", "--z0", z]), spheres),
-)
-flags = st.fixed_dictionaries({
-    "--max-iter": st.none() | st.integers(-3, 40),
-    "--grid": st.none() | st.integers(-3, 24),
-    "--tol": st.none() | st.sampled_from([-1.0, 0.0, 1e-20, 1e-12, 1e-8, 1e-3, 0.5, float("nan")]),
-})
+# Values drawn for each flag a leaf declares; a flag missing here makes
+# the test fail, so it follows the parser.
+FLAG_VALUES = {
+    "--tol": st.sampled_from(["-1", "0", "1e-20", "1e-12", "1e-8", "1e-3", "0.5", "nan"]),
+    "--max-iter": st.integers(-3, 40).map(str),
+    "--grid": st.integers(-3, 24).map(str),
+    "--step": st.sampled_from(["0", "-0.001", "nan", "1e-6", "1e-3", "0.05"]),
+    "--csv": st.just(CSV),
+    "--w": points,
+    "--z0": points,
+    "--z": st.sampled_from(["0", "0.5+0.2j", "0.1-3.9j", "5", "nope"]),
+    "--r": st.sampled_from(["1", "0.1", "2.5", "-1", "nan"]),
+    "--profile": st.sampled_from(["sech", "zero-mass"]),
+}
+DOCUMENTS = {
+    ("normalize",): curves,
+    ("check",): curves,
+    ("factor",): curves,
+    ("boundary",): curves,
+    ("reconstruct",): st.one_of(curves, samples),
+    ("center",): tuples,
+    ("ratmap",): spheres,
+    ("massless",): ratmaps,
+    ("charge2", "lattice"): spheres,
+    ("charge2", "pseq"): curves,
+    ("charge2", "poncelet"): curves,
+    ("charge2", "mass"): curves,
+    ("charge2", "involution"): triples,
+    ("pipeline",): curves,
+}
+
+
+def _leaves(parser, path=()):
+    """(command path, {option: required}) for every leaf of the parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, {a.option_strings[-1]: a.required for a in parser._actions if a.option_strings}
+    for sub in subs:
+        for name, leaf in sub.choices.items():
+            yield from _leaves(leaf, path + (name,))
+
+
+LEAVES = dict(_leaves(build_parser()))
+
+
+@st.composite
+def jobs(draw):
+    """argv of one leaf with a random subset of its own flags, and its document."""
+    path = draw(st.sampled_from(sorted(LEAVES)))
+    argv = list(path)
+    for flag, required in sorted(LEAVES[path].items()):
+        if flag in ("--help", "--input", "--output"):
+            continue
+        if required or draw(st.booleans()):
+            argv += [flag, draw(FLAG_VALUES[flag])]
+    return argv, draw(DOCUMENTS[path]) if path in DOCUMENTS else None
+
+
+def test_document_strategies_cover_exactly_the_commands_with_input():
+    assert set(DOCUMENTS) == {path for path, options in LEAVES.items() if "--input" in options}
+
 
 IDENTITY_TUPLE = {"k": 1, "v": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
-NO_FLAGS = {"--max-iter": None, "--grid": None, "--tol": None}
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(job=jobs, options=flags)
-@example(job=(["center"], IDENTITY_TUPLE), options={**NO_FLAGS, "--max-iter": 0})
-@example(job=(["center"], IDENTITY_TUPLE), options={**NO_FLAGS, "--max-iter": -2})
-@example(job=(["pipeline"], curve_to_json(axial_spectral(2, 0.5))), options={**NO_FLAGS, "--max-iter": 0})
-@example(job=(["massless"], {"num": [[1, 0], [0, 0]], "den": [[1e-320, 0], [0, 0]]}), options=NO_FLAGS)
-@example(job=(["massless"], {"num": [[1.7e308, 1.7e308], [1, 0]], "den": [[1, 0], [1, 0]]}), options=NO_FLAGS)
-def test_any_document_exits_0_2_or_3_with_a_json_report(job, options):
+@given(job=jobs())
+@example(job=(["center", "--max-iter", "0"], IDENTITY_TUPLE))
+@example(job=(["center", "--max-iter", "-2"], IDENTITY_TUPLE))
+@example(job=(["pipeline", "--max-iter", "0"], curve_to_json(axial_spectral(2, 0.5))))
+@example(job=(["massless"], {"num": [[1, 0], [0, 0]], "den": [[1e-320, 0], [0, 0]]}))
+@example(job=(["massless"], {"num": [[1.7e308, 1.7e308], [1, 0]], "den": [[1, 0], [1, 0]]}))
+@example(job=(["field", "residual", "--grid", "-3"], None))
+@example(job=(["field", "mass", "--grid", "-1"], None))
+def test_any_document_exits_0_2_or_3_with_a_json_report(job):
     argv, doc = job
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "in.json"
-        path.write_text(json.dumps(doc))
-        argv = argv + ["--input", str(path)]
-        for flag, value in options.items():
-            if value is not None:
-                argv += [flag, str(value)]
+        argv = [str(Path(tmp) / "out.csv") if a == CSV else a for a in argv]
+        if doc is not None:
+            path = Path(tmp) / "in.json"
+            path.write_text(json.dumps(doc))
+            argv += ["--input", str(path)]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)

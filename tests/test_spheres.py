@@ -123,11 +123,11 @@ def test_sech_sphere_tuple_values():
 
 
 def test_fullness():
-    ratio, ok = fullness_check(HoloSphere(2, np.eye(3)))
+    ratio, ok = fullness_check(np.eye(3))
     assert ok and abs(ratio - 1.0) < 1e-14
     bad = np.eye(3)
     bad[2, 2] = 0.0
-    _, ok2 = fullness_check(HoloSphere(2, bad))
+    _, ok2 = fullness_check(bad)
     assert not ok2
 
 
