@@ -53,15 +53,6 @@ RULE_FIRST = 16
 RULE_CAP = 256
 
 
-def _chart_matrix(S: SpectralMatrix, chart: str) -> np.ndarray:
-    """Coefficients of h in the requested chart ('z' or 'inv')."""
-    if chart == "z":
-        return S.psi
-    if chart == "inv":
-        return np.ascontiguousarray(S.psi[::-1, ::-1])
-    raise ValueError(f"unknown chart {chart!r}")
-
-
 def _h_jets(psi: np.ndarray, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """h, d_z h and d_z d_zbar h at every point of the array z."""
     v = vander(z, psi.shape[0] - 1)
@@ -74,24 +65,24 @@ def _scalar_or_array(out: np.ndarray, z, kind: type):
     return kind(out) if np.ndim(z) == 0 else out
 
 
-def metric_h(S: SpectralMatrix, z, chart: str = "z"):
-    """h(z) = v(z)* Psi v(z) in the given chart; real and positive for
-    positive definite Psi.  A float at a point, an array on an array."""
-    h = hermitian_form(_chart_matrix(S, chart), vander(z, S.k))
+def metric_h(S: SpectralMatrix, z):
+    """h(z) = v(z)* Psi v(z); real and positive for positive definite
+    Psi.  A float at a point, an array on an array."""
+    h = hermitian_form(S.psi, vander(z, S.k))
     return _scalar_or_array(h, z, float)
 
 
-def connection_at_infinity(S: SpectralMatrix, z, chart: str = "z"):
+def connection_at_infinity(S: SpectralMatrix, z):
     """A_z = (d_z h) / (2 h) in the unitary gauge; A_zbar = -conj(A_z).
     A complex at a point, an array on an array."""
-    h, hz, _ = _h_jets(_chart_matrix(S, chart), z)
+    h, hz, _ = _h_jets(S.psi, z)
     return _scalar_or_array(hz / (2.0 * h), z, complex)
 
 
-def curvature_density(S: SpectralMatrix, z, chart: str = "z"):
+def curvature_density(S: SpectralMatrix, z):
     """F = d_z d_zbar log h = (h_zzbar h - |h_z|^2) / h^2, >= 0.
     A float at a point, an array on an array."""
-    h, hz, hzz = _h_jets(_chart_matrix(S, chart), z)
+    h, hz, hzz = _h_jets(S.psi, z)
     return _scalar_or_array((hzz * h - np.abs(hz) ** 2) / h**2, z, float)
 
 
@@ -153,8 +144,8 @@ def degree_integral(
     n = 256.
     """
     require_hermitian(S.psi)
-    radii = {"z": split_radius, "inv": 1.0 / split_radius}
-    charts = [(_ring_scatter(_chart_matrix(S, chart)), rho) for chart, rho in radii.items()]
+    inv = S.psi[::-1, ::-1]  # coefficients of h in the 1/z chart
+    charts = [(_ring_scatter(S.psi), split_radius), (_ring_scatter(inv), 1.0 / split_radius)]
 
     def estimate(n: int) -> float:
         # An overflow shows as a non-finite value, reported below.
@@ -242,8 +233,7 @@ def reconstruct_psi_from_metric(samples, k: int) -> SpectralMatrix:
         raise Underdetermined(f"design rank {rank} < {n_unknown}; samples not generic")
     coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
     psi = _assemble(coeffs, k)
-    out = SpectralMatrix(k, psi, normalized=True)
     vals = np.linalg.eigvalsh(psi)
     if vals[0] <= 0.0:
         raise NotPositive(f"recovered matrix has eigenvalue {vals[0]:.3e}; data inconsistent")
-    return out
+    return SpectralMatrix(k, psi)

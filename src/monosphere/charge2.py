@@ -234,8 +234,13 @@ def mass_flow_check(nu: Su2Triple, step: float = 1e-3) -> MassFlowReport:
     The coefficients are quadratic in t, so the forward difference is
     c'(0) + (t/2) c''(0) exactly; two step sizes (step, step/10)
     extrapolate away the linear term.  First-order invariance means
-    the extrapolated derivative vanishes.
+    the extrapolated derivative vanishes to 1e-8 relative to the size
+    |N| |B| of the triple N times its bracket B, the scale of that
+    derivative.  A step that is not a positive finite number is a
+    DomainViolation.
     """
+    if not 0.0 < step < np.inf:
+        raise DomainViolation(f"step must be a positive finite number, got {step}")
     b = bracket(nu)
     c0 = diagonal_quartic(nu)
 
@@ -248,13 +253,14 @@ def mass_flow_check(nu: Su2Triple, step: float = 1e-3) -> MassFlowReport:
     d2 = (at(h2) - c0) / h2
     extrap = (h1 * d2 - h2 * d1) / (h1 - h2)
     max_ext = float(np.max(np.abs(extrap)))
+    scale = max(1.0, float(np.linalg.norm(nu.stack()) * np.linalg.norm(b.stack())))
     return MassFlowReport(
         steps=(h1, h2),
         derivative_coarse=d1,
         derivative_fine=d2,
         extrapolated=extrap,
         max_extrapolated=max_ext,
-        first_order_invariant=bool(max_ext < 1e-8),
+        first_order_invariant=bool(max_ext < 1e-8 * scale),
         full=nu.is_full(),
     )
 

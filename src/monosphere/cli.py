@@ -140,7 +140,9 @@ def cmd_factor(args) -> dict:
 
 
 def _boundary_rings(k: int, angles: int):
-    for radius in (0.5, 1.0, 2.0):
+    """Points on max(3, k + 1) rings symmetric under r -> 1/r: on a ring
+    h has frequencies |m| <= k, and the m-th fixes k + 1 - |m| unknowns."""
+    for radius in np.geomspace(0.5, 2.0, max(3, k + 1)):
         for j in range(angles):
             yield radius * np.exp(2j * np.pi * j / angles)
 

@@ -23,7 +23,7 @@ chart-degenerate arguments w = 0 and z = infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,17 +48,10 @@ GEMM_MAX = 2**16
 
 @dataclass(frozen=True)
 class SpectralMatrix:
-    """Bidegree-(k, k) curve coefficients.
-
-    normalized marks that the reality normalization has been applied
-    (Psi exactly Hermitian, positive on the antidiagonal).  massless
-    marks the degenerate zero-mass limit produced by axial_spectral.
-    """
+    """Bidegree-(k, k) curve coefficients."""
 
     k: int
     psi: np.ndarray
-    normalized: bool = False
-    massless: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.psi, dtype=complex)
@@ -175,9 +168,9 @@ def normalize_reality(S: SpectralMatrix, tol: float = HERM_TOL) -> SpectralMatri
     if np.min(np.abs(vals)) <= tol * scale:
         raise VanishesOnAntidiagonal("Hermitian form vanishes on the antidiagonal panel")
     if np.all(vals < 0):
-        return replace(S, psi=-herm, normalized=True)
+        return SpectralMatrix(S.k, -herm)
     if np.all(vals > 0):
-        return replace(S, psi=herm, normalized=True)
+        return SpectralMatrix(S.k, herm)
     raise VanishesOnAntidiagonal("Hermitian form changes sign on the antidiagonal")
 
 
@@ -254,4 +247,4 @@ def axial_spectral(k: int, m: float, alpha: float = 1.0) -> SpectralMatrix:
         raise ValueError("elementary symmetric values unexpectedly complex")
     diag = e.real.copy()
     diag[np.abs(diag) < chop] = 0.0
-    return SpectralMatrix(k, np.diag(diag), normalized=True, massless=(m == 0.0))
+    return SpectralMatrix(k, np.diag(diag))

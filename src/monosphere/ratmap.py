@@ -70,14 +70,21 @@ class ProjLine:
         return np.stack([self.u1, self.u2], axis=1)
 
 
+def _leading(c: np.ndarray) -> complex:
+    """The first coefficient within a relative 1e-12 of the largest
+    magnitude, so that rounding cannot choose between tied ones."""
+    mags = np.abs(c)
+    return c[np.argmax(mags >= (1.0 - 1e-12) * np.max(mags))]
+
+
 @dataclass(frozen=True)
 class RationalMap:
     """Degree-N map [den : num] on P^1, chart value num(z)/den(z).
 
     Coefficients ascending.  Both polynomials are normalized so their
-    largest-magnitude coefficient is 1; the removed relative scale
-    (num_scale / den_scale) is kept in scale, so the original map is
-    scale * num / den.
+    largest-magnitude coefficient (the first of any tied ones) is 1;
+    the removed relative scale (num_scale / den_scale) is kept in
+    scale, so the original map is scale * num / den.
     """
 
     num: np.ndarray
@@ -102,8 +109,7 @@ class RationalMap:
     def normalized(num, den) -> "RationalMap":
         num = np.asarray(num, dtype=complex)
         den = np.asarray(den, dtype=complex)
-        sn = num[np.argmax(np.abs(num))]
-        sd = den[np.argmax(np.abs(den))]
+        sn, sd = _leading(num), _leading(den)
         if abs(sn) == 0.0 or abs(sd) == 0.0:
             raise IdenticallyZero("rational map has a zero polynomial")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -203,7 +209,7 @@ def massless_curve(f: RationalMap, tol: float = 1e-12) -> SpectralMatrix:
         raise DegenerateMap("map is constant (num proportional to den)")
     psi = np.conj(C).T @ C
     psi = (psi + np.conj(psi).T) / 2.0
-    S = SpectralMatrix(n, psi, normalized=True, massless=True)
+    S = SpectralMatrix(n, psi)
     # bidegree check: top row/column must survive
     scale = np.max(np.abs(psi))
     if np.max(np.abs(psi[n, :])) <= tol * scale or np.max(np.abs(psi[:, n])) <= tol * scale:

@@ -3,14 +3,14 @@
 Complex numbers travel as [re, im] pairs; points of P^1 additionally
 admit the string "inf".  The curve format
 
-    {"k": int, "psi": [[[re, im], ...], ...], "normalized": bool}
+    {"k": int, "psi": [[[re, im], ...], ...]}
 
 is the interchange unit consumed and produced by every command;
-spheres use {"k", "Q", "canonical"}, coefficient tuples {"k", "v"},
-real triples {"r0", "r1", "r2"}, rational maps {"num", "den"}.
-Decoders are strict about structure (SchemaError on anything
-malformed) but tolerate extra keys, so command reports that extend a
-payload with diagnostics still re-parse as the payload type.
+spheres use {"k", "Q"}, coefficient tuples {"k", "v"}, real triples
+{"r0", "r1", "r2"}, rational maps {"num", "den"}.  Decoders are strict
+about structure (SchemaError on anything malformed) but tolerate extra
+keys, so command reports that extend a payload with diagnostics still
+re-parse as the payload type.
 """
 
 from __future__ import annotations
@@ -97,19 +97,8 @@ def _read_charge(d: dict) -> int:
     return k
 
 
-def _read_flag(d: dict, key: str) -> bool:
-    val = d.get(key, False)
-    _require(isinstance(val, bool), f"{key} must be a boolean, got {val!r}")
-    return val
-
-
 def curve_to_json(S: SpectralMatrix) -> dict:
-    return {
-        "k": S.k,
-        "psi": matrix_to_json(S.psi),
-        "normalized": bool(S.normalized),
-        "massless": bool(S.massless),
-    }
+    return {"k": S.k, "psi": matrix_to_json(S.psi)}
 
 
 def curve_from_json(d: dict) -> SpectralMatrix:
@@ -118,11 +107,11 @@ def curve_from_json(d: dict) -> SpectralMatrix:
     _require("psi" in d, "missing curve field 'psi'")
     psi = matrix_from_json(d["psi"], "psi")
     _require(psi.shape == (k + 1, k + 1), f"psi must be {(k + 1, k + 1)}, got {psi.shape}")
-    return SpectralMatrix(k, psi, normalized=_read_flag(d, "normalized"), massless=_read_flag(d, "massless"))
+    return SpectralMatrix(k, psi)
 
 
 def sphere_to_json(q: HoloSphere) -> dict:
-    return {"k": q.k, "Q": matrix_to_json(q.Q), "canonical": bool(q.canonical)}
+    return {"k": q.k, "Q": matrix_to_json(q.Q)}
 
 
 def sphere_from_json(d: dict) -> HoloSphere:
@@ -131,10 +120,7 @@ def sphere_from_json(d: dict) -> HoloSphere:
     _require("Q" in d, "missing sphere field 'Q'")
     Q = matrix_from_json(d["Q"], "Q")
     _require(Q.shape == (k + 1, k + 1), f"Q must be {(k + 1, k + 1)}, got {Q.shape}")
-    try:
-        return HoloSphere(k, Q, canonical=_read_flag(d, "canonical"))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return HoloSphere(k, Q)
 
 
 def tuple_to_json(t: CoeffTuple) -> dict:

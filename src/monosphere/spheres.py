@@ -35,24 +35,13 @@ def binom_weights(k: int) -> np.ndarray:
     return np.sqrt(np.array([math.comb(k, j) for j in range(k + 1)], dtype=float))
 
 
-def _is_canonical(Q: np.ndarray) -> bool:
-    upper = np.allclose(Q, np.triu(Q), atol=0.0, rtol=0.0)
-    diag = np.diag(Q)
-    return bool(upper and np.all(diag.real > 0) and np.all(diag.imag == 0))
-
-
 @dataclass(frozen=True)
 class HoloSphere:
-    """Degree-k holomorphic sphere q(z) = Q v(z).
-
-    canonical marks the upper-triangular positive-diagonal factor; a
-    non-canonical Q (any invertible matrix) is allowed, e.g. when built
-    from a coefficient tuple.
-    """
+    """Degree-k holomorphic sphere q(z) = Q v(z); any invertible Q, the
+    canonical factor of factor_sphere or the Q of a coefficient tuple."""
 
     k: int
     Q: np.ndarray
-    canonical: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.Q, dtype=complex)
@@ -61,8 +50,6 @@ class HoloSphere:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "Q", m)
-        if self.canonical and not _is_canonical(m):
-            raise ValueError("canonical flag set on a non-canonical factor")
 
 
 @dataclass(frozen=True)
@@ -94,14 +81,14 @@ def factor_sphere(S: SpectralMatrix, tol: float = HERM_TOL) -> HoloSphere:
     # numpy returns lower L with Psi = L conj(L)^T; the canonical upper
     # factor is Q = conj(L)^T, and conj(Q)^T Q = L conj(L)^T = Psi.
     L = np.linalg.cholesky(herm)
-    return HoloSphere(S.k, np.conj(L).T, canonical=True)
+    return HoloSphere(S.k, np.conj(L).T)
 
 
 def spectral_from_sphere(q: HoloSphere) -> SpectralMatrix:
-    """Psi = conj(Q)^T Q, the curve of the sphere.  Always normalized."""
+    """Psi = conj(Q)^T Q, the curve of the sphere, exactly Hermitian."""
     psi = np.conj(q.Q).T @ q.Q
     psi = (psi + np.conj(psi).T) / 2.0
-    return SpectralMatrix(q.k, psi, normalized=True)
+    return SpectralMatrix(q.k, psi)
 
 
 def eval_sphere(q: HoloSphere, z) -> np.ndarray:
@@ -147,7 +134,6 @@ def sphere_to_tuple(q: HoloSphere) -> CoeffTuple:
 
 def tuple_to_sphere(t: CoeffTuple) -> HoloSphere:
     """Assemble Q with columns sqrt(binom(k, j)) v_j; exact inverse of
-    sphere_to_tuple.  Non-canonical Q allowed on input."""
+    sphere_to_tuple."""
     wts = binom_weights(t.k)
-    Q = t.v.T * wts
-    return HoloSphere(t.k, Q, canonical=_is_canonical(Q))
+    return HoloSphere(t.k, t.v.T * wts)

@@ -23,6 +23,7 @@ from monosphere.errors import (
     BranchPoint,
     ConicFitFailed,
     ConstraintViolated,
+    DomainViolation,
     IdenticallyZero,
     NoEstimate,
     NotCentred,
@@ -41,7 +42,7 @@ def random_triple(rng):
 
 
 def identity_curve():
-    return SpectralMatrix(2, np.eye(3, dtype=complex), normalized=True)
+    return SpectralMatrix(2, np.eye(3, dtype=complex))
 
 
 class TestTwoMonopole:
@@ -209,6 +210,22 @@ class TestMassFlow:
         rep = mass_flow_check(nu)
         assert not rep.full
         assert rep.first_order_invariant
+
+    def test_large_triple_judged_at_its_scale(self):
+        nu = Su2Triple([12.573, -13.21, 64.042], [10.49, -53.567, 36.16], [130.4, 94.708, -70.374])
+        rep = mass_flow_check(nu)
+        assert rep.max_extrapolated > 1e-8  # rounding at |N| |B| ~ 3e6, above an absolute 1e-8
+        assert rep.first_order_invariant
+
+    @pytest.mark.parametrize("scale", [100.0, 1000.0])
+    def test_scaled_random_triple_invariant(self, scale):
+        nu = Su2Triple(*(scale * np.random.default_rng(43).standard_normal((3, 3))))
+        assert mass_flow_check(nu).first_order_invariant
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
+    def test_bad_step_is_domain_violation(self, step):
+        with pytest.raises(DomainViolation):
+            mass_flow_check(ORTHONORMAL, step)
 
 
 class TestZLattice:

@@ -10,15 +10,17 @@ from monosphere.cli import main
 from monosphere.curves import SpectralMatrix, axial_spectral
 from monosphere.projective import hom_vector
 from monosphere.serialize import (
+    curve_from_json,
     curve_to_json,
     dumps_report,
     point_from_json,
+    sphere_from_json,
     sphere_to_json,
     triple_to_json,
     tuple_to_json,
 )
 from monosphere.charge2 import Su2Triple
-from monosphere.spheres import CoeffTuple, factor_sphere, sphere_to_tuple
+from monosphere.spheres import CoeffTuple, HoloSphere, factor_sphere, sphere_to_tuple
 
 
 def write_doc(tmp_path, name, doc):
@@ -200,9 +202,14 @@ class TestValidationAndExitCodes:
 class TestTransformChain:
     def test_normalize_then_factor(self, tmp_path):
         code, normalized = run_cli(tmp_path, ["normalize"], random_pd_curve())
-        assert code == 0 and normalized["normalized"] is True
+        assert code == 0
+        psi = curve_from_json(normalized).psi
+        assert np.array_equal(psi, np.conj(psi).T)
         code, sphere = run_cli(tmp_path, ["factor"], normalized)
-        assert code == 0 and sphere["canonical"] is True and sphere["k"] == 2
+        assert code == 0 and sphere["k"] == 2
+        Q = sphere_from_json(sphere).Q
+        assert not np.any(np.tril(Q, -1))
+        assert np.all(np.diag(Q).real > 0) and not np.any(np.diag(Q).imag)
 
     def test_center_reports_moment_map(self, tmp_path):
         t = sphere_to_tuple(factor_sphere(SpectralMatrix(2, np.eye(3))))
@@ -220,14 +227,24 @@ class TestTransformChain:
         assert code == 0
         assert csv_path.read_text().splitlines()[0] == "iter,norm2,mu_abs"
 
-    def test_reconstruct_from_curve(self, tmp_path):
-        code, report = run_cli(tmp_path, ["reconstruct"], random_pd_curve())
+    # bounds about ten times the deviation measured on these curves
+    @pytest.mark.parametrize(
+        "k, bound",
+        [(1, 1e-12), (2, 1e-8), (3, 1e-11), (4, 1e-11), (5, 1e-9), (6, 1e-8), (7, 1e-5), (8, 1e-5), (9, 1e-4)],
+        ids=[str(k) for k in range(1, 10)],
+    )
+    def test_reconstruct_from_curve(self, tmp_path, k, bound):
+        code, report = run_cli(tmp_path, ["reconstruct"], random_pd_curve(k=k))
         assert code == 0
-        assert report["max_abs_deviation"] < 1e-8
+        assert report["max_abs_deviation"] < bound
+
+    def test_reconstruct_from_curve_charge10_underdetermined(self, tmp_path):
+        code, report = run_cli(tmp_path, ["reconstruct"], random_pd_curve(k=10))
+        assert code == 2
+        assert report["error"]["code"] == "Underdetermined"
 
     def test_reconstruct_from_samples(self, tmp_path):
         from monosphere.boundary import metric_h
-        from monosphere.serialize import curve_from_json
 
         S = curve_from_json(random_pd_curve(seed=9, k=1))
         zs = [0.5 * np.exp(2j * np.pi * j / 9) for j in range(9)] + [
@@ -293,7 +310,8 @@ class TestRatmapAndMassless:
         assert code == 0
         code, curve = run_cli(tmp_path, ["massless"], ratmap_report)
         assert code == 0
-        assert curve["k"] == 2 and curve["massless"] is True
+        S = curve_from_json(curve)
+        assert S.k == 2 and np.linalg.matrix_rank(S.psi) == 2  # conj(C)^T C, C the 2 x 3 stack of den and num
 
 
 class TestCharge2Commands:
@@ -340,6 +358,13 @@ class TestCharge2Commands:
         assert report["triple_product"] == 4.0
         assert report["first_order_invariant"] is True
         assert report["full"] is True
+
+    @pytest.mark.parametrize("step", ["0", "nan"])
+    def test_involution_bad_step_exits_2(self, tmp_path, step):
+        nu = Su2Triple([1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0])
+        code, report = run_cli(tmp_path, ["charge2", "involution", f"--step={step}"], triple_to_json(nu))
+        assert code == 2
+        assert report["error"]["code"] == "DomainViolation"
 
 
 class TestFieldCommands:
@@ -407,6 +432,50 @@ class TestPipelineAndDeterminism:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["mass"] == 0.5
+
+
+def _flag_jobs():
+    """argv and document by name for every command that reads one; the curve
+    of normalize is not Hermitian and the sphere Q is not triangular, so
+    a true normalized or canonical claim on them is false."""
+    rot = np.array([[0.6, 0.8, 0.0], [-0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
+    sphere = sphere_to_json(HoloSphere(2, rot @ sphere_of_sech().Q))
+    triple = triple_to_json(Su2Triple([2.0, 0.5, 0], [0, 2.0, 0], [0.3, 0, 1.0]))
+    t = tuple_to_json(sphere_to_tuple(factor_sphere(SpectralMatrix(2, np.eye(3)))))
+    phased = curve_to_json(SpectralMatrix(2, np.exp(0.7j) * curve_from_json(random_pd_curve()).psi))
+    return {
+        "normalize": (["normalize"], phased),
+        "check": (["check"], random_pd_curve()),
+        "factor": (["factor"], random_pd_curve()),
+        "boundary": (["boundary"], random_pd_curve()),
+        "reconstruct": (["reconstruct"], random_pd_curve(k=3)),
+        "center": (["center"], t),
+        "ratmap": (["ratmap", "--w", "0.3+0.2j"], sphere),
+        "massless": (["massless"], {"num": [[1, 0], [0, 1]], "den": [[0, 0], [1, 0]]}),
+        "charge2-lattice": (["charge2", "lattice"], sphere),
+        "charge2-pseq": (["charge2", "pseq"], half_mass_curve()),
+        "charge2-poncelet": (["charge2", "poncelet"], half_mass_curve()),
+        "charge2-mass": (["charge2", "mass"], half_mass_curve()),
+        "charge2-involution": (["charge2", "involution"], triple),
+        "pipeline": (["pipeline"], random_pd_curve()),
+    }
+
+
+FLAG_JOBS = _flag_jobs()
+
+
+@pytest.mark.parametrize(
+    "value", [True, False, None, "yes", 3, [1], {"x": 1}],
+    ids=["true", "false", "null", "string", "number", "array", "object"],
+)
+@pytest.mark.parametrize("job", sorted(FLAG_JOBS))
+def test_flag_keys_are_ignored(tmp_path, job, value):
+    # a curve is its Psi and a sphere its Q: old flag keys parse and change nothing
+    argv, doc = FLAG_JOBS[job]
+    flagged = dict(doc, normalized=value, massless=value, canonical=value)
+    code, report = run_cli(tmp_path, argv, flagged)
+    assert code == 0
+    assert (code, report) == run_cli(tmp_path, argv, doc)
 
 
 def test_import_leaves_scipy_unloaded():

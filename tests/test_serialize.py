@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from monosphere.charge2 import Su2Triple
-from monosphere.curves import SpectralMatrix, axial_spectral
+from monosphere.curves import SpectralMatrix
 from monosphere.errors import SchemaError
 from monosphere.ratmap import RationalMap
 from monosphere.serialize import (
@@ -32,7 +32,7 @@ from monosphere.spheres import CoeffTuple, HoloSphere, factor_sphere, sphere_to_
 def random_curve(seed=11, k=2):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(k + 1, k + 1)) + 1j * rng.normal(size=(k + 1, k + 1))
-    return SpectralMatrix(k, np.conj(A).T @ A + (k + 2) * np.eye(k + 1), normalized=True)
+    return SpectralMatrix(k, np.conj(A).T @ A + (k + 2) * np.eye(k + 1))
 
 
 class TestComplexAndPoints:
@@ -71,17 +71,13 @@ class TestDocumentRoundTrips:
     def test_curve(self):
         S = random_curve()
         back = curve_from_json(curve_to_json(S))
-        assert back.k == S.k and back.normalized == S.normalized
+        assert back.k == S.k
         assert np.array_equal(back.psi, S.psi)
-
-    def test_massless_flag_travels(self):
-        S = axial_spectral(2, 0.0)
-        assert curve_from_json(curve_to_json(S)).massless
 
     def test_sphere(self):
         q = factor_sphere(random_curve())
         back = sphere_from_json(sphere_to_json(q))
-        assert back.canonical and np.array_equal(back.Q, q.Q)
+        assert np.array_equal(back.Q, q.Q)
 
     def test_tuple(self):
         t = sphere_to_tuple(factor_sphere(random_curve()))
@@ -129,13 +125,6 @@ class TestSchemaValidation:
     def test_ragged_matrix(self):
         with pytest.raises(SchemaError):
             curve_from_json({"k": 1, "psi": [[[1, 0], [0, 0]], [[0, 0]]]})
-
-    def test_false_canonical_claim(self):
-        q = HoloSphere(1, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        doc = sphere_to_json(q)
-        doc["canonical"] = True
-        with pytest.raises(SchemaError):
-            sphere_from_json(doc)
 
     def test_triple_needs_three_reals(self):
         with pytest.raises(SchemaError):

@@ -34,7 +34,6 @@ def _sech_raw_sphere():
 
 def test_factor_identity():
     q = factor_sphere(SpectralMatrix(2, np.eye(3)))
-    assert q.canonical
     assert np.allclose(q.Q, np.eye(3), atol=1e-14)
 
 
@@ -42,7 +41,7 @@ def test_factor_round_trip_random():
     rng = np.random.default_rng(23)
     for k in range(1, 6):
         psi = _rand_hermitian_pd(rng, k + 1)
-        S = SpectralMatrix(k, psi, normalized=True)
+        S = SpectralMatrix(k, psi)
         q = factor_sphere(S)
         # upper triangular, positive diagonal
         assert np.allclose(q.Q, np.triu(q.Q))
