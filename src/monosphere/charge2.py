@@ -12,19 +12,24 @@ real triples (r0, r1, r2) through
 
     v0 = (r0 + i r2)/sqrt(2),   v1 = r1,   v2 = (-r0 + i r2)/sqrt(2),
 
-unique up to the right SO(3) action, so the real Gram matrix of the
-r's is a complete invariant.  The cross-product bracket
-(r1 x r2, r2 x r0, r0 x r1) squares to the triple product times the
-identity and generates the mass flow; the diagonal quartic (the
-restriction z^2 psi(z, z) of the spectral curve to the diagonal) is
-invariant along it to first order.
+unique up to the right O(3) action.  In matrix form V = _C N, with _C a
+constant unitary, so the Hermitian Gram V V* = _C N N^T _C* of the
+tuple and the real Gram N N^T of the triple determine each other: the
+Gram is a complete invariant.  The cross-product bracket
+B = (r1 x r2, r2 x r0, r0 x r1) squares to the triple product tp times
+the identity and generates the mass flow.  The diagonal quartic (the
+restriction z^2 psi(z, z) of the spectral curve to the diagonal) is a
+linear function _quartic of N N^T, whose derivative along the flow is
+N B^T + B N^T = 2 tp I; since _quartic(I) = 0, the quartic is invariant
+to first order.
 
 The lattice and P-sequence walks realize the spectral-curve geometry:
 stepping to the other root on alternating vertical and horizontal
-lines closes up after N = 4m + 4 half-steps exactly when the mass is
-detectable, and the affine image under (w, z) -> (wz, w + z) of a
-closed sequence is a polygon inscribed in a conic with every edge
-tangent to the parabola v^2 = 4u.
+lines closes up after N half-steps while w winds W times about the
+axis of its orbit, with N/|W| = 4m + 4, so the mass is read off every
+closed walk; the affine image under (w, z) -> (wz, w + z) of a closed sequence is a
+polygon inscribed in a conic with every edge tangent to the parabola
+v^2 = 4u.
 """
 
 from __future__ import annotations
@@ -122,64 +127,31 @@ class Su2Triple:
         return fullness_check(self.stack())[1]
 
 
+# V = _C N: the rows of V are (v0, v1, v2), those of N are (r0, r1, r2).
+_C = np.array([[1.0, 0.0, 1j], [0.0, np.sqrt(2.0), 0.0], [-1.0, 0.0, 1j]]) / np.sqrt(2.0)
+
+
 def from_su2_triple(nu: Su2Triple) -> TwoMonopole:
     """((r0 + i r2)/sqrt(2), r1, (-r0 + i r2)/sqrt(2)); constraints exact."""
-    v0 = (nu.r0 + 1j * nu.r2) / np.sqrt(2.0)
-    v2 = (-nu.r0 + 1j * nu.r2) / np.sqrt(2.0)
-    return TwoMonopole(v0, nu.r1.astype(complex), v2)
-
-
-def _householder_to_real_axis(v: np.ndarray) -> np.ndarray:
-    """Unitary U with U v = (|v|, 0, 0)."""
-    beta = np.linalg.norm(v)
-    phase = v[0] / abs(v[0]) if abs(v[0]) > 0 else 1.0 + 0.0j
-    target = beta * phase * np.eye(3, dtype=complex)[0]
-    u = v - target
-    nrm = np.linalg.norm(u)
-    if nrm < 1e-14 * beta:
-        H = np.eye(3, dtype=complex)
-    else:
-        u = u / nrm
-        H = np.eye(3, dtype=complex) - 2.0 * np.outer(u, np.conj(u))
-        # reflection sends v to target up to rounding
-    P = np.diag([1.0 / phase, 1.0, 1.0]).astype(complex)
-    return P @ H
+    return TwoMonopole(*(_C @ nu.stack()))
 
 
 def to_su2_triple(t: TwoMonopole) -> Su2Triple:
     """Reduce to the canonical slice (v0, v1, -conj(v0)), v1 real, and read off r's.
 
-    Two unitaries: one sends v1 to the positive real axis, then a
-    block diag(1, u) fixes v2 = -conj(v0) by solving the symmetric
-    unitary condition u^T u xi2 = -conj(xi0) on the last two
-    components.  Only unitaries act, so the real Gram of the returned
-    triple is determined by the Hermitian Gram of the input.
+    M = _C^T conj(V) is N W for a unitary W, so the real 3 x 6 stack
+    [Re M | Im M] has Gram N N^T; the triangular factor of its QR,
+    taken in row order (r1, r0, r2) with a positive diagonal, is that
+    Gram's triple with r1 on the positive first axis.  QR keeps the
+    conditioning of the triple, where a Cholesky of the Gram squares it.
     """
-    if not fullness_check(np.stack([t.v0, t.v1, t.v2]))[1]:
+    V = np.stack([t.v0, t.v1, t.v2])
+    if not fullness_check(V)[1]:
         raise NotFull("triple does not span C^3")
-    U1 = _householder_to_real_axis(t.v1)
-    beta = float(np.linalg.norm(t.v1))
-    a0 = U1 @ t.v0
-    a2 = U1 @ t.v2
-    xi0 = a0[1:]
-    xi2 = a2[1:]
-    Xi = np.stack([xi0, xi2], axis=1)
-    if abs(np.linalg.det(Xi)) <= 1e-12 * max(np.linalg.norm(Xi) ** 2, 1e-300):
-        raise NotFull("last-two components of v0, v2 are dependent")
-    rho2 = float(np.vdot(xi0, xi0).real)
-    g = complex(np.vdot(xi0, xi2))
-    R = abs(g)
-    chi = float(np.angle(-np.conj(g))) if R > 0 else 0.0
-    alpha = np.sqrt(max((rho2 + R) / 2.0, 0.0))
-    beta2 = np.sqrt(max((rho2 - R) / 2.0, 0.0))
-    a = np.exp(0.5j * chi) * np.array([alpha, 1j * beta2])
-    A = np.stack([a, -np.conj(a)], axis=1)
-    u = A @ np.linalg.inv(Xi)
-    b0 = np.concatenate(([a0[0]], u @ xi0))
-    r0 = np.sqrt(2.0) * b0.real
-    r2 = np.sqrt(2.0) * b0.imag
-    r1 = np.array([beta, 0.0, 0.0])
-    return Su2Triple(r0, r1, r2)
+    M = (_C.T @ np.conj(V))[[1, 0, 2]]
+    R = np.linalg.qr(np.hstack([M.real, M.imag]).T, mode="r")
+    L = R.T * np.where(np.diag(R) < 0, -1.0, 1.0)
+    return Su2Triple(L[1], L[0], L[2])
 
 
 def bracket(nu: Su2Triple) -> Su2Triple:
@@ -196,71 +168,48 @@ def triple_product(nu: Su2Triple) -> float:
     return float(nu.r0 @ np.cross(nu.r1, nu.r2))
 
 
-def diagonal_quartic(nu: Su2Triple) -> np.ndarray:
-    """Coefficients (z^4, z^3, z^2, z, 1) of z^2 psi(z, z) on the diagonal."""
-    r0, r1, r2 = nu.r0, nu.r1, nu.r2
-    d00 = float(r0 @ r0)
-    d11 = float(r1 @ r1)
-    d22 = float(r2 @ r2)
-    d01 = float(r0 @ r1)
-    d21 = float(r2 @ r1)
-    d02 = float(r0 @ r2)
+def _quartic(G: np.ndarray) -> np.ndarray:
+    """Coefficients (z^4, z^3, z^2, z, 1) of the diagonal quartic, linear in the Gram G."""
     return np.array(
         [
-            0.5 * (d22 - d00 + 2j * d02),
-            2.0 * (d01 - 1j * d21),
-            d00 + d22 - 2.0 * d11,
-            -2.0 * (d01 + 1j * d21),
-            0.5 * (d22 - d00 - 2j * d02),
+            0.5 * (G[2, 2] - G[0, 0] + 2j * G[0, 2]),
+            2.0 * (G[0, 1] - 1j * G[2, 1]),
+            G[0, 0] + G[2, 2] - 2.0 * G[1, 1],
+            -2.0 * (G[0, 1] + 1j * G[2, 1]),
+            0.5 * (G[2, 2] - G[0, 0] - 2j * G[0, 2]),
         ],
         dtype=complex,
     )
 
 
+def diagonal_quartic(nu: Su2Triple) -> np.ndarray:
+    """Coefficients (z^4, z^3, z^2, z, 1) of z^2 psi(z, z) on the diagonal."""
+    return _quartic(nu.gram())
+
+
 @dataclass(frozen=True)
 class MassFlowReport:
-    steps: tuple[float, float]
-    derivative_coarse: np.ndarray
-    derivative_fine: np.ndarray
-    extrapolated: np.ndarray
-    max_extrapolated: float
+    derivative: np.ndarray
+    max_derivative: float
     first_order_invariant: bool
     full: bool
 
 
-def mass_flow_check(nu: Su2Triple, step: float = 1e-3) -> MassFlowReport:
-    """Forward-difference derivative of the quartic along nu + t bracket(nu).
+def mass_flow_check(nu: Su2Triple) -> MassFlowReport:
+    """Exact derivative of the quartic along nu + t bracket(nu).
 
-    The coefficients are quadratic in t, so the forward difference is
-    c'(0) + (t/2) c''(0) exactly; two step sizes (step, step/10)
-    extrapolate away the linear term.  First-order invariance means
-    the extrapolated derivative vanishes to 1e-8 relative to the size
-    |N| |B| of the triple N times its bracket B, the scale of that
-    derivative.  A step that is not a positive finite number is a
-    DomainViolation.
+    The Gram of N + t B moves at N B^T + B N^T, so the derivative is the
+    quartic of that matrix.  First-order invariance means it vanishes to
+    1e-8 relative to |N| |B|, the size of the triple N times its bracket B.
     """
-    if not 0.0 < step < np.inf:
-        raise DomainViolation(f"step must be a positive finite number, got {step}")
-    b = bracket(nu)
-    c0 = diagonal_quartic(nu)
-
-    def at(h):
-        shifted = Su2Triple(nu.r0 + h * b.r0, nu.r1 + h * b.r1, nu.r2 + h * b.r2)
-        return diagonal_quartic(shifted)
-
-    h1, h2 = step, step / 10.0
-    d1 = (at(h1) - c0) / h1
-    d2 = (at(h2) - c0) / h2
-    extrap = (h1 * d2 - h2 * d1) / (h1 - h2)
-    max_ext = float(np.max(np.abs(extrap)))
-    scale = max(1.0, float(np.linalg.norm(nu.stack()) * np.linalg.norm(b.stack())))
+    N, B = nu.stack(), bracket(nu).stack()
+    derivative = _quartic(N @ B.T + B @ N.T)
+    max_derivative = float(np.max(np.abs(derivative)))
+    scale = max(1.0, float(np.linalg.norm(N) * np.linalg.norm(B)))
     return MassFlowReport(
-        steps=(h1, h2),
-        derivative_coarse=d1,
-        derivative_fine=d2,
-        extrapolated=extrap,
-        max_extrapolated=max_ext,
-        first_order_invariant=bool(max_ext < 1e-8 * scale),
+        derivative=derivative,
+        max_derivative=max_derivative,
+        first_order_invariant=bool(max_derivative < 1e-8 * scale),
         full=nu.is_full(),
     )
 
@@ -380,13 +329,44 @@ def p_sequence(
     return PSequence(points, False, None, worst)
 
 
-def estimate_mass(S: SpectralMatrix, max_steps: int = 60) -> float:
-    """Mass from closure: m = (N - 4)/4, cross-checked from 3 starts.
+def _winding(seq: PSequence) -> int:
+    """Turns of w about the axis of its orbit over one period of a closed walk.
 
-    Raises NoEstimate when any start fails to close or the detected
-    periods disagree.
+    The w of a walk on a centred curve are the orbit of a rotation of
+    the sphere: on the unit sphere they circle their mean, about the
+    axis of the orbit's vector area.  On an axial curve this is the
+    winding of arg w about 0.
     """
-    periods = []
+    z0 = np.array([w.z0 for w, _ in seq.points])
+    z1 = np.array([w.z1 for w, _ in seq.points])
+    p = 2.0 * np.conj(z0) * z1
+    x = np.stack([p.real, p.imag, abs(z1) ** 2 - abs(z0) ** 2], axis=1)
+    x /= (abs(z0) ** 2 + abs(z1) ** 2)[:, None]  # w on the unit sphere
+    d = x - x.mean(axis=0)
+    nxt = np.roll(d, -1, axis=0)
+    turns = np.cross(d, nxt)
+    axis = turns.sum(axis=0)
+    if not np.any(axis):
+        raise NoEstimate("the walk's w does not turn")
+    steps = np.arctan2(turns @ axis / np.linalg.norm(axis), np.sum(d * nxt, axis=1))
+    if np.any(np.abs(np.abs(steps) - np.pi) <= 1e-9):
+        raise NoEstimate("a step of w turns by pi")
+    return round(float(np.sum(steps)) / (2.0 * np.pi))
+
+
+def estimate_mass(S: SpectralMatrix, max_steps: int = 60) -> float:
+    """Mass from the rotation number: m = (N/|W| - 4)/4, cross-checked from 3 starts.
+
+    N is the closure period in half-steps and W the winding of w over
+    it (_winding): N/|W| = 4m + 4, so a rational mass is read exactly
+    once its period fits in max_steps.  Raises NoEstimate when any start
+    fails to close, its w does not turn or turns by pi in a step,
+    |W| = 0, or the starts disagree on N and |W|; the massless curve
+    (m = 0) is such a case.
+    """
+    if S.k != 2:
+        raise DomainViolation("P-sequences are a charge-2 construction")
+    found = []
     for w in MASS_STARTS:
         try:
             roots = _vertical_roots(S, w)
@@ -395,10 +375,13 @@ def estimate_mass(S: SpectralMatrix, max_steps: int = 60) -> float:
             raise NoEstimate(f"start w = {w} failed: {exc}") from exc
         if not seq.closed:
             raise NoEstimate(f"no closure within {max_steps} steps from w = {w}")
-        periods.append(seq.period)
-    if len(set(periods)) != 1:
-        raise NoEstimate(f"starts disagree on the period: {periods}")
-    return (periods[0] - 4) / 4.0
+        found.append((seq.period, abs(_winding(seq))))
+    if len(set(found)) != 1:
+        raise NoEstimate(f"starts disagree on the period and |winding|: {found}")
+    period, winding = found[0]
+    if winding == 0:
+        raise NoEstimate(f"w does not wind over the period {period}")
+    return (period - 4 * winding) / (4 * winding)
 
 
 def is_centred(S: SpectralMatrix) -> bool:
@@ -421,15 +404,18 @@ class PonceletPolygon:
     closed: bool
 
 
+def _conic_rows(pts: list[tuple[complex, complex]]) -> np.ndarray:
+    """The (u^2, uv, v^2, u, v, 1) design rows of the points (u, v)."""
+    return np.array([[u * u, u * v, v * v, u, v, 1.0] for u, v in pts], dtype=complex)
+
+
 def _fit_conic(pts: list[tuple[complex, complex]]) -> np.ndarray:
     """Null vector of the (u^2, uv, v^2, u, v, 1) design; unique conic."""
     if len(pts) < 5:
         raise ConicFitFailed(f"need at least 5 points, got {len(pts)}")
-    rows = np.array([[u * u, u * v, v * v, u, v, 1.0] for u, v in pts], dtype=complex)
-    sv = np.linalg.svd(rows, compute_uv=False)
+    _, sv, vh = np.linalg.svd(_conic_rows(pts))
     if len(sv) >= 6 and sv[4] <= 1e-10 * max(sv[0], 1e-300):
         raise ConicFitFailed("conic through the vertices is not unique")
-    _, _, vh = np.linalg.svd(rows)
     coef = np.conj(vh[-1])
     lead = coef[np.argmax(np.abs(coef))]
     return coef / lead
@@ -468,7 +454,7 @@ def poncelet(S: SpectralMatrix, p0, steps: int = 40, tol: float = CLOSURE_TOL) -
         if all(abs(p[0] - q[0]) + abs(p[1] - q[1]) > 1e-12 for q in uniq):
             uniq.append(p)
     conic = _fit_conic(uniq)
-    rows = np.array([[u * u, u * v, v * v, u, v, 1.0] for u, v in verts], dtype=complex)
+    rows = _conic_rows(verts)
     vres = np.abs(rows @ conic) / (np.linalg.norm(rows, axis=1) * np.linalg.norm(conic))
 
     n = len(verts)

@@ -76,6 +76,11 @@ def _grid(args, default: int) -> int:
 
 
 def _parse_point(text: str, name: str) -> SpherePoint:
+    """A chart value or 'inf'; an infinite part is the point at infinity,
+    and a NaN part, which a complex literal spells only as 'nan', is a
+    SchemaError."""
+    if "nan" in text.lower():
+        raise SchemaError(f"{name}: not a number: {text!r}")
     try:
         return SpherePoint.of(text)
     except ValueError as exc:
@@ -297,13 +302,13 @@ def cmd_charge2_mass(args) -> dict:
 def cmd_charge2_involution(args) -> dict:
     nu = ser.triple_from_json(ser.read_document(args.input))
     br = bracket(nu)
-    flow = mass_flow_check(nu, **_opt(step=args.step))
+    flow = mass_flow_check(nu)
     return {
         "bracket": ser.triple_to_json(br),
         "triple_product": float(triple_product(nu)),
         "quartic": ser.vector_to_json(diagonal_quartic(nu)),
         "first_order_invariant": bool(flow.first_order_invariant),
-        "max_extrapolated": float(flow.max_extrapolated),
+        "max_derivative": float(flow.max_derivative),
         "full": bool(flow.full),
     }
 
@@ -468,8 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     ponc.add_argument("--w", default="1", help="starting vertical line")
     ponc.add_argument("--csv", help="polygon vertex CSV path")
     _leaf(charge2, "mass", cmd_charge2_mass, "--max-iter")
-    involution = _leaf(charge2, "involution", cmd_charge2_involution)
-    involution.add_argument("--step", type=float, help="finite-difference step")
+    _leaf(charge2, "involution", cmd_charge2_involution)
 
     field = sub.add_parser("field").add_subparsers(dest="subcommand", required=True)
     residual = _leaf(field, "residual", cmd_field_residual, "--grid", document=False)

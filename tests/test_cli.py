@@ -182,6 +182,7 @@ class TestValidationAndExitCodes:
             ["field", "sample", "--grid", "4"],
             ["field", "mass", "--input", "in.json"],
             ["charge2", "involution", "--max-iter", "3"],
+            ["charge2", "involution", "--step", "1e-3"],
         ],
     )
     def test_flag_the_command_does_not_read_is_a_usage_error(self, argv, capsys):
@@ -191,6 +192,22 @@ class TestValidationAndExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["ratmap", "--w", "nan"], sphere_to_json(sphere_of_sech())),
+            (["charge2", "pseq", "--w", "nan"], half_mass_curve()),
+            (["charge2", "poncelet", "--w", "nan+1j"], half_mass_curve()),
+            (["charge2", "lattice", "--z0", "nan"], sphere_to_json(sphere_of_sech())),
+            (["ratmap", "--w", "inf+nanj"], sphere_to_json(sphere_of_sech())),
+        ],
+        ids=["ratmap", "pseq", "poncelet", "lattice", "infinite-and-nan"],
+    )
+    def test_nan_point_is_schema_error(self, tmp_path, argv, doc):
+        code, report = run_cli(tmp_path, argv, doc)
+        assert code == 2
+        assert report["error"]["code"] == "SchemaError"
 
     def test_check_accepts_positive_curve(self, tmp_path):
         code, report = run_cli(tmp_path, ["check"], half_mass_curve())
@@ -357,12 +374,11 @@ class TestCharge2Commands:
         assert code == 0
         assert report["triple_product"] == 4.0
         assert report["first_order_invariant"] is True
+        assert report["max_derivative"] < 1e-12
         assert report["full"] is True
 
-    @pytest.mark.parametrize("step", ["0", "nan"])
-    def test_involution_bad_step_exits_2(self, tmp_path, step):
-        nu = Su2Triple([1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0])
-        code, report = run_cli(tmp_path, ["charge2", "involution", f"--step={step}"], triple_to_json(nu))
+    def test_mass_off_charge_two_exits_2(self, tmp_path):
+        code, report = run_cli(tmp_path, ["charge2", "mass"], curve_to_json(SpectralMatrix(3, np.eye(4))))
         assert code == 2
         assert report["error"]["code"] == "DomainViolation"
 

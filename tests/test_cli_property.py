@@ -5,6 +5,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -62,7 +63,7 @@ samples = st.fixed_dictionaries({
     "k": st.integers(1, 2),
     "samples": st.lists(st.tuples(st.tuples(numbers, numbers).map(list), numbers).map(list), max_size=12),
 })
-points = st.sampled_from(["0", "1", "0.3+0.2j", "2j", "inf"])
+points = st.sampled_from(["0", "1", "0.3+0.2j", "2j", "inf", "nan"])
 CSV = "<csv>"  # replaced by a path in the run's temporary directory
 
 # Values drawn for each flag a leaf declares; a flag missing here makes
@@ -121,6 +122,25 @@ def jobs(draw):
         if required or draw(st.booleans()):
             argv += [flag, draw(FLAG_VALUES[flag])]
     return argv, draw(DOCUMENTS[path]) if path in DOCUMENTS else None
+
+
+def _readme_table() -> dict:
+    """(command path, {flag}) for every row of the README command table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`"):
+            rows[tuple(cells[0].strip("`").split())] = set(re.findall(r"--[a-z0-9-]+", cells[2]))
+    return rows
+
+
+def test_readme_command_table_matches_the_parser():
+    own = {
+        path: set(options) - {"--help", "--input", "--output"}
+        for path, options in LEAVES.items()
+    }
+    assert _readme_table() == own
 
 
 def test_document_strategies_cover_exactly_the_commands_with_input():
