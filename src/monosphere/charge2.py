@@ -156,11 +156,8 @@ def to_su2_triple(t: TwoMonopole) -> Su2Triple:
 
 def bracket(nu: Su2Triple) -> Su2Triple:
     """(r1 x r2, r2 x r0, r0 x r1), the su(2) bracket direction."""
-    return Su2Triple(
-        np.cross(nu.r1, nu.r2),
-        np.cross(nu.r2, nu.r0),
-        np.cross(nu.r0, nu.r1),
-    )
+    N = nu.stack()
+    return Su2Triple(*np.cross(N[[1, 2, 0]], N[[2, 0, 1]]))
 
 
 def triple_product(nu: Su2Triple) -> float:

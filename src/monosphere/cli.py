@@ -110,6 +110,14 @@ def _write_csv_file(path: str, header, rows) -> None:
         raise SchemaError(f"cannot write CSV: {exc}") from exc
 
 
+def _positive_eigenvalues(S: SpectralMatrix, tol: float | None = None) -> np.ndarray:
+    """Eigenvalues of S; NotPositiveDefinite unless S is positive definite."""
+    vals, ok = positivity_check(S, **_opt(tol=tol))
+    if not ok:
+        raise NotPositiveDefinite(f"smallest eigenvalue {vals[0]:.6e} of {vals[-1]:.6e}")
+    return vals
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -121,11 +129,7 @@ def cmd_normalize(args) -> dict:
 
 def cmd_check(args) -> dict:
     S = ser.curve_from_json(ser.read_document(args.input))
-    vals, ok = positivity_check(S, **_opt(tol=args.tol))
-    if not ok:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {vals[0]:.6e} of {vals[-1]:.6e}"
-        )
+    vals = _positive_eigenvalues(S, args.tol)
     norm = normalize_reality(S, **_opt(tol=args.tol))
     deg = nondegeneracy_check(norm, **_opt(tol=args.tol))
     return {
@@ -154,6 +158,7 @@ def _boundary_rings(k: int, angles: int):
 
 def cmd_boundary(args) -> dict:
     S = ser.curve_from_json(ser.read_document(args.input))
+    _positive_eigenvalues(S)  # --tol is the degree tolerance
     value, bound = degree_integral(S, **_opt(tol=args.tol))
     report = {"k": S.k, "degree": float(value), "error_bound": float(bound)}
     if args.csv:
@@ -397,11 +402,7 @@ def cmd_field_sample(args) -> dict:
 
 def cmd_pipeline(args) -> dict:
     S = ser.curve_from_json(ser.read_document(args.input))
-    vals, ok = positivity_check(S, **_opt(tol=args.tol))
-    if not ok:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {vals[0]:.6e} of {vals[-1]:.6e}"
-        )
+    vals = _positive_eigenvalues(S, args.tol)
     norm = normalize_reality(S)
     q = factor_sphere(norm)
     t = sphere_to_tuple(q)

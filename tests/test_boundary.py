@@ -97,13 +97,6 @@ def test_degree_integral_charges_1_2():
         assert err < 1e-7
 
 
-def test_degree_integral_split_radius_invariant():
-    rng = np.random.default_rng(6)
-    S = SpectralMatrix(2, _rand_hermitian_pd(rng, 3))
-    vals = [degree_integral(S, split_radius=r)[0] for r in (0.5, 1.0, 2.0)]
-    assert max(vals) - min(vals) < 1e-6
-
-
 def test_degree_integral_axial():
     val, _ = degree_integral(axial_spectral(2, 0.5))
     assert abs(val - 2.0) < 1e-5
@@ -123,12 +116,10 @@ def test_degree_integral_axial_within_bound(k, m):
     assert abs(val - k) <= bound <= DEGREE_TOL
 
 
-def test_degree_integral_split_radius_invariant_charge8():
-    rng = np.random.default_rng(8)
-    S = SpectralMatrix(8, _rand_hermitian_pd(rng, 9))
-    for r in (0.5, 1.0, 2.0):
-        val, bound = degree_integral(S, split_radius=r)
-        assert abs(val - 8.0) <= bound <= DEGREE_TOL
+def test_degree_integral_indefinite_is_still_k():
+    # Chern-Weil needs only h != 0 on the circle, not a positive definite Psi
+    val, bound = degree_integral(SpectralMatrix(4, np.diag([1.0, -0.5, 2.0, -0.3, 1.0])))
+    assert abs(val - 4.0) <= bound <= DEGREE_TOL
 
 
 def test_degree_integral_unreachable_tol():
@@ -136,10 +127,20 @@ def test_degree_integral_unreachable_tol():
         degree_integral(axial_spectral(2, 0.5), tol=1e-20)
 
 
+def test_degree_integral_large_diagonal():
+    # h = 1 + 1e300 |z|^2 is finite on |z| = 1, and h is never squared
+    val, bound = degree_integral(SpectralMatrix(1, np.diag([1.0, 1e300])))
+    assert abs(val - 1.0) <= bound <= DEGREE_TOL
+
+
 def test_degree_integral_overflow_is_not_converged():
-    # h = 1 + 1e300 |z|^2 overflows; the estimate is not finite
-    with pytest.raises(QuadratureNotConverged, match="not finite"):
-        degree_integral(SpectralMatrix(1, np.diag([1.0, 1e300])))
+    # h overflows on |z| = 1; on the first, z h_z = 1e308 is finite and
+    # the ratio z h_z / h is 0, so only the samples show the overflow
+    for psi in (np.diag([1e308, 1e308]), np.diag([8e307, 8e307, 8e307])):
+        with pytest.raises(QuadratureNotConverged, match="not finite") as info:
+            degree_integral(SpectralMatrix(psi.shape[0] - 1, psi))
+        assert info.value.nodes == RULE_FIRST
+        assert info.value.best is None
 
 
 def test_quadrature_not_converged_carries_best_and_nodes():
@@ -148,26 +149,46 @@ def test_quadrature_not_converged_carries_best_and_nodes():
     assert info.value.nodes == RULE_CAP
     assert 1e-20 < info.value.best < 1e-12
     assert f"{info.value.best:.2e}" in str(info.value)
-    with pytest.raises(QuadratureNotConverged) as info:
-        degree_integral(SpectralMatrix(1, np.diag([1.0, 1e300])))
-    assert info.value.nodes == RULE_FIRST
-    assert info.value.best is None
+
+
+def _charts(k):
+    """Random and axial curves of charge k, each in the z and the 1/z chart."""
+    psi = _rand_hermitian_pd(np.random.default_rng(200 + k), k + 1)
+    curves = [psi] if k == 1 else [psi, axial_spectral(k, 0.5).psi]
+    return [SpectralMatrix(k, c) for p in curves for c in (p, p[::-1, ::-1])]
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
 @pytest.mark.parametrize("k", [1, 2, 8, 16, 32])
 def test_ring_kernel_matches_pointwise_rule(k, n):
-    # the n x 2n tensor rule summed point by point; k = 32 at n = 16 folds
-    S = SpectralMatrix(k, _rand_hermitian_pd(np.random.default_rng(200 + k), k + 1))
+    # the 2n-node trapezoid mean of Re(z h_z / h) = Re(2 z A_z), point by
+    # point; k = 32 at n = 16 folds
+    theta = np.pi * np.arange(2 * n) / n
+    for chart in _charts(k):
+        for radius in (0.5, 2.0):
+            z = radius * np.exp(1j * theta)
+            expect = np.mean((2.0 * z * connection_at_infinity(chart, z)).real)
+            got = _patch(_ring_scatter(chart.psi), radius, n)
+            assert abs(got - expect) <= 1e-12 * abs(expect)
+
+
+def _area_oracle(chart: SpectralMatrix, radius: float, n: int) -> float:
+    """(1/pi) * integral of F over |z| <= radius by the 2-D rule of n
+    Gauss-Legendre radii times 2n trapezoid angles, ring by ring."""
     x, w = np.polynomial.legendre.leggauss(n)
     r = (x + 1.0) / 2.0
-    theta = np.pi * np.arange(2 * n) / n
-    for chart in (S, SpectralMatrix(k, S.psi[::-1, ::-1])):  # the z and the 1/z chart
-        for radius in (0.5, 2.0):
-            z = (radius * r[:, None] * np.exp(1j * theta)).ravel()
-            weights = np.repeat(w / 2.0 * r * (np.pi / n), 2 * n) * radius**2
-            expect = weights @ curvature_density(chart, z)
-            got = _patch(_ring_scatter(chart.psi), radius, n)
+    circle = radius * np.exp(1j * np.pi * np.arange(2 * n) / n)
+    rings = np.array([curvature_density(chart, s * circle).sum() for s in r])
+    return float((w / 2.0 * r * radius**2 / n) @ rings)
+
+
+@pytest.mark.parametrize("k, n", [(1, 64), (2, 64), (8, 64), (16, 128), (32, 256)])
+def test_flux_patch_matches_area_oracle(k, n):
+    # Stokes: the flux through |z| = radius is the curvature inside it
+    for chart in _charts(k):
+        for radius in (0.5, 1.0, 2.0):
+            expect = _area_oracle(chart, radius, n)
+            got = _patch(_ring_scatter(chart.psi), radius, RULE_CAP)
             assert abs(got - expect) <= 1e-12 * abs(expect)
 
 

@@ -58,6 +58,14 @@ class TestValidationAndExitCodes:
         assert report["status"] == "error"
         assert report["error"]["code"] == "NotPositiveDefinite"
 
+    def test_boundary_rejects_indefinite_matrix(self, tmp_path):
+        # h > 0 on the unit circle, so the degree integral alone would give 2
+        doc = curve_to_json(SpectralMatrix(2, np.diag([1.0, -1.0, 1.0])))
+        code, report = run_cli(tmp_path, ["boundary"], doc)
+        assert code == 2
+        assert report["command"] == "boundary"
+        assert report["error"]["code"] == "NotPositiveDefinite"
+
     def test_malformed_document_is_schema_error(self, tmp_path):
         code, report = run_cli(tmp_path, ["normalize"], {"k": 2, "psi": "nope"})
         assert code == 2
@@ -119,7 +127,8 @@ class TestValidationAndExitCodes:
         assert "1.00e-20" in report["error"]["message"]
 
     def test_overflowing_degree_integral_exits_3(self, tmp_path):
-        doc = {"k": 1, "psi": [[[1, 0], [0, 0]], [[0, 0], [1e300, 0]]]}
+        # positive definite, but h = 2.4e308 overflows on the unit circle
+        doc = curve_to_json(SpectralMatrix(2, np.diag([8e307, 8e307, 8e307])))
         code, report = run_cli(tmp_path, ["boundary"], doc)
         assert code == 3
         assert report["error"]["code"] == "QuadratureNotConverged"
