@@ -22,7 +22,6 @@ import numpy as np
 
 from . import serialize as ser
 from .axial import (
-    DEFAULT_STEP,
     AxialField,
     H_matrix,
     bog_residual,
@@ -325,12 +324,12 @@ def _field_for(args) -> AxialField:
     return _PROFILES[args.profile]()
 
 
-def _field_rows(field: AxialField, report, step: float):
+def _field_rows(field: AxialField, report):
     """CSV rows (r, re z, im z, residual, m) with the axis mass per r."""
     masses: dict[float, float] = {}
     for p in report.per_point:
         if p.r not in masses:
-            (masses[p.r],) = mass_profile(field, [p.r], step)
+            (masses[p.r],) = mass_profile(field, [p.r])
         yield (p.r, p.z.real, p.z.imag, p.residual, masses[p.r])
 
 
@@ -342,16 +341,15 @@ def cmd_field_residual(args) -> dict:
         for radius in (0.0, 1.0, 2.0)
         for j in range(4 if radius else 1)
     ]
-    report = bog_residual(field, grid, args.step)
+    report = bog_residual(field, grid)
     if args.csv:
         _write_csv_file(
             args.csv,
             ["r", "re_z", "im_z", "residual", "m"],
-            _field_rows(field, report, args.step),
+            _field_rows(field, report),
         )
     return {
         "profile": args.profile,
-        "step": args.step,
         "points": len(report.per_point),
         "max_frobenius": report.max_frobenius,
     }
@@ -360,9 +358,9 @@ def cmd_field_residual(args) -> dict:
 def cmd_field_mass(args) -> dict:
     field = _field_for(args)
     rs = [float(r) for r in np.linspace(0.5, 6.0, _grid(args, 12))]
-    masses = mass_profile(field, rs, args.step)
+    masses = mass_profile(field, rs)
     if args.csv:
-        residuals = bog_residual(field, [(0j, r) for r in rs], args.step)
+        residuals = bog_residual(field, [(0j, r) for r in rs])
         _write_csv_file(
             args.csv,
             ["r", "re_z", "im_z", "residual", "m"],
@@ -373,7 +371,6 @@ def cmd_field_mass(args) -> dict:
         )
     return {
         "profile": args.profile,
-        "step": args.step,
         "r": rs,
         "m": [float(m) for m in masses],
         "limit_estimate": float(masses[-1]),
@@ -383,20 +380,18 @@ def cmd_field_mass(args) -> dict:
 def cmd_field_sample(args) -> dict:
     field = _field_for(args)
     z = _parse_complex(args.z, "--z")
-    sample = gauge_fields(field, z, args.r, args.step)
+    sample = gauge_fields(field, z, args.r)
     H = H_matrix(field, z, args.r)
     return {
         "profile": args.profile,
         "z": ser.complex_to_json(z),
         "r": float(args.r),
-        "step": args.step,
         "H": ser.matrix_to_json(H),
         "det_H": ser.complex_to_json(np.linalg.det(H)),
         "A_z": ser.matrix_to_json(sample.A_z),
         "A_r": ser.matrix_to_json(sample.A_r),
         "Phi": ser.matrix_to_json(sample.Phi),
         "trace_phi_sq": ser.complex_to_json(sample.trace_phi_sq),
-        "derivative_check": float(sample.derivative_check),
     }
 
 
@@ -482,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     sample = _leaf(field, "sample", cmd_field_sample, document=False)
     for leaf in (residual, mass, sample):
         leaf.add_argument("--profile", choices=sorted(_PROFILES), default="sech")
-        leaf.add_argument("--step", type=float, default=DEFAULT_STEP, help="finite-difference step")
     for leaf in (residual, mass):
         leaf.add_argument("--csv", help="grid CSV path")
     sample.add_argument("--z", default="0", help="chart point (complex literal)")

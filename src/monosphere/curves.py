@@ -85,6 +85,12 @@ def times(psi: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.reshape(psi.shape[:1] + x.shape[1:])
 
 
+def hermitian_part(psi: np.ndarray) -> np.ndarray:
+    """(Psi + Psi^*) / 2, halved before the sum so that entries near the
+    largest double do not overflow."""
+    return psi / 2.0 + np.conj(psi).T / 2.0
+
+
 def hermitian_form(psi: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Re v* Psi v for every column v of the jet array v."""
     return np.vecdot(v, times(psi, v), axis=0).real
@@ -160,12 +166,12 @@ def normalize_reality(S: SpectralMatrix, tol: float = HERM_TOL) -> SpectralMatri
     if abs(abs(c) - 1.0) > tol or np.max(np.abs(adj - c * psi)) > tol * scale:
         raise NotRealCurve("conj-transpose is not a unit multiple of the matrix")
     theta = np.angle(c) / 2.0
-    herm = np.exp(1j * theta) * psi
-    herm = (herm + np.conj(herm).T) / 2.0
+    herm = hermitian_part(np.exp(1j * theta) * psi)
 
-    # At infinity h is the top coefficient.
-    vals = np.append(hermitian_form(herm, vander(_PANEL, S.k)), herm[-1, -1].real)
-    if np.min(np.abs(vals)) <= tol * scale:
+    # At infinity h is the top coefficient; the panel is read at unit scale.
+    unit = herm / scale
+    vals = np.append(hermitian_form(unit, vander(_PANEL, S.k)), unit[-1, -1].real)
+    if np.min(np.abs(vals)) <= tol:
         raise VanishesOnAntidiagonal("Hermitian form vanishes on the antidiagonal panel")
     if np.all(vals < 0):
         return SpectralMatrix(S.k, -herm)
@@ -178,7 +184,7 @@ def require_hermitian(psi: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     scale = max(np.max(np.abs(psi)), 1e-300)
     if np.max(np.abs(psi - np.conj(psi).T)) > tol * scale:
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    return (psi + np.conj(psi).T) / 2.0
+    return hermitian_part(psi)
 
 
 def positivity_check(S: SpectralMatrix, tol: float = HERM_TOL):
@@ -203,17 +209,17 @@ class DegeneracyReport:
 def nondegeneracy_check(S: SpectralMatrix, tol: float = HERM_TOL) -> DegeneracyReport:
     """Determinant and 2-norm condition estimate.
 
-    Degenerate when |det| falls below tol relative to the natural scale
-    sigma_max^(k+1), the determinant's magnitude for a well-conditioned
-    matrix of that norm.
+    Degenerate when |det(Psi / sigma_max)| falls below tol: the
+    determinant at unit norm, which is of order one for a
+    well-conditioned matrix and stays finite where det Psi overflows.
     """
     det = complex(np.linalg.det(S.psi))
     svals = np.linalg.svd(S.psi, compute_uv=False)
     smax = float(svals[0])
     smin = float(svals[-1])
     cond = np.inf if smin == 0.0 else smax / smin
-    ref = max(smax ** (S.k + 1), 1e-300)
-    return DegeneracyReport(det, float(cond), bool(abs(det) <= tol * ref))
+    unit = S.psi / smax if smax > 0.0 else S.psi
+    return DegeneracyReport(det, float(cond), bool(abs(np.linalg.det(unit)) <= tol))
 
 
 def axial_spectral(k: int, m: float, alpha: float = 1.0) -> SpectralMatrix:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SpectralMatrix, antidiagonal_form
+from .curves import SpectralMatrix, antidiagonal_form, hermitian_part
 from .errors import (
     DegenerateMap,
     IdenticallyZero,
@@ -207,8 +207,7 @@ def massless_curve(f: RationalMap, tol: float = 1e-12) -> SpectralMatrix:
     sv = np.linalg.svd(C, compute_uv=False)
     if sv[1] <= tol * sv[0]:
         raise DegenerateMap("map is constant (num proportional to den)")
-    psi = np.conj(C).T @ C
-    psi = (psi + np.conj(psi).T) / 2.0
+    psi = hermitian_part(np.conj(C).T @ C)
     S = SpectralMatrix(n, psi)
     # bidegree check: top row/column must survive
     scale = np.max(np.abs(psi))

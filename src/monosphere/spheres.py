@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import HERM_TOL, SpectralMatrix, chart_pairing, require_hermitian
+from .curves import HERM_TOL, SpectralMatrix, chart_pairing, hermitian_part, require_hermitian
 from .errors import NotFull, NotPositiveDefinite
 from .projective import hom_vector
 
@@ -86,9 +86,7 @@ def factor_sphere(S: SpectralMatrix, tol: float = HERM_TOL) -> HoloSphere:
 
 def spectral_from_sphere(q: HoloSphere) -> SpectralMatrix:
     """Psi = conj(Q)^T Q, the curve of the sphere, exactly Hermitian."""
-    psi = np.conj(q.Q).T @ q.Q
-    psi = (psi + np.conj(psi).T) / 2.0
-    return SpectralMatrix(q.k, psi)
+    return SpectralMatrix(q.k, hermitian_part(np.conj(q.Q).T @ q.Q))
 
 
 def eval_sphere(q: HoloSphere, z) -> np.ndarray:

@@ -10,6 +10,8 @@ import time
 import numpy as np
 
 from monosphere.axial import (
+    H_matrix,
+    _residual_matrix,
     bog_residual,
     mass_profile,
     sech_field,
@@ -337,31 +339,53 @@ def test_criterion_10_bracket_involution():
                     f"{worst_ext:.1e} <= 1e-8 ({dt:.2f} s < 5 s)")
 
 
+def _stencil_residual(field, z, r, h):
+    """Oracle: the Bogomolny residual matrix by central differences at step h."""
+    H0 = H_matrix(field, z, r)
+    Hxp, Hxm = H_matrix(field, z + h, r), H_matrix(field, z - h, r)
+    Hyp, Hym = H_matrix(field, z + 1j * h, r), H_matrix(field, z - 1j * h, r)
+    Hrp, Hrm = H_matrix(field, z, r + h), H_matrix(field, z, r - h)
+    Hinv = np.linalg.inv(H0)
+    dx, dy = (Hxp - Hxm) / (2.0 * h), (Hyp - Hym) / (2.0 * h)
+    F_r = Hinv @ (Hrp - Hrm) / (2.0 * h)
+    radial = Hinv @ (Hrp - 2.0 * H0 + Hrm) / (h * h) - F_r @ F_r
+    # d/dz dzbar = (d^2/dx^2 + d^2/dy^2) / 4 by the five-point stencil.
+    lap = (Hxp + Hxm + Hyp + Hym - 4.0 * H0) / (h * h)
+    angular = Hinv @ (lap / 4.0) - (Hinv @ (dx + 1j * dy) / 2.0) @ (Hinv @ (dx - 1j * dy) / 2.0)
+    return radial + (1.0 + abs(z) ** 2) ** 2 / np.sinh(r) ** 2 * angular
+
+
 def test_criterion_11_bogomolny_residual():
     t0 = time.perf_counter()
     field = sech_field()
+    zm = zero_mass_field()
     zs = [0.0, 0.5, -1.0, 1.5j, 2.0, -2.0j, 1.0 + 1.0j, -1.2 + 0.9j]
     grid = [(z, r) for r in np.linspace(0.2, 4.0, 8) for z in zs]
-    res = bog_residual(field, grid, step=1e-3).max_frobenius
+    res = bog_residual(field, grid).max_frobenius
+    zm1 = bog_residual(zm, grid).max_frobenius
+    # The stencil oracle converges to the exact residual matrix at order 2.
     rng = np.random.default_rng(7)
-    orders = []
+    points = []
     for _ in range(12):
         r = float(rng.uniform(0.5, 3.5))
-        z = complex(rng.uniform(-1.2, 1.2) + 1j * rng.uniform(-1.2, 1.2))
-        coarse = bog_residual(field, [(z, r)], step=2e-3).max_frobenius
-        fine = bog_residual(field, [(z, r)], step=1e-3).max_frobenius
-        orders.append(np.log2(coarse / fine))
-    med = float(np.median(orders))
-    zm = zero_mass_field()
-    zm1 = bog_residual(zm, grid, step=1e-3).max_frobenius
-    zm2 = bog_residual(zm, grid, step=5e-4).max_frobenius
+        points.append((complex(rng.uniform(-1.2, 1.2) + 1j * rng.uniform(-1.2, 1.2)), r))
+    med = {}
+    for name, f in (("sech", field), ("zero-mass", zm)):
+        orders = []
+        for z, r in points:
+            exact = _residual_matrix(f, z, r)
+            coarse = np.linalg.norm(_stencil_residual(f, z, r, 2e-3) - exact)
+            fine = np.linalg.norm(_stencil_residual(f, z, r, 1e-3) - exact)
+            orders.append(np.log2(coarse / fine))
+        med[name] = float(np.median(orders))
     m6 = mass_profile(field, [6.0])[0]
     dt = time.perf_counter() - t0
-    ok = (res <= 1e-5 and 1.7 <= med <= 2.3 and zm1 > 1.0 and zm2 > 1.0
+    ok = (res <= 1e-12 and all(1.7 <= o <= 2.3 for o in med.values()) and zm1 > 1.0
           and abs(m6 - 0.5) <= 1e-3 and dt < 60.0)
-    _report(11, ok, f"sech residual {res:.2e} <= 1e-5 at step 1e-3, order {med:.2f} "
-                    f"in 2 +/- 0.3; zero-mass control stays at {zm1:.1f}; "
-                    f"mass(6) = {m6:.6f} within 1e-3 of 0.5 ({dt:.1f} s < 60 s)")
+    _report(11, ok, f"exact sech residual {res:.2e} <= 1e-12; stencil oracle order "
+                    f"{med['sech']:.2f} (sech), {med['zero-mass']:.2f} (zero-mass) "
+                    f"in 2 +/- 0.3; zero-mass control {zm1:.1f} > 1; "
+                    f"mass(6) = {m6:.10f} within 1e-3 of 0.5 ({dt:.1f} s < 60 s)")
 
 
 def test_criterion_12_boundary_reconstruction():

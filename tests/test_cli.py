@@ -156,6 +156,16 @@ class TestValidationAndExitCodes:
         assert code == 3
         assert report["error"]["code"] == "NonFiniteResult"
 
+    @pytest.mark.parametrize("command, code", [("normalize", 0), ("factor", 0), ("check", 3)])
+    def test_positive_curve_near_the_largest_double(self, tmp_path, command, code):
+        # Psi^* is added at half scale, so the Hermitian part stays finite;
+        # check then reports det = 1e616, which no double holds.
+        doc = curve_to_json(SpectralMatrix(1, np.diag([1e308, 1e308])))
+        got, report = run_cli(tmp_path, [command], doc)
+        assert got == code
+        if code:
+            assert report["error"]["code"] == "NonFiniteResult"
+
     def test_lapack_failure_exits_3(self, tmp_path):
         samples = [
             [[1e-09, -5.960464477539063e-08], 1e-300],
@@ -192,6 +202,8 @@ class TestValidationAndExitCodes:
             ["field", "mass", "--input", "in.json"],
             ["charge2", "involution", "--max-iter", "3"],
             ["charge2", "involution", "--step", "1e-3"],
+            ["field", "residual", "--step", "1e-3"],
+            ["field", "sample", "--step", "1e-3"],
         ],
     )
     def test_flag_the_command_does_not_read_is_a_usage_error(self, argv, capsys):

@@ -72,7 +72,6 @@ FLAG_VALUES = {
     "--tol": st.sampled_from(["-1", "0", "1e-20", "1e-12", "1e-8", "1e-3", "0.5", "nan"]),
     "--max-iter": st.integers(-3, 40).map(str),
     "--grid": st.integers(-3, 24).map(str),
-    "--step": st.sampled_from(["0", "-0.001", "nan", "1e-6", "1e-3", "0.05"]),
     "--csv": st.just(CSV),
     "--w": points,
     "--z0": points,
