@@ -26,7 +26,6 @@ from .boundary import (
     degree_integral,
     metric_h,
     reconstruct_psi_from_metric,
-    sample_boundary,
 )
 from .centering import (
     FlowResult,

@@ -37,12 +37,10 @@ and one inverse FFT gives the values at all 2n nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .curves import SpectralMatrix, hermitian_form, require_hermitian, times
-from .errors import NotPositive, QuadratureNotConverged, Underdetermined
+from .curves import SpectralMatrix, hermitian_form, require_hermitian, require_positive_definite
+from .errors import QuadratureNotConverged, Underdetermined
 from .projective import vander, vander_derivative
 
 DEGREE_TOL = 1e-7
@@ -56,7 +54,7 @@ def _h_jets(psi: np.ndarray, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """h, d_z h and d_z d_zbar h at every point of the array z."""
     v = vander(z, psi.shape[0] - 1)
     dv = vander_derivative(v)
-    psi_dv = times(psi, dv)
+    psi_dv = np.tensordot(psi, dv, 1)
     return hermitian_form(psi, v), np.vecdot(v, psi_dv, axis=0), np.vecdot(dv, psi_dv, axis=0).real
 
 
@@ -168,22 +166,6 @@ def degree_integral(S: SpectralMatrix, tol: float = DEGREE_TOL) -> tuple[float, 
     return value, bound + floor * abs(value)
 
 
-@dataclass(frozen=True)
-class BoundarySample:
-    """One CSV row of boundary data at a point of the z chart."""
-
-    z: complex
-    h: float
-    a_z: complex
-    f_density: float
-
-
-def sample_boundary(S: SpectralMatrix, points) -> list[BoundarySample]:
-    z = np.array([complex(p) for p in points], dtype=complex)
-    rows = zip(z, metric_h(S, z), connection_at_infinity(S, z), curvature_density(S, z))
-    return [BoundarySample(complex(p), float(h), complex(a), float(f)) for p, h, a, f in rows]
-
-
 def _design_matrix(z: np.ndarray, k: int) -> np.ndarray:
     """Real rows expressing h(z) linearly in the (k+1)^2 Hermitian unknowns.
 
@@ -213,8 +195,8 @@ def reconstruct_psi_from_metric(samples, k: int) -> SpectralMatrix:
     Each sample contributes one real equation
     h = sum_i Psi[i,i] |z|^(2i) + sum_{i<j} 2 Re(Psi[i,j] conj(z)^i z^j)
     in the (k+1)^2 real unknowns.  Needs at least (k+1)^2 independent
-    samples (Underdetermined otherwise).  The recovered matrix must be
-    positive definite (NotPositive flags inconsistent boundary data).
+    samples (Underdetermined otherwise).  The recovered matrix must pass
+    require_positive_definite (NotPositiveDefinite flags inconsistent data).
     """
     pts = [(complex(z), float(h)) for z, h in samples]
     n_unknown = (k + 1) ** 2
@@ -228,8 +210,6 @@ def reconstruct_psi_from_metric(samples, k: int) -> SpectralMatrix:
     if rank < n_unknown:
         raise Underdetermined(f"design rank {rank} < {n_unknown}; samples not generic")
     coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
-    psi = _assemble(coeffs, k)
-    vals = np.linalg.eigvalsh(psi)
-    if vals[0] <= 0.0:
-        raise NotPositive(f"recovered matrix has eigenvalue {vals[0]:.3e}; data inconsistent")
-    return SpectralMatrix(k, psi)
+    S = SpectralMatrix(k, _assemble(coeffs, k))
+    require_positive_definite(S)
+    return S

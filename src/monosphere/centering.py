@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaxIterExceeded, NotStable
+from .errors import MaxIterExceeded, NonFiniteResult, NotStable
 from .spheres import CoeffTuple, binom_weights, fullness_check
 
 FLOW_TOL = 1e-10
@@ -198,11 +198,15 @@ def center_flow(
     2 (mu_r, 2 Re mu_c, 2 Im mu_c) and Hessian (_hessian) are exact:
     each step is p = -Hess^-1 grad, |p| capped, backtracked until
     norm2 satisfies the Armijo condition along p; converged when
-    |mu| <= tol * norm2.  Refuses unstable tuples (NotStable); raises
+    |mu| <= tol * norm2.  Refuses a tuple whose norm2 overflows
+    (NonFiniteResult) and unstable tuples (NotStable); raises
     MaxIterExceeded carrying the best iterate when the budget runs out,
     when the line search finds no decrease, or when |mu| has not
     improved for FLOW_STALL iterations (tol below the rounding floor).
     """
+    with np.errstate(over="ignore"):
+        if not np.isfinite(norm2(t)):
+            raise NonFiniteResult("the squared norm of the tuple overflows")
     if not stability_check(t):
         raise NotStable("tuple is not stable (v_0, v_k or fullness fails)")
     g_total = Mobius.identity()

@@ -231,7 +231,6 @@ def z_lattice(
     z0,
     max_steps: int = 48,
     tol: float = CLOSURE_TOL,
-    prev=None,
 ) -> ZLattice:
     """Orbit z_{i+1} = the root of <q(z_i), q(.)> = 0 other than z_{i-1}.
 
@@ -245,21 +244,15 @@ def z_lattice(
         raise DomainViolation("the lattice is a charge-2 construction")
     z0 = SpherePoint.of(z0)
     roots0 = spectral_slice(q, z0)
-    if prev is None:
-        if chordal(roots0[0], roots0[1]) <= tol:
-            raise BranchPoint("double root at the start point")
+    if chordal(roots0[0], roots0[1]) <= tol:
+        raise BranchPoint("double root at the start point")
 
-        def arg_ratio(r):
-            if r.is_infinity or z0.is_infinity:
-                return np.pi
-            if abs(z0.chart) == 0.0:
-                return np.pi
-            return float(np.angle(r.chart / z0.chart))
+    def arg_ratio(r):
+        if r.is_infinity or z0.is_infinity or abs(z0.chart) == 0.0:
+            return np.pi
+        return float(np.angle(r.chart / z0.chart))
 
-        nxt = min(roots0, key=arg_ratio)
-    else:
-        nxt = _other_root(roots0, SpherePoint.of(prev), tol)
-    points = [z0, nxt]
+    points = [z0, min(roots0, key=arg_ratio)]
     for _ in range(max_steps - 1):
         if chordal(points[-1], z0) <= tol:
             return ZLattice(points[:-1], True, len(points) - 1, tuple(roots0))

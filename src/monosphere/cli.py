@@ -30,7 +30,13 @@ from .axial import (
     sech_field,
     zero_mass_field,
 )
-from .boundary import degree_integral, metric_h, reconstruct_psi_from_metric, sample_boundary
+from .boundary import (
+    connection_at_infinity,
+    curvature_density,
+    degree_integral,
+    metric_h,
+    reconstruct_psi_from_metric,
+)
 from .centering import center_flow, moment_map, norm2
 from .charge2 import (
     bracket,
@@ -42,14 +48,13 @@ from .charge2 import (
     triple_product,
     z_lattice,
 )
-from .curves import SpectralMatrix, nondegeneracy_check, normalize_reality, positivity_check
-from .errors import (
-    ConvergenceError,
-    NonFiniteResult,
-    NotPositiveDefinite,
-    SchemaError,
-    ValidationError,
+from .curves import (
+    SpectralMatrix,
+    nondegeneracy_check,
+    normalize_reality,
+    require_positive_definite,
 )
+from .errors import ConvergenceError, NonFiniteResult, SchemaError, ValidationError
 from .projective import SpherePoint, folded_vector, proj_roots
 from .ratmap import find_line, massless_curve, project_map
 from .spheres import factor_sphere, sphere_to_tuple
@@ -109,14 +114,6 @@ def _write_csv_file(path: str, header, rows) -> None:
         raise SchemaError(f"cannot write CSV: {exc}") from exc
 
 
-def _positive_eigenvalues(S: SpectralMatrix, tol: float | None = None) -> np.ndarray:
-    """Eigenvalues of S; NotPositiveDefinite unless S is positive definite."""
-    vals, ok = positivity_check(S, **_opt(tol=tol))
-    if not ok:
-        raise NotPositiveDefinite(f"smallest eigenvalue {vals[0]:.6e} of {vals[-1]:.6e}")
-    return vals
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -128,13 +125,12 @@ def cmd_normalize(args) -> dict:
 
 def cmd_check(args) -> dict:
     S = ser.curve_from_json(ser.read_document(args.input))
-    vals = _positive_eigenvalues(S, args.tol)
+    vals = require_positive_definite(S, **_opt(tol=args.tol))
     norm = normalize_reality(S, **_opt(tol=args.tol))
     deg = nondegeneracy_check(norm, **_opt(tol=args.tol))
     return {
         "k": S.k,
         "eigenvalues": [float(v) for v in vals],
-        "positive_definite": True,
         "determinant": ser.complex_to_json(deg.determinant),
         "condition_estimate": _finite(deg.condition_estimate),
         "degenerate": bool(deg.degenerate),
@@ -157,22 +153,19 @@ def _boundary_rings(k: int, angles: int):
 
 def cmd_boundary(args) -> dict:
     S = ser.curve_from_json(ser.read_document(args.input))
-    _positive_eigenvalues(S)  # --tol is the degree tolerance
+    require_positive_definite(S)  # --tol is the degree tolerance
     value, bound = degree_integral(S, **_opt(tol=args.tol))
     report = {"k": S.k, "degree": float(value), "error_bound": float(bound)}
     if args.csv:
-        angles = _grid(args, 16)
-        samples = sample_boundary(S, list(_boundary_rings(S.k, angles)))
+        z = np.array(list(_boundary_rings(S.k, _grid(args, 16))))
+        a_z = connection_at_infinity(S, z)
         _write_csv_file(
             args.csv,
             ["re_z", "im_z", "h", "re_A_z", "im_A_z", "F_density"],
-            [
-                (s.z.real, s.z.imag, s.h, s.a_z.real, s.a_z.imag, s.f_density)
-                for s in samples
-            ],
+            zip(z.real, z.imag, metric_h(S, z), a_z.real, a_z.imag, curvature_density(S, z)),
         )
         report["csv"] = args.csv
-        report["samples"] = len(samples)
+        report["samples"] = z.size
     return report
 
 
@@ -185,7 +178,10 @@ def cmd_reconstruct(args) -> dict:
     S = ser.curve_from_json(doc)
     angles = _grid(args, max(6, (S.k + 1) ** 2))
     pts = list(_boundary_rings(S.k, angles))
-    pairs = list(zip(pts, metric_h(S, np.array(pts))))
+    # An overflowed metric gives a non-finite recovered matrix, which the
+    # positive-definite gate refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = list(zip(pts, metric_h(S, np.array(pts))))
     out = reconstruct_psi_from_metric(pairs, S.k)
     result = ser.curve_to_json(out)
     result["max_abs_deviation"] = float(np.max(np.abs(out.psi - S.psi)))
@@ -397,7 +393,7 @@ def cmd_field_sample(args) -> dict:
 
 def cmd_pipeline(args) -> dict:
     S = ser.curve_from_json(ser.read_document(args.input))
-    vals = _positive_eigenvalues(S, args.tol)
+    vals = require_positive_definite(S, **_opt(tol=args.tol))
     norm = normalize_reality(S)
     q = factor_sphere(norm)
     t = sphere_to_tuple(q)

@@ -28,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    NonFiniteResult,
     NotHermitian,
+    NotPositiveDefinite,
     NotRealCurve,
     VanishesOnAntidiagonal,
 )
@@ -42,8 +44,6 @@ PANEL_RADII = (0.5, 1.0, 2.0)
 PANEL_ANGLES = 64
 _ANGLES = np.pi * (np.cos(np.pi * (2 * np.arange(PANEL_ANGLES) + 1) / (2 * PANEL_ANGLES)) + 1.0)
 _PANEL = np.concatenate([[0.0], np.outer(PANEL_RADII, np.exp(1j * _ANGLES)).ravel()])
-# Largest product handed to one matmul call; see times.
-GEMM_MAX = 2**16
 
 
 @dataclass(frozen=True)
@@ -68,23 +68,6 @@ class SpectralMatrix:
         return float(np.max(np.abs(self.psi)))
 
 
-def times(psi: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Psi x for every column x of the jet array x; Psi may be rectangular.
-
-    The product is taken in slices of at most GEMM_MAX multiply-adds:
-    OpenBLAS hands larger complex products to its thread pool, and on a
-    two-core machine that hand-off was measured at about 8 ms a call,
-    a hundred times the product itself.
-    """
-    flat = x.reshape(x.shape[0], -1)
-    out = np.empty((psi.shape[0], flat.shape[1]), dtype=np.result_type(psi, flat))
-    cols = max(1, GEMM_MAX // psi.size)
-    for start in range(0, flat.shape[1], cols):
-        part = slice(start, start + cols)
-        np.matmul(psi, flat[:, part], out=out[:, part])
-    return out.reshape(psi.shape[:1] + x.shape[1:])
-
-
 def hermitian_part(psi: np.ndarray) -> np.ndarray:
     """(Psi + Psi^*) / 2, halved before the sum so that entries near the
     largest double do not overflow."""
@@ -93,7 +76,7 @@ def hermitian_part(psi: np.ndarray) -> np.ndarray:
 
 def hermitian_form(psi: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Re v* Psi v for every column v of the jet array v."""
-    return np.vecdot(v, times(psi, v), axis=0).real
+    return np.vecdot(v, np.tensordot(psi, v, 1), axis=0).real
 
 
 def chart_pairing(M: np.ndarray, w, z, unit: bool = False) -> complex:
@@ -199,6 +182,20 @@ def positivity_check(S: SpectralMatrix, tol: float = HERM_TOL):
     return vals, bool(vals[0] > tol * ref)
 
 
+def require_positive_definite(S: SpectralMatrix, tol: float = HERM_TOL) -> np.ndarray:
+    """Eigenvalues (ascending) of a curve that positivity_check finds
+    positive definite, the condition for Psi = conj(Q)^T Q to have a
+    factor Q.  NotPositiveDefinite otherwise, and NonFiniteResult when
+    the eigenvalues are not finite (an overflowed matrix has no verdict).
+    """
+    vals, ok = positivity_check(S, tol)
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteResult("eigenvalues of the curve matrix are not finite")
+    if not ok:
+        raise NotPositiveDefinite(f"smallest eigenvalue {vals[0]:.6e} of {vals[-1]:.6e}")
+    return vals
+
+
 @dataclass(frozen=True)
 class DegeneracyReport:
     determinant: complex
@@ -213,7 +210,9 @@ def nondegeneracy_check(S: SpectralMatrix, tol: float = HERM_TOL) -> DegeneracyR
     determinant at unit norm, which is of order one for a
     well-conditioned matrix and stays finite where det Psi overflows.
     """
-    det = complex(np.linalg.det(S.psi))
+    # Overflows to a non-finite determinant, which the report refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = complex(np.linalg.det(S.psi))
     svals = np.linalg.svd(S.psi, compute_uv=False)
     smax = float(svals[0])
     smin = float(svals[-1])

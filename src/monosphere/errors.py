@@ -41,10 +41,6 @@ class NotPositiveDefinite(ValidationError):
     pass
 
 
-class NotPositive(ValidationError):
-    """Recovered matrix fails positivity; boundary data inconsistent."""
-
-
 class NotFull(ValidationError):
     """Coefficient vectors do not span, so the map is not an embedding."""
 

@@ -23,8 +23,9 @@ line through q(w) to itself: the starting line is self-consistent.
 The massless spectral curve of a degree-N rational map f = [den : num]
 is {<f(antipode(w)), f(z)> = 0}, bidegree (N, N) with coefficient
 matrix conj(C)^T C, where C stacks the homogeneous coefficient rows of
-den and num.  It is degenerate (rank <= 2) and has no real points:
-the antidiagonal value is |den|^2 + |num|^2 > 0.
+den and num.  It is degenerate (rank <= 2), and its antidiagonal value
+is |den|^2 + |num|^2, so it has no real points unless num and den share
+a root.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SpectralMatrix, antidiagonal_form, hermitian_part
+from .curves import SpectralMatrix, hermitian_part
 from .errors import (
     DegenerateMap,
     IdenticallyZero,
@@ -43,8 +44,6 @@ from .errors import (
 )
 from .projective import SpherePoint, proj_roots
 from .spheres import HoloSphere, eval_sphere, require_full
-
-ANTIDIAG_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -124,15 +123,18 @@ class RationalMap:
     def zeros(self) -> list[SpherePoint]:
         return proj_roots(self.num)
 
-    def resultant(self) -> complex:
+    def sylvester(self) -> np.ndarray:
+        """Sylvester matrix of num and den as polynomials of degree N;
+        singular exactly when they share a root on P^1."""
         n = self.degree
-        # Sylvester matrix of the two degree-n polynomials
-        size = 2 * n
-        m = np.zeros((size, size), dtype=complex)
+        m = np.zeros((2 * n, 2 * n), dtype=complex)
         for i in range(n):
             m[i, i : i + n + 1] = self.num[::-1]
             m[n + i, i : i + n + 1] = self.den[::-1]
-        return complex(np.linalg.det(m))
+        return m
+
+    def resultant(self) -> complex:
+        return complex(np.linalg.det(self.sylvester()))
 
 
 def spectral_slice(q: HoloSphere, w) -> list[SpherePoint]:
@@ -196,9 +198,12 @@ def massless_curve(f: RationalMap, tol: float = 1e-12) -> SpectralMatrix:
     """Degenerate spectral curve {<f(antipode(w)), f(z)> = 0} of a map.
 
     Coefficient matrix conj(C)^T C with C the 2 x (N+1) stack of den
-    and num coefficients; rank <= 2, positive on the antidiagonal, so
-    the curve has no real points (checked on a sample of the fixed
-    set, RealPointFound on failure).  Degree 0 maps are not admitted.
+    and num coefficients; rank <= 2.  Its antidiagonal value
+    |den|^2 + |num|^2 vanishes exactly at a common root of num and den,
+    so the curve has no real points unless the Sylvester matrix of the
+    map is singular: RealPointFound when its smallest singular value is
+    at most tol times its largest.  Degree 0 maps, constant maps and
+    maps below their nominal degree (DegenerateMap) are refused first.
     """
     n = f.degree
     if n < 1:
@@ -213,9 +218,7 @@ def massless_curve(f: RationalMap, tol: float = 1e-12) -> SpectralMatrix:
     scale = np.max(np.abs(psi))
     if np.max(np.abs(psi[n, :])) <= tol * scale or np.max(np.abs(psi[:, n])) <= tol * scale:
         raise DegenerateMap("map degenerates below its nominal degree")
-    t = np.linspace(0.0, 2.0 * np.pi, ANTIDIAG_SAMPLES, endpoint=False)
-    z = np.outer(np.exp(1j * t), (0.0, 0.5, 1.0, 2.0)).ravel()
-    low = np.flatnonzero(antidiagonal_form(S, z) <= tol * scale)
-    if low.size:
-        raise RealPointFound(f"curve meets the antidiagonal near z = {z[low[0]]:.4f}")
+    sv = np.linalg.svd(f.sylvester(), compute_uv=False)
+    if sv[-1] <= tol * sv[0]:
+        raise RealPointFound(f"num and den share a root (Sylvester sv ratio {sv[-1] / sv[0]:.2e})")
     return S

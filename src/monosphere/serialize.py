@@ -97,17 +97,22 @@ def _read_charge(d: dict) -> int:
     return k
 
 
+def _square_from_json(d: dict, kind: str, field: str) -> tuple[int, np.ndarray]:
+    """Charge k and the (k+1) x (k+1) matrix under field of a kind document."""
+    _require(isinstance(d, dict), f"{kind} document must be a JSON object")
+    k = _read_charge(d)
+    _require(field in d, f"missing {kind} field {field!r}")
+    m = matrix_from_json(d[field], field)
+    _require(m.shape == (k + 1, k + 1), f"{field} must be {(k + 1, k + 1)}, got {m.shape}")
+    return k, m
+
+
 def curve_to_json(S: SpectralMatrix) -> dict:
     return {"k": S.k, "psi": matrix_to_json(S.psi)}
 
 
 def curve_from_json(d: dict) -> SpectralMatrix:
-    _require(isinstance(d, dict), "curve document must be a JSON object")
-    k = _read_charge(d)
-    _require("psi" in d, "missing curve field 'psi'")
-    psi = matrix_from_json(d["psi"], "psi")
-    _require(psi.shape == (k + 1, k + 1), f"psi must be {(k + 1, k + 1)}, got {psi.shape}")
-    return SpectralMatrix(k, psi)
+    return SpectralMatrix(*_square_from_json(d, "curve", "psi"))
 
 
 def sphere_to_json(q: HoloSphere) -> dict:
@@ -115,12 +120,7 @@ def sphere_to_json(q: HoloSphere) -> dict:
 
 
 def sphere_from_json(d: dict) -> HoloSphere:
-    _require(isinstance(d, dict), "sphere document must be a JSON object")
-    k = _read_charge(d)
-    _require("Q" in d, "missing sphere field 'Q'")
-    Q = matrix_from_json(d["Q"], "Q")
-    _require(Q.shape == (k + 1, k + 1), f"Q must be {(k + 1, k + 1)}, got {Q.shape}")
-    return HoloSphere(k, Q)
+    return HoloSphere(*_square_from_json(d, "sphere", "Q"))
 
 
 def tuple_to_json(t: CoeffTuple) -> dict:
@@ -128,12 +128,7 @@ def tuple_to_json(t: CoeffTuple) -> dict:
 
 
 def tuple_from_json(d: dict) -> CoeffTuple:
-    _require(isinstance(d, dict), "tuple document must be a JSON object")
-    k = _read_charge(d)
-    _require("v" in d, "missing tuple field 'v'")
-    v = matrix_from_json(d["v"], "v")
-    _require(v.shape == (k + 1, k + 1), f"v must be {(k + 1, k + 1)}, got {v.shape}")
-    return CoeffTuple(k, v)
+    return CoeffTuple(*_square_from_json(d, "tuple", "v"))
 
 
 def triple_to_json(nu: Su2Triple) -> dict:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import HERM_TOL, SpectralMatrix, chart_pairing, hermitian_part, require_hermitian
-from .errors import NotFull, NotPositiveDefinite
+from .curves import HERM_TOL, SpectralMatrix, chart_pairing, hermitian_part, require_positive_definite
+from .errors import NotFull
 from .projective import hom_vector
 
 FULL_TOL = 1e-10
@@ -72,15 +72,12 @@ def factor_sphere(S: SpectralMatrix, tol: float = HERM_TOL) -> HoloSphere:
     """Canonical factor Q of Psi = conj(Q)^T Q.
 
     Cholesky in the upper-triangular convention.  Requires Hermitian
-    positive definite input.
+    positive definite input (require_positive_definite).
     """
-    herm = require_hermitian(S.psi, tol)
-    vals = np.linalg.eigvalsh(herm)
-    if vals[0] <= tol * max(abs(vals[-1]), 1e-300):
-        raise NotPositiveDefinite("matrix is not positive definite")
+    require_positive_definite(S, tol)
     # numpy returns lower L with Psi = L conj(L)^T; the canonical upper
     # factor is Q = conj(L)^T, and conj(Q)^T Q = L conj(L)^T = Psi.
-    L = np.linalg.cholesky(herm)
+    L = np.linalg.cholesky(hermitian_part(S.psi))
     return HoloSphere(S.k, np.conj(L).T)
 
 

@@ -14,10 +14,9 @@ from monosphere.boundary import (
     degree_integral,
     metric_h,
     reconstruct_psi_from_metric,
-    sample_boundary,
 )
 from monosphere.curves import SpectralMatrix, axial_spectral
-from monosphere.errors import NotPositive, QuadratureNotConverged, Underdetermined
+from monosphere.errors import NotPositiveDefinite, QuadratureNotConverged, Underdetermined
 
 
 def _rand_hermitian_pd(rng, n):
@@ -226,7 +225,7 @@ def test_reconstruct_inconsistent_samples_not_positive():
     rng = np.random.default_rng(14)
     S = SpectralMatrix(1, _rand_hermitian_pd(rng, 2))
     zs = [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(6)]
-    with pytest.raises(NotPositive):
+    with pytest.raises(NotPositiveDefinite):
         reconstruct_psi_from_metric([(z, -metric_h(S, z)) for z in zs], 1)
 
 
@@ -249,21 +248,22 @@ def test_reconstruct_rank_deficient_samples():
 
 
 def test_sample_rows():
+    # the boundary CSV columns are these array calls
     S = SpectralMatrix(1, np.eye(2))
-    rows = sample_boundary(S, [0.0, 1.0])
-    assert rows[0].h == 1.0 and rows[1].h == 2.0
-    assert rows[0].f_density == 1.0
+    z = np.array([0.0, 1.0], dtype=complex)
+    assert list(metric_h(S, z)) == [1.0, 2.0]
+    assert curvature_density(S, z)[0] == 1.0
 
 
 def test_sample_rows_match_pointwise_calls():
     rng = np.random.default_rng(22)
     S = SpectralMatrix(3, _rand_hermitian_pd(rng, 4))
-    zs = [0.3 - 0.2j, 1.5 + 0.1j, -2.0j]
-    for z, row in zip(zs, sample_boundary(S, zs)):
-        assert row.z == z
-        assert abs(row.h - metric_h(S, z)) <= 1e-13 * row.h
-        assert abs(row.a_z - connection_at_infinity(S, z)) <= 1e-13
-        assert abs(row.f_density - curvature_density(S, z)) <= 1e-13
+    zs = np.array([0.3 - 0.2j, 1.5 + 0.1j, -2.0j])
+    rows = zip(zs, metric_h(S, zs), connection_at_infinity(S, zs), curvature_density(S, zs))
+    for z, h, a_z, f in rows:
+        assert abs(h - metric_h(S, z)) <= 1e-13 * h
+        assert abs(a_z - connection_at_infinity(S, z)) <= 1e-13
+        assert abs(f - curvature_density(S, z)) <= 1e-13
 
 
 def test_design_matrix_matches_loop_rows():

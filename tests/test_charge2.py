@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from monosphere.charge2 import (
+    CLOSURE_TOL,
     MassFlowReport,
     PonceletPolygon,
     Su2Triple,
@@ -31,6 +32,7 @@ from monosphere.errors import (
     NotOnCurve,
 )
 from monosphere.projective import SpherePoint, antipode, chordal, proj_roots
+from monosphere.ratmap import spectral_slice
 from monosphere.spheres import factor_sphere, spectral_from_sphere, tuple_to_sphere
 
 E = np.eye(3)
@@ -269,14 +271,16 @@ class TestZLattice:
         lat = z_lattice(q, np.exp(0.37j), max_steps=12)
         assert lat.closed and lat.period == 3
 
-    def test_orbit_is_well_defined_recurrence(self):
-        q = factor_sphere(identity_curve())
-        lat = z_lattice(q, 1.0, max_steps=12)
-        z0, z1, z2 = lat.points
-        fwd = z_lattice(q, z1.chart, max_steps=12, prev=z0.chart)
-        assert chordal(fwd.points[1], z2) <= 1e-9
-        bwd = z_lattice(q, z1.chart, max_steps=12, prev=z2.chart)
-        assert chordal(bwd.points[1], z0) <= 1e-9
+    def test_each_step_takes_the_other_root(self):
+        # the slice at z_i holds z_{i-1} and z_{i+1}, and they are distinct
+        q = factor_sphere(axial_spectral(2, 1.0))
+        lat = z_lattice(q, 0.4 + 0.2j, max_steps=12)
+        assert len(lat.points) >= 3
+        for prev, cur, nxt in zip(lat.points, lat.points[1:], lat.points[2:]):
+            roots = spectral_slice(q, cur)
+            assert min(chordal(prev, r) for r in roots) <= 1e-9
+            assert min(chordal(nxt, r) for r in roots) <= 1e-9
+            assert chordal(prev, nxt) > CLOSURE_TOL
 
     def test_near_massless_does_not_close(self):
         q = factor_sphere(axial_spectral(2, 0.01))

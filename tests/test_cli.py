@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from monosphere.axial import sphere_of_sech
-from monosphere.cli import main
+from monosphere.boundary import metric_h, reconstruct_psi_from_metric
+from monosphere.cli import _boundary_rings, main
 from monosphere.curves import SpectralMatrix, axial_spectral
 from monosphere.projective import hom_vector
 from monosphere.serialize import (
@@ -20,6 +22,7 @@ from monosphere.serialize import (
     tuple_to_json,
 )
 from monosphere.charge2 import Su2Triple
+from monosphere.errors import NotPositiveDefinite
 from monosphere.spheres import CoeffTuple, HoloSphere, factor_sphere, sphere_to_tuple
 
 
@@ -156,12 +159,20 @@ class TestValidationAndExitCodes:
         assert code == 3
         assert report["error"]["code"] == "NonFiniteResult"
 
-    @pytest.mark.parametrize("command, code", [("normalize", 0), ("factor", 0), ("check", 3)])
+    @pytest.mark.parametrize(
+        "command, code",
+        [("normalize", 0), ("factor", 0), ("check", 3), ("reconstruct", 3), ("pipeline", 3)],
+    )
     def test_positive_curve_near_the_largest_double(self, tmp_path, command, code):
         # Psi^* is added at half scale, so the Hermitian part stays finite;
-        # check then reports det = 1e616, which no double holds.
+        # check then reports det = 1e616, which no double holds, reconstruct
+        # samples h = 2e308 and pipeline a tuple with norm2 = 2e308.  The
+        # overflow shows in the report, not as a warning.
         doc = curve_to_json(SpectralMatrix(1, np.diag([1e308, 1e308])))
-        got, report = run_cli(tmp_path, [command], doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, report = run_cli(tmp_path, [command], doc)
+        assert [str(w.message) for w in caught] == []
         assert got == code
         if code:
             assert report["error"]["code"] == "NonFiniteResult"
@@ -233,7 +244,7 @@ class TestValidationAndExitCodes:
     def test_check_accepts_positive_curve(self, tmp_path):
         code, report = run_cli(tmp_path, ["check"], half_mass_curve())
         assert code == 0
-        assert report["positive_definite"] is True
+        assert "positive_definite" not in report  # the only other verdict is exit 2
         assert np.allclose(report["eigenvalues"], [1.0, 1.0, 1.0])
 
 
@@ -469,6 +480,26 @@ class TestPipelineAndDeterminism:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["mass"] == 0.5
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 1e-11, 1.0])],
+    ids=["indefinite", "eigenvalue-ratio-1e-11"],
+)
+def test_one_gate_refuses_a_curve_that_is_not_positive_definite(tmp_path, psi):
+    # h >= 1 on the antidiagonal panel, so factor passes normalize and
+    # reaches the gate; the ratio 1e-11 lies below the gate's 1e-10
+    S = SpectralMatrix(2, psi)
+    for command in ("check", "factor", "boundary", "pipeline"):
+        code, report = run_cli(tmp_path, [command], curve_to_json(S))
+        assert (code, report["error"]["code"]) == (2, "NotPositiveDefinite")
+    with pytest.raises(NotPositiveDefinite):
+        factor_sphere(S)
+    z = np.array(list(_boundary_rings(2, 9)))
+    for sign in (1.0, -1.0):  # -h is the metric of -Psi, positive definite in neither case
+        with pytest.raises(NotPositiveDefinite):
+            reconstruct_psi_from_metric(list(zip(z, sign * metric_h(S, z))), 2)
 
 
 def _flag_jobs():

@@ -354,8 +354,16 @@ class TestMasslessCurve:
             massless_curve(RationalMap.normalized([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
 
     def test_common_root_hits_antidiagonal(self):
-        # num and den share the root z = 1, which lies on the sample grid
+        # num and den share the root z = 1
         f = RationalMap.normalized([2.0, -3.0, 1.0], [-3.0, 2.0, 1.0])
+        with pytest.raises(RealPointFound):
+            massless_curve(f)
+
+    def test_common_root_off_any_grid_hits_antidiagonal(self):
+        # h = |den|^2 + |num|^2 vanishes at the shared root a, which no
+        # sample grid of circles about the origin holds
+        a, b, c = 0.3 + 0.7j, -1.1 + 0.2j, 0.8 - 0.9j
+        f = RationalMap.normalized(np.poly([a, b])[::-1], np.poly([a, c])[::-1])
         with pytest.raises(RealPointFound):
             massless_curve(f)
 
