@@ -152,14 +152,18 @@ def degree_integral(S: SpectralMatrix, tol: float = DEGREE_TOL) -> tuple[float, 
     rounding in the sums; bound <= tol.  The value is k for every
     Hermitian Psi with h != 0 on the circle (Chern-Weil for a metric on
     O(k)), positive definite or not: it checks the chart swap and the
-    kernel, not the curve.  Raises QuadratureNotConverged when a sample
-    of h or z h_z is not finite, or with the best bound the patch reached
-    when it still exceeds half of tol at n = 256.
+    kernel, not the curve.  Psi is first scaled by the power of two that
+    brings its largest entry into [1/2, 1), so no sample overflows and,
+    the scaling being exact, the value does not move.  Raises QuadratureNotConverged when a sample of
+    h or z h_z is not finite (h vanishes at a node), or with the best
+    bound the patch reached when it still exceeds half of tol at n = 256.
     """
     require_hermitian(S.psi)
+    exponent = np.frexp(np.max(np.abs(S.psi)))[1]
+    unit = np.ldexp(S.psi.view(float), -exponent).view(complex)
     floor = 8.0 * (S.k + 1) * np.finfo(float).eps
     value = bound = 0.0
-    for psi in (S.psi, S.psi[::-1, ::-1]):  # the z chart, then the 1/z chart
+    for psi in (unit, unit[::-1, ::-1]):  # the z chart, then the 1/z chart
         flux, step = _converged_patch(_ring_scatter(psi), floor, tol)
         value += flux
         bound += step

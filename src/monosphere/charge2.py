@@ -27,9 +27,12 @@ The lattice and P-sequence walks realize the spectral-curve geometry:
 stepping to the other root on alternating vertical and horizontal
 lines closes up after N half-steps while w winds W times about the
 axis of its orbit, with N/|W| = 4m + 4, so the mass is read off every
-closed walk; the affine image under (w, z) -> (wz, w + z) of a closed sequence is a
-polygon inscribed in a conic with every edge tangent to the parabola
-v^2 = 4u.
+closed walk.  A walk starts at start_point, the same rule for the CLI
+and estimate_mass.  The map pi(w, z) = (wz, w + z) is the quotient by
+the factor swap: it takes a centred curve onto a conic read off Psi,
+and the line w = s onto u = s v - s^2, tangent to the parabola
+v^2 = 4u at v = 2s.  So the image of a P-sequence is a polygon
+inscribed in that conic with every edge tangent to the parabola.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ import numpy as np
 from .curves import SpectralMatrix, metric_scale_residual
 from .errors import (
     BranchPoint,
-    ConicFitFailed,
     ConstraintViolated,
     DomainViolation,
     MonosphereError,
@@ -284,6 +286,19 @@ def _horizontal_roots(S: SpectralMatrix, z) -> list[SpherePoint]:
     return proj_roots((vander(-1.0, S.k) * d)[::-1])
 
 
+def start_point(S: SpectralMatrix, w) -> tuple[SpherePoint, SpherePoint]:
+    """(w, z) on the curve: z the first root of the vertical line at w,
+    finite roots ordered by chart value to 12 decimals, infinity last."""
+    w = SpherePoint.of(w)
+
+    def key(p: SpherePoint):
+        if p.is_infinity:
+            return (1, 0.0, 0.0)
+        return (0, round(p.chart.real, 12), round(p.chart.imag, 12))
+
+    return w, min(_vertical_roots(S, w), key=key)
+
+
 def p_sequence(
     S: SpectralMatrix,
     p0,
@@ -345,7 +360,8 @@ def _winding(seq: PSequence) -> int:
 
 
 def estimate_mass(S: SpectralMatrix, max_steps: int = 60) -> float:
-    """Mass from the rotation number: m = (N/|W| - 4)/4, cross-checked from 3 starts.
+    """Mass from the rotation number: m = (N/|W| - 4)/4, cross-checked from
+    the start_point of each of the 3 MASS_STARTS.
 
     N is the closure period in half-steps and W the winding of w over
     it (_winding): N/|W| = 4m + 4, so a rational mass is read exactly
@@ -359,8 +375,7 @@ def estimate_mass(S: SpectralMatrix, max_steps: int = 60) -> float:
     found = []
     for w in MASS_STARTS:
         try:
-            roots = _vertical_roots(S, w)
-            seq = p_sequence(S, (w, roots[0]), max_steps=max_steps)
+            seq = p_sequence(S, start_point(S, w), max_steps=max_steps)
         except MonosphereError as exc:
             raise NoEstimate(f"start w = {w} failed: {exc}") from exc
         if not seq.closed:
@@ -388,9 +403,6 @@ class PonceletPolygon:
     vertices: list
     conic: np.ndarray
     vertex_residuals: np.ndarray
-    edge_params: list
-    edge_incidence_residuals: np.ndarray
-    tangency_residuals: np.ndarray
     closed: bool
 
 
@@ -399,37 +411,28 @@ def _conic_rows(pts: list[tuple[complex, complex]]) -> np.ndarray:
     return np.array([[u * u, u * v, v * v, u, v, 1.0] for u, v in pts], dtype=complex)
 
 
-def _fit_conic(pts: list[tuple[complex, complex]]) -> np.ndarray:
-    """Null vector of the (u^2, uv, v^2, u, v, 1) design; unique conic."""
-    if len(pts) < 5:
-        raise ConicFitFailed(f"need at least 5 points, got {len(pts)}")
-    _, sv, vh = np.linalg.svd(_conic_rows(pts))
-    if len(sv) >= 6 and sv[4] <= 1e-10 * max(sv[0], 1e-300):
-        raise ConicFitFailed("conic through the vertices is not unique")
-    coef = np.conj(vh[-1])
-    lead = coef[np.argmax(np.abs(coef))]
-    return coef / lead
+def _conic(S: SpectralMatrix) -> np.ndarray:
+    """Coefficients (u^2, uv, v^2, u, v, 1) of the image of a centred
+    charge-2 curve under (w, z) -> (wz, w + z), largest entry 1.
 
-
-def _edge_residuals(p, q, s: complex) -> tuple[float, float]:
-    """Incidence and tangency residuals of the line u = a v + b through
-    the vertex images p and q: (a, b) against (s, -s^2), the line of the
-    shared coordinate s, and a^2 + b, the discriminant of v^2 = 4u on it."""
-    (u1, v1), (u2, v2) = p, q
-    a = (u2 - u1) / (v2 - v1)
-    b = u1 - a * v1
-    incidence = max(abs(a - s) / max(1.0, abs(s)), abs(b + s * s) / max(1.0, abs(s) ** 2))
-    tangency = abs(a * a + b) / max(1.0, abs(a) ** 2, abs(b))
-    return incidence, tangency
+    w^2 psi(w, z) = sum c[a, b] w^a z^b with c[a, b] = (-1)^a Psi[2-a, b],
+    symmetric on a centred curve; w^2 + z^2 = v^2 - 2u rewrites it in u, v.
+    """
+    c = vander(-1.0, 2)[:, None] * S.psi[::-1]
+    c = (c + c.T) / 2.0
+    coef = np.array([c[2, 2], c[2, 1], c[2, 0], c[1, 1] - 2.0 * c[2, 0], c[1, 0], c[0, 0]])
+    return coef / coef[np.argmax(np.abs(coef))]
 
 
 def poncelet(S: SpectralMatrix, p0, steps: int = 40, tol: float = CLOSURE_TOL) -> PonceletPolygon:
-    """Polygon pi(P-sequence) inscribed in a fitted conic, edges tangent to v^2 = 4u.
+    """Polygon pi(P-sequence) inscribed in the conic pi(curve), edges tangent to v^2 = 4u.
 
-    Requires a centred curve.  Edge through consecutive vertices with
-    shared coordinate s is u = s v - s^2, which meets the parabola in
-    the double point v = 2s; both facts are checked on the line through
-    the two vertex images (_edge_residuals).
+    Requires a centred curve, whose image under pi(w, z) = (wz, w + z)
+    is the conic _conic(S).  vertex_residuals measure each vertex image
+    against it.  The edge through consecutive vertices with shared
+    coordinate s lies on pi(w = s), the line u = s v - s^2, which meets
+    the parabola in the double point v = 2s: tangency holds by
+    construction and is not reported.
     """
     if not is_centred(S):
         raise NotCentred("curve is not swap-invariant")
@@ -439,33 +442,7 @@ def poncelet(S: SpectralMatrix, p0, steps: int = 40, tol: float = CLOSURE_TOL) -
         if w.is_infinity or z.is_infinity:
             raise DomainViolation("vertex at infinity has no affine image")
         verts.append((w.chart * z.chart, w.chart + z.chart))
-    uniq = []
-    for p in verts:
-        if all(abs(p[0] - q[0]) + abs(p[1] - q[1]) > 1e-12 for q in uniq):
-            uniq.append(p)
-    conic = _fit_conic(uniq)
+    conic = _conic(S)
     rows = _conic_rows(verts)
     vres = np.abs(rows @ conic) / (np.linalg.norm(rows, axis=1) * np.linalg.norm(conic))
-
-    n = len(verts)
-    params, residuals = [], []
-    for i in range(n if seq.closed else n - 1):
-        (w1, z1), (w2, z2) = seq.points[i], seq.points[(i + 1) % n]
-        if chordal(w1, w2) <= tol:
-            s = w1.chart
-        elif chordal(z1, z2) <= tol:
-            s = z1.chart
-        else:
-            raise BranchPoint("consecutive vertices share no coordinate")
-        params.append(s)
-        residuals.append(_edge_residuals(verts[i], verts[(i + 1) % n], s))
-    ires, tres = np.array(residuals).reshape(-1, 2).T
-    return PonceletPolygon(
-        vertices=verts,
-        conic=conic,
-        vertex_residuals=vres,
-        edge_params=params,
-        edge_incidence_residuals=ires,
-        tangency_residuals=tres,
-        closed=seq.closed,
-    )
+    return PonceletPolygon(vertices=verts, conic=conic, vertex_residuals=vres, closed=seq.closed)

@@ -45,17 +45,19 @@ from .charge2 import (
     mass_flow_check,
     p_sequence,
     poncelet,
+    start_point,
     triple_product,
     z_lattice,
 )
 from .curves import (
     SpectralMatrix,
+    hermitian_part,
     nondegeneracy_check,
     normalize_reality,
     require_positive_definite,
 )
 from .errors import ConvergenceError, NonFiniteResult, SchemaError, ValidationError
-from .projective import SpherePoint, folded_vector, proj_roots
+from .projective import SpherePoint
 from .ratmap import find_line, massless_curve, project_map
 from .spheres import factor_sphere, sphere_to_tuple
 
@@ -123,11 +125,17 @@ def cmd_normalize(args) -> dict:
     return ser.curve_to_json(out)
 
 
-def cmd_check(args) -> dict:
+def _gated_curve(args) -> tuple[np.ndarray, SpectralMatrix]:
+    """Eigenvalues and Hermitian part of the input curve, which must pass
+    the positive-definite gate; a rotated curve goes through normalize."""
     S = ser.curve_from_json(ser.read_document(args.input))
     vals = require_positive_definite(S, **_opt(tol=args.tol))
-    norm = normalize_reality(S, **_opt(tol=args.tol))
-    deg = nondegeneracy_check(norm, **_opt(tol=args.tol))
+    return vals, SpectralMatrix(S.k, hermitian_part(S.psi))
+
+
+def cmd_check(args) -> dict:
+    vals, S = _gated_curve(args)
+    deg = nondegeneracy_check(S, **_opt(tol=args.tol))
     return {
         "k": S.k,
         "eigenvalues": [float(v) for v in vals],
@@ -139,8 +147,7 @@ def cmd_check(args) -> dict:
 
 def cmd_factor(args) -> dict:
     S = ser.curve_from_json(ser.read_document(args.input))
-    norm = normalize_reality(S, **_opt(tol=args.tol))
-    return ser.sphere_to_json(factor_sphere(norm, **_opt(tol=args.tol)))
+    return ser.sphere_to_json(factor_sphere(S, **_opt(tol=args.tol)))
 
 
 def _boundary_rings(k: int, angles: int):
@@ -174,8 +181,9 @@ def cmd_reconstruct(args) -> dict:
     if "samples" in doc:
         k, pairs = ser.samples_from_json(doc)
         return ser.curve_to_json(reconstruct_psi_from_metric(pairs, k))
-    # Curve input: sample its own boundary metric, then recover.
+    # Curve input: gate it, sample its own boundary metric, then recover.
     S = ser.curve_from_json(doc)
+    require_positive_definite(S)
     angles = _grid(args, max(6, (S.k + 1) ** 2))
     pts = list(_boundary_rings(S.k, angles))
     # An overflowed metric gives a non-finite recovered matrix, which the
@@ -230,20 +238,6 @@ def cmd_massless(args) -> dict:
     return ser.curve_to_json(S)
 
 
-def _curve_start_point(S: SpectralMatrix, w: SpherePoint):
-    """(w, z) on the curve: z the first vertical root over w, ordered
-    deterministically (finite points by chart value, infinity last)."""
-    roots = proj_roots(folded_vector(w, S.k) @ S.psi)
-
-    def key(p: SpherePoint):
-        if p.is_infinity:
-            return (1, 0.0, 0.0)
-        c = p.chart
-        return (0, round(c.real, 12), round(c.imag, 12))
-
-    return w, sorted(roots, key=key)[0]
-
-
 def cmd_charge2_lattice(args) -> dict:
     q = ser.sphere_from_json(ser.read_document(args.input))
     z0 = _parse_point(args.z0, "--z0")
@@ -258,7 +252,7 @@ def cmd_charge2_lattice(args) -> dict:
 
 def cmd_charge2_pseq(args) -> dict:
     S = ser.curve_from_json(ser.read_document(args.input))
-    p0 = _curve_start_point(S, _parse_point(args.w, "--w"))
+    p0 = start_point(S, _parse_point(args.w, "--w"))
     seq = p_sequence(S, p0, **_opt(max_steps=args.max_iter, tol=args.tol))
     return {
         "start": [ser.point_to_json(p0[0]), ser.point_to_json(p0[1])],
@@ -273,7 +267,7 @@ def cmd_charge2_pseq(args) -> dict:
 
 def cmd_charge2_poncelet(args) -> dict:
     S = ser.curve_from_json(ser.read_document(args.input))
-    p0 = _curve_start_point(S, _parse_point(args.w, "--w"))
+    p0 = start_point(S, _parse_point(args.w, "--w"))
     poly = poncelet(S, p0, **_opt(steps=args.max_iter, tol=args.tol))
     if args.csv:
         _write_csv_file(
@@ -288,8 +282,6 @@ def cmd_charge2_poncelet(args) -> dict:
         "conic": ser.vector_to_json(poly.conic),
         "closed": bool(poly.closed),
         "vertex_residuals": [float(x) for x in poly.vertex_residuals],
-        "edge_incidence_residuals": [float(x) for x in poly.edge_incidence_residuals],
-        "tangency_residuals": [float(x) for x in poly.tangency_residuals],
     }
 
 
@@ -392,15 +384,13 @@ def cmd_field_sample(args) -> dict:
 
 
 def cmd_pipeline(args) -> dict:
-    S = ser.curve_from_json(ser.read_document(args.input))
-    vals = require_positive_definite(S, **_opt(tol=args.tol))
-    norm = normalize_reality(S)
-    q = factor_sphere(norm)
+    vals, S = _gated_curve(args)
+    q = factor_sphere(S)
     t = sphere_to_tuple(q)
     mu0 = moment_map(t)
     flow = center_flow(t, **_opt(max_iter=args.max_iter))
     mu1 = moment_map(flow.tuple_centred)
-    degree, bound = degree_integral(norm)
+    degree, bound = degree_integral(S)
     return {
         "k": S.k,
         "eigenvalues": [float(v) for v in vals],

@@ -113,18 +113,6 @@ def metric_scale_residual(S: SpectralMatrix, w, z) -> float:
     return float(abs(chart_pairing(S.psi, w, z, unit=True)) / np.linalg.norm(S.psi))
 
 
-def antidiagonal_form(S: SpectralMatrix, z):
-    """h(z) = v(z)* Psi v(z), the restriction of psi to w = antipode(z).
-
-    Real for Hermitian Psi.  At a point it is a float, evaluated
-    homogeneously so z = infinity gives the top coefficient Psi[k, k];
-    on an array of chart values it is an array.
-    """
-    if np.ndim(z) == 0:
-        return float(hermitian_form(S.psi, hom_vector(z, S.k)))
-    return hermitian_form(S.psi, vander(z, S.k))
-
-
 def normalize_reality(S: SpectralMatrix, tol: float = HERM_TOL) -> SpectralMatrix:
     """Apply the reality normalization.
 

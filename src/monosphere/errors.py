@@ -81,10 +81,6 @@ class DomainViolation(ValidationError):
     """Field evaluated outside its validity region."""
 
 
-class ConicFitFailed(ValidationError):
-    """Vertex images do not determine a unique conic."""
-
-
 class DegenerateMap(ValidationError):
     """Rational map is constant, of degree 0, below its nominal degree, or
     overflows when normalized."""

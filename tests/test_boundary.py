@@ -132,14 +132,20 @@ def test_degree_integral_large_diagonal():
     assert abs(val - 1.0) <= bound <= DEGREE_TOL
 
 
-def test_degree_integral_overflow_is_not_converged():
-    # h overflows on |z| = 1; on the first, z h_z = 1e308 is finite and
-    # the ratio z h_z / h is 0, so only the samples show the overflow
-    for psi in (np.diag([1e308, 1e308]), np.diag([8e307, 8e307, 8e307])):
-        with pytest.raises(QuadratureNotConverged, match="not finite") as info:
-            degree_integral(SpectralMatrix(psi.shape[0] - 1, psi))
-        assert info.value.nodes == RULE_FIRST
-        assert info.value.best is None
+@pytest.mark.parametrize("scale", [2.0**1022, 2.0**-1074], ids=["2^1022", "2^-1074"])
+def test_degree_integral_is_scale_free(scale):
+    # h = 2^1024 would overflow on |z| = 1, and 2^-1074 is the smallest
+    # subnormal; a power of two scales Psi exactly
+    psi = np.diag([2.0, 1.0, 2.0])
+    assert degree_integral(SpectralMatrix(2, scale * psi)) == degree_integral(SpectralMatrix(2, psi))
+
+
+def test_degree_integral_zero_of_h_is_not_converged():
+    # Hermitian, but h = |1 - z|^2 vanishes at the node z = 1 of every rule
+    with pytest.raises(QuadratureNotConverged, match="not finite") as info:
+        degree_integral(SpectralMatrix(1, np.array([[1.0, -1.0], [-1.0, 1.0]])))
+    assert info.value.nodes == RULE_FIRST
+    assert info.value.best is None
 
 
 def test_quadrature_not_converged_carries_best_and_nodes():

@@ -15,6 +15,7 @@ from monosphere.charge2 import (
     mass_flow_check,
     p_sequence,
     poncelet,
+    start_point,
     to_su2_triple,
     triple_product,
     z_lattice,
@@ -22,7 +23,6 @@ from monosphere.charge2 import (
 from monosphere.curves import SpectralMatrix, axial_spectral, metric_scale_residual
 from monosphere.errors import (
     BranchPoint,
-    ConicFitFailed,
     ConstraintViolated,
     DomainViolation,
     IdenticallyZero,
@@ -334,6 +334,18 @@ class TestPSequence:
         with pytest.raises(NotOnCurve):
             p_sequence(identity_curve(), (1.0, 1.0))
 
+    @pytest.mark.parametrize("w", [1.0, -1.0])
+    def test_start_point_breaks_a_conjugate_tie_by_the_imaginary_part(self, w):
+        # on the real axis the two roots of an axial curve are a conjugate pair
+        from monosphere.charge2 import _vertical_roots
+
+        S = axial_spectral(2, 1.0)
+        roots = [r.chart for r in _vertical_roots(S, w)]
+        assert abs(roots[0] - np.conj(roots[1])) <= 1e-12 and abs(roots[0].imag) > 0.1
+        w0, z0 = start_point(S, w)
+        assert w0.chart == w and metric_scale_residual(S, w0, z0) <= 1e-15
+        assert z0.chart.imag < 0 and abs(z0.chart - min(roots, key=lambda c: c.imag)) <= 1e-12
+
     def test_irrational_mass_no_closure(self):
         S = axial_spectral(2, 0.37)
         from monosphere.charge2 import _vertical_roots
@@ -396,6 +408,33 @@ class TestEstimateMass:
             estimate_mass(SpectralMatrix(3, np.eye(4, dtype=complex)))
 
 
+def _fitted_conic(verts):
+    """Oracle: the null vector of the (u^2, uv, v^2, u, v, 1) rows of the
+    distinct vertex images, largest entry 1; the conic must be unique."""
+    from monosphere.charge2 import _conic_rows
+
+    uniq = []
+    for p in verts:
+        if all(abs(p[0] - q[0]) + abs(p[1] - q[1]) > 1e-12 for q in uniq):
+            uniq.append(p)
+    _, sv, vh = np.linalg.svd(_conic_rows(uniq))
+    assert len(uniq) >= 5 and sv[4] > 1e-10 * sv[0]
+    coef = np.conj(vh[-1])
+    return coef / coef[np.argmax(np.abs(coef))]
+
+
+def _centred_random_curve(seed):
+    """A A* + 3 I averaged with its factor swap: exactly centred, positive definite."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    psi = A @ np.conj(A).T + 3.0 * np.eye(3)
+    signs = np.outer([1.0, -1.0, 1.0], [1.0, -1.0, 1.0])
+    return SpectralMatrix(2, (psi + signs * psi[::-1, ::-1].T) / 2.0)
+
+
+PONCELET_STARTS = (0.78 + 0.21j, -1.17j, 1.9 - 0.33j)
+
+
 class TestPoncelet:
     def test_centred_condition(self):
         assert is_centred(identity_curve())
@@ -411,17 +450,34 @@ class TestPoncelet:
         assert poly.closed
         assert len(poly.vertices) == 6
         assert np.max(poly.vertex_residuals) < 1e-10
-        assert np.max(poly.edge_incidence_residuals) < 1e-10
-        assert np.max(poly.tangency_residuals) < 1e-12
         # the conic is v^2 = 3u
         target = np.array([0, 0, 1, -3, 0, 0], dtype=complex)
         c = poly.conic
         align = abs(np.vdot(c, target)) / (np.linalg.norm(c) * np.linalg.norm(target))
         assert align == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("w", PONCELET_STARTS)
+    @pytest.mark.parametrize("m", [1 / 4, 1 / 3, 1 / 2, 1, 3 / 2, 2, 5 / 2, 3])
+    def test_conic_matches_the_fit_through_the_vertices(self, m, w):
+        S = axial_spectral(2, m)
+        poly = poncelet(S, start_point(S, w))
+        assert poly.closed
+        assert np.max(np.abs(poly.conic - _fitted_conic(poly.vertices))) <= 1e-13
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_conic_matches_the_fit_on_random_centred_curves(self, seed):
+        S = _centred_random_curve(seed)
+        assert is_centred(S)
+        for w in PONCELET_STARTS:
+            poly = poncelet(S, start_point(S, w))
+            assert np.max(np.abs(poly.conic - _fitted_conic(poly.vertices))) <= 1e-13
+            assert np.max(poly.vertex_residuals) < 1e-13
+
     def test_perturbed_vertex_shows_in_residuals(self, monkeypatch):
         import monosphere.charge2 as charge2
 
+        clean = poncelet(identity_curve(), (np.exp(1j * np.pi / 3), 1.0))
+        assert np.max(clean.vertex_residuals) < 1e-15
         walk = charge2.p_sequence
 
         def moved(*args, **kwargs):
@@ -433,23 +489,13 @@ class TestPoncelet:
 
         monkeypatch.setattr(charge2, "p_sequence", moved)
         poly = poncelet(identity_curve(), (np.exp(1j * np.pi / 3), 1.0))
-        assert np.max(poly.edge_incidence_residuals) > 1e-11
-        assert np.max(poly.tangency_residuals) > 1e-11
+        assert np.max(poly.vertex_residuals) > 1e-11
 
-    def test_edge_residuals_vanish_only_on_the_tangent_line(self):
-        from monosphere.charge2 import _edge_residuals
-
-        s = 0.4 - 0.3j
-        p, q = [(s * z, s + z) for z in (1.2 + 0.5j, -0.7 + 0.2j)]
-        assert max(_edge_residuals(p, q, s)) < 1e-15
-        incidence, tangency = _edge_residuals(p, (q[0] + 1e-3, q[1]), s)
-        assert incidence > 1e-4 and tangency > 1e-4
-
-    def test_conic_needs_five_points(self):
-        from monosphere.charge2 import _fit_conic
-
-        with pytest.raises(ConicFitFailed):
-            _fit_conic([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (4.0, 1.0)])
+    def test_short_walk_is_an_open_polygon(self):
+        # three half-steps are too few to fit a conic, none to read it off
+        poly = poncelet(identity_curve(), (np.exp(1j * np.pi / 3), 1.0), steps=3)
+        assert not poly.closed and len(poly.vertices) == 4
+        assert np.max(poly.vertex_residuals) < 1e-15
 
     def test_not_centred_rejected(self):
         with pytest.raises(NotCentred):
@@ -464,7 +510,6 @@ class TestPoncelet:
         poly = poncelet(S, (w, z.chart))
         assert poly.closed and len(poly.vertices) == 8
         assert np.max(poly.vertex_residuals) < 1e-8
-        assert np.max(poly.edge_incidence_residuals) < 1e-8
 
 
 class TestCenteringBridge:

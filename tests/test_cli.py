@@ -129,13 +129,6 @@ class TestValidationAndExitCodes:
         assert report["error"]["code"] == "QuadratureNotConverged"
         assert "1.00e-20" in report["error"]["message"]
 
-    def test_overflowing_degree_integral_exits_3(self, tmp_path):
-        # positive definite, but h = 2.4e308 overflows on the unit circle
-        doc = curve_to_json(SpectralMatrix(2, np.diag([8e307, 8e307, 8e307])))
-        code, report = run_cli(tmp_path, ["boundary"], doc)
-        assert code == 3
-        assert report["error"]["code"] == "QuadratureNotConverged"
-
     @pytest.mark.parametrize("command, budget", [("center", "0"), ("center", "-2"), ("pipeline", "0")])
     def test_empty_flow_budget_exits_3(self, tmp_path, command, budget):
         doc = tuple_to_json(sphere_to_tuple(factor_sphere(axial_spectral(2, 0.5))))
@@ -161,13 +154,14 @@ class TestValidationAndExitCodes:
 
     @pytest.mark.parametrize(
         "command, code",
-        [("normalize", 0), ("factor", 0), ("check", 3), ("reconstruct", 3), ("pipeline", 3)],
+        [("normalize", 0), ("factor", 0), ("boundary", 0), ("check", 3), ("reconstruct", 3), ("pipeline", 3)],
     )
     def test_positive_curve_near_the_largest_double(self, tmp_path, command, code):
         # Psi^* is added at half scale, so the Hermitian part stays finite;
         # check then reports det = 1e616, which no double holds, reconstruct
-        # samples h = 2e308 and pipeline a tuple with norm2 = 2e308.  The
-        # overflow shows in the report, not as a warning.
+        # samples h = 2e308 and pipeline a tuple with norm2 = 2e308, while
+        # the degree integral is scale-free.  The overflow shows in the
+        # report, not as a warning.
         doc = curve_to_json(SpectralMatrix(1, np.diag([1e308, 1e308])))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -176,6 +170,8 @@ class TestValidationAndExitCodes:
         assert got == code
         if code:
             assert report["error"]["code"] == "NonFiniteResult"
+        if command == "boundary":
+            assert report["degree"] == pytest.approx(1.0, abs=1e-7)
 
     def test_lapack_failure_exits_3(self, tmp_path):
         samples = [
@@ -387,7 +383,8 @@ class TestCharge2Commands:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["closed"] is True and len(report["vertices"]) == 6
-        assert max(report["tangency_residuals"]) < 1e-8
+        assert max(report["vertex_residuals"]) < 1e-8
+        assert "tangency_residuals" not in report and "edge_incidence_residuals" not in report
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "re_u,im_u,re_v,im_v"
         assert len(lines) == 7
@@ -488,8 +485,7 @@ class TestPipelineAndDeterminism:
     ids=["indefinite", "eigenvalue-ratio-1e-11"],
 )
 def test_one_gate_refuses_a_curve_that_is_not_positive_definite(tmp_path, psi):
-    # h >= 1 on the antidiagonal panel, so factor passes normalize and
-    # reaches the gate; the ratio 1e-11 lies below the gate's 1e-10
+    # the ratio 1e-11 lies below the gate's 1e-10
     S = SpectralMatrix(2, psi)
     for command in ("check", "factor", "boundary", "pipeline"):
         code, report = run_cli(tmp_path, [command], curve_to_json(S))
@@ -500,6 +496,26 @@ def test_one_gate_refuses_a_curve_that_is_not_positive_definite(tmp_path, psi):
     for sign in (1.0, -1.0):  # -h is the metric of -Psi, positive definite in neither case
         with pytest.raises(NotPositiveDefinite):
             reconstruct_psi_from_metric(list(zip(z, sign * metric_h(S, z))), 2)
+
+
+@pytest.mark.parametrize("command", ["check", "factor", "boundary", "pipeline"])
+@pytest.mark.parametrize(
+    "psi, error",
+    [(-np.diag([2.0, 1.0]), "NotPositiveDefinite"), (1j * np.diag([2.0, 1.0]), "NotHermitian")],
+    ids=["negated", "phase-rotated"],
+)
+def test_gate_comes_before_any_normalization(tmp_path, command, psi, error):
+    # normalize turns both into diag(2, 1), so a command that normalized
+    # before the gate accepted them
+    code, report = run_cli(tmp_path, [command], curve_to_json(SpectralMatrix(1, psi)))
+    assert (code, report["error"]["code"]) == (2, error)
+
+
+@pytest.mark.parametrize("psi", [[[2, 1], [0, 2]], [[1, 2], [0, 1]]], ids=["definite-part", "indefinite-part"])
+def test_reconstruct_refuses_a_curve_that_is_not_hermitian(tmp_path, psi):
+    # the samples of h see only the Hermitian part of Psi
+    code, report = run_cli(tmp_path, ["reconstruct"], curve_to_json(SpectralMatrix(1, np.array(psi))))
+    assert (code, report["error"]["code"]) == (2, "NotHermitian")
 
 
 def _flag_jobs():
