@@ -186,10 +186,7 @@ def cmd_reconstruct(args) -> dict:
     require_positive_definite(S)
     angles = _grid(args, max(6, (S.k + 1) ** 2))
     pts = list(_boundary_rings(S.k, angles))
-    # An overflowed metric gives a non-finite recovered matrix, which the
-    # positive-definite gate refuses.
-    with np.errstate(over="ignore", invalid="ignore"):
-        pairs = list(zip(pts, metric_h(S, np.array(pts))))
+    pairs = list(zip(pts, metric_h(S, np.array(pts))))
     out = reconstruct_psi_from_metric(pairs, S.k)
     result = ser.curve_to_json(out)
     result["max_abs_deviation"] = float(np.max(np.abs(out.psi - S.psi)))
@@ -505,11 +502,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.handler(args)
+        # An overflow ends in exit 3, so numpy's warnings would only repeat it.
+        with np.errstate(all="ignore"):
+            report = args.handler(args)
     except ValidationError as exc:
         return _emit(args, _error_report(args, exc), 2)
-    except (ConvergenceError, np.linalg.LinAlgError) as exc:
-        # LAPACK failures, such as an SVD that does not converge on overflowed entries
+    except (ConvergenceError, np.linalg.LinAlgError, OverflowError) as exc:
+        # LAPACK failures, such as an SVD that does not converge on
+        # overflowed entries, and overflow in math functions such as cosh
         return _emit(args, _error_report(args, exc), 3)
     report.setdefault("command", _command_name(args))
     report.setdefault("status", "ok")

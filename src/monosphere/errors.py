@@ -25,20 +25,15 @@ class SchemaError(ValidationError):
     """Malformed JSON payload or CSV row."""
 
 
-class NotRealCurve(ValidationError):
-    """No unit phase makes the coefficient matrix Hermitian."""
-
-
-class VanishesOnAntidiagonal(ValidationError):
-    """The Hermitian form vanishes somewhere on the antidiagonal."""
-
-
 class NotHermitian(ValidationError):
-    pass
+    """The curve matrix is not Hermitian, or for normalize no unit phase
+    makes it so."""
 
 
 class NotPositiveDefinite(ValidationError):
-    pass
+    """The Hermitian curve matrix (for normalize, after its phase and
+    sign) has no factor Psi = conj(Q)^T Q: its smallest eigenvalue is not
+    above tol times the largest."""
 
 
 class NotFull(ValidationError):

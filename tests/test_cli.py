@@ -25,6 +25,9 @@ from monosphere.charge2 import Su2Triple
 from monosphere.errors import NotPositiveDefinite
 from monosphere.spheres import CoeffTuple, HoloSphere, factor_sphere, sphere_to_tuple
 
+# An overflow must end as an exit-3 report, not as a numpy warning on stderr.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def write_doc(tmp_path, name, doc):
     path = tmp_path / name
@@ -439,6 +442,12 @@ class TestFieldCommands:
         assert lines[0] == "r,re_z,im_z,residual,m"
         assert len(lines) == 6
 
+    def test_sample_overflow_exits_3(self, tmp_path):
+        # cosh(1000) overflows the float range inside the sech profile
+        code, report = run_cli(tmp_path, ["field", "sample", "--r", "1000"])
+        assert code == 3
+        assert report["error"]["code"] == "OverflowError"
+
     def test_sample_report(self, tmp_path):
         code, report = run_cli(
             tmp_path, ["field", "sample", "--z", "0.5+0.2j", "--r", "1.5"]
@@ -498,7 +507,7 @@ def test_one_gate_refuses_a_curve_that_is_not_positive_definite(tmp_path, psi):
             reconstruct_psi_from_metric(list(zip(z, sign * metric_h(S, z))), 2)
 
 
-@pytest.mark.parametrize("command", ["check", "factor", "boundary", "pipeline"])
+@pytest.mark.parametrize("command", ["check", "factor", "boundary", "pipeline", "normalize"])
 @pytest.mark.parametrize(
     "psi, error",
     [(-np.diag([2.0, 1.0]), "NotPositiveDefinite"), (1j * np.diag([2.0, 1.0]), "NotHermitian")],
@@ -508,7 +517,23 @@ def test_gate_comes_before_any_normalization(tmp_path, command, psi, error):
     # normalize turns both into diag(2, 1), so a command that normalized
     # before the gate accepted them
     code, report = run_cli(tmp_path, [command], curve_to_json(SpectralMatrix(1, psi)))
-    assert (code, report["error"]["code"]) == (2, error)
+    if command == "normalize":
+        assert code == 0
+        assert np.array_equal(curve_from_json(report).psi, np.diag([2.0, 1.0]))
+    else:
+        assert (code, report["error"]["code"]) == (2, error)
+
+
+@pytest.mark.parametrize("tol, code", [(None, 0), ("1e-8", 2)])
+def test_normalize_applies_the_gate_at_its_tolerance(tmp_path, tol, code):
+    # the eigenvalue ratio 1e-9 lies above the default 1e-10 and below 1e-8
+    argv = ["normalize"] + (["--tol", tol] if tol else [])
+    got, report = run_cli(tmp_path, argv, curve_to_json(SpectralMatrix(1, np.diag([1.0, 1e-9]))))
+    assert got == code
+    if code:
+        assert report["error"]["code"] == "NotPositiveDefinite"
+    else:
+        assert np.array_equal(curve_from_json(report).psi, np.diag([1.0, 1e-9]))
 
 
 @pytest.mark.parametrize("psi", [[[2, 1], [0, 2]], [[1, 2], [0, 1]]], ids=["definite-part", "indefinite-part"])

@@ -10,12 +10,16 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monosphere.cli import build_parser, main
 from monosphere.curves import axial_spectral
 from monosphere.serialize import curve_to_json
+
+# An overflow must end as an exit-3 report, not as a numpy warning on stderr.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # Mostly moderate numbers, with the extremes of the float range mixed in.
 numbers = st.one_of(
@@ -76,7 +80,7 @@ FLAG_VALUES = {
     "--w": points,
     "--z0": points,
     "--z": st.sampled_from(["0", "0.5+0.2j", "0.1-3.9j", "5", "nope"]),
-    "--r": st.sampled_from(["1", "0.1", "2.5", "-1", "nan"]),
+    "--r": st.sampled_from(["1", "0.1", "2.5", "-1", "nan", "1000"]),
     "--profile": st.sampled_from(["sech", "zero-mass"]),
 }
 DOCUMENTS = {
@@ -158,6 +162,7 @@ IDENTITY_TUPLE = {"k": 1, "v": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
 @example(job=(["massless"], {"num": [[1.7e308, 1.7e308], [1, 0]], "den": [[1, 0], [1, 0]]}))
 @example(job=(["field", "residual", "--grid", "-3"], None))
 @example(job=(["field", "mass", "--grid", "-1"], None))
+@example(job=(["field", "sample", "--r", "1000"], None))
 def test_any_document_exits_0_2_or_3_with_a_json_report(job):
     argv, doc = job
     with tempfile.TemporaryDirectory() as tmp:

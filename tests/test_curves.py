@@ -12,7 +12,7 @@ from monosphere.curves import (
     positivity_check,
 )
 from monosphere.boundary import metric_h
-from monosphere.errors import NotHermitian, NotRealCurve, VanishesOnAntidiagonal
+from monosphere.errors import NotHermitian, NotPositiveDefinite
 from monosphere.projective import antipode
 
 
@@ -87,16 +87,45 @@ def test_normalize_idempotent_exact():
 
 
 def test_normalize_rejects_non_real_curve():
-    with pytest.raises(NotRealCurve):
+    with pytest.raises(NotHermitian):
         normalize_reality(SpectralMatrix(1, np.diag([1.0, 1.0 + 1.0j])))
 
 
 def test_normalize_flags_antidiagonal_vanishing():
-    # h(z) = 1 - 2|z|^2 + |z|^4 = (1-|z|^2)^2 has a zero circle... use a
-    # matrix whose form genuinely changes sign: diag(1, -3) gives
-    # h = 1 - 3|z|^2.
-    with pytest.raises(VanishesOnAntidiagonal):
+    # diag(1, -3) gives h = 1 - 3|z|^2, which changes sign on |z|^2 = 1/3
+    with pytest.raises(NotPositiveDefinite):
         normalize_reality(SpectralMatrix(1, np.diag([1.0, -3.0])))
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [[[0.49, -0.7], [-0.7, 1.0]], np.diag([1.0, -0.5, 1.0]), np.zeros((2, 2))],
+    ids=["h-vanishes-at-0.7", "h-positive-but-indefinite", "zero"],
+)
+def test_normalize_refuses_what_the_gate_refuses(psi):
+    # h = |z - 0.7|^2 vanishes at a single point, and diag(1, -0.5, 1) has
+    # h = 1 - |z|^2 / 2 + |z|^4 > 0 everywhere yet is no Q^* Q: a sampled h
+    # accepted both
+    psi = np.asarray(psi, dtype=complex)
+    with pytest.raises(NotPositiveDefinite):
+        normalize_reality(SpectralMatrix(psi.shape[0] - 1, psi))
+
+
+def test_normalize_accepts_exactly_what_check_accepts_up_to_phase_and_sign():
+    # eigenvalues of one sign (either), of both signs, and with a zero
+    rng = np.random.default_rng(17)
+    for k in (1, 2, 3, 5, 8):
+        u, _ = np.linalg.qr(rng.standard_normal((k + 1, k + 1)) + 1j * rng.standard_normal((k + 1, k + 1)))
+        spread = rng.uniform(1.0, 10.0, k + 1)
+        for eigs in (spread, -spread, np.r_[-spread[0], spread[1:]], np.r_[0.0, spread[1:]]):
+            herm = (u * eigs) @ u.conj().T
+            want = next((sign * herm for sign in (1.0, -1.0) if positivity_check(SpectralMatrix(k, sign * herm))[1]), None)
+            raw = SpectralMatrix(k, np.exp(1j * rng.uniform(0, 2 * np.pi)) * herm)
+            if want is None:
+                with pytest.raises(NotPositiveDefinite):
+                    normalize_reality(raw)
+            else:
+                assert np.allclose(normalize_reality(raw).psi, want, rtol=0, atol=1e-12 * np.max(np.abs(herm)))
 
 
 # -- positivity and degeneracy ----------------------------------------------
