@@ -34,12 +34,13 @@ serves as the negative control.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainViolation
+from .errors import DomainViolation, NonFiniteResult
 from .spheres import HoloSphere
 
 # Axis singularity at r = 0 and the chart point z = infinity are
@@ -81,6 +82,9 @@ def sech_field() -> AxialField:
 
 def _exp_minus_2r(r: float) -> Jet:
     e = math.exp(-2.0 * r)
+    if e < 1.0 / sys.float_info.max:
+        # a is positive; only its floating-point value is too small to invert
+        raise NonFiniteResult(f"1/a(r) = e^(2r) overflows at r={r}")
     return e, -2.0 * e, 4.0 * e
 
 

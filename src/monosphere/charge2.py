@@ -28,15 +28,22 @@ stepping to the other root on alternating vertical and horizontal
 lines closes up after N half-steps while w winds W times about the
 axis of its orbit, with N/|W| = 4m + 4, so the mass is read off every
 closed walk.  A walk starts at start_point, the same rule for the CLI
-and estimate_mass.  The map pi(w, z) = (wz, w + z) is the quotient by
-the factor swap: it takes a centred curve onto a conic read off Psi,
-and the line w = s onto u = s v - s^2, tangent to the parabola
-v^2 = 4u at v = 2s.  So the image of a P-sequence is a polygon
-inscribed in that conic with every edge tangent to the parabola.
+and estimate_mass.  Each step leaves a point that is one root of the
+next line's binary quadratic, so the other root follows from Vieta's
+sum of the roots (_vieta_step) with no root solve; the z-lattice and
+the P-sequence differ only in their line rows and share one walk loop
+(_walk), which stops at the chordal return to the start.
+
+The map pi(w, z) = (wz, w + z) is the quotient by the factor swap: it
+takes a centred curve onto a conic read off Psi, and the line w = s
+onto u = s v - s^2, tangent to the parabola v^2 = 4u at v = 2s.  So
+the image of a P-sequence is a polygon inscribed in that conic with
+every edge tangent to the parabola.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +53,7 @@ from .errors import (
     BranchPoint,
     ConstraintViolated,
     DomainViolation,
+    IdenticallyZero,
     MonosphereError,
     NoEstimate,
     NotCentred,
@@ -54,7 +62,7 @@ from .errors import (
 )
 from .projective import SpherePoint, chordal, folded_vector, hom_vector, proj_roots, vander
 from .ratmap import spectral_slice
-from .spheres import CoeffTuple, HoloSphere, fullness_check, require_full
+from .spheres import CoeffTuple, HoloSphere, eval_sphere, fullness_check, require_full
 
 CONSTRAINT_TOL = 1e-10
 CLOSURE_TOL = 1e-8
@@ -221,11 +229,52 @@ class ZLattice:
     initial_roots: tuple
 
 
-def _other_root(roots, avoid: SpherePoint, tol: float) -> SpherePoint:
-    best = max(roots, key=lambda r: chordal(r, avoid))
-    if chordal(best, avoid) <= tol:
-        raise BranchPoint(f"double root at {avoid}; lattice step undefined")
-    return best
+def _vieta_step(c: np.ndarray, r: SpherePoint, tol: float) -> SpherePoint:
+    """The root other than r of the line c0 z0^2 + c1 z0 z1 + c2 z1^2 through r.
+
+    The line is lambda (r1 z0 - r0 z1)(s1 z0 - s0 z1), so Vieta's sum of
+    the roots gives the other root s with no root solve:
+    (c2 r0 : -c1 r0 - c2 r1) = lambda r0^2 s in the z chart, and
+    (-c1 r1 - c0 r0 : c0 r1) = lambda r1^2 s in the 1/z chart.  The z
+    chart is taken when r is the smaller root, |r1|^2 |c2| <= |c0| |r0|^2,
+    and the 1/z chart otherwise: there the subtraction does not cancel,
+    and an error in r reaches s no larger in the chordal metric.  A tie
+    0 = 0 (r at 0 or infinity, on a line through it) goes to the chart in
+    which r is finite.  IdenticallyZero when the line vanishes or is not
+    finite, as for proj_roots; BranchPoint when s is within tol of r, or
+    when the line is a double root away from r.
+    """
+    c0, c1, c2 = c.tolist()
+    scale = abs(c0) + abs(c1) + abs(c2)
+    if not 0.0 < scale < math.inf:
+        raise IdenticallyZero("polynomial vanishes identically")
+    r0, r1 = r.z0, r.z1
+    if (abs(r1) ** 2 * abs(c2), abs(r1)) <= (abs(c0) * abs(r0) ** 2, abs(r0)):
+        s0, s1 = c2 * r0, -c1 * r0 - c2 * r1
+    else:
+        s0, s1 = -c1 * r1 - c0 * r0, c0 * r1
+    if not (s0 or s1) or chordal(s := SpherePoint.from_pair(s0, s1), r) <= tol:
+        raise BranchPoint(f"double root at {r}; step undefined")
+    return s
+
+
+def _walk(points: list, step, max_steps: int, tol: float) -> tuple[list, int | None]:
+    """Extend the walk points, a list of tuples of points, by step(points).
+
+    The walk stops when its newest point returns to points[0] within tol
+    in the chordal metric of every coordinate, or when it has taken
+    max_steps steps (points holds len(points) - 1 steps at the start).
+    Returns the visited points, the return itself included, and the
+    period: the steps to the return, None for an open walk.
+    """
+    start = points[0]
+    while True:
+        n = len(points) - 1
+        if n and all(chordal(a, b) <= tol for a, b in zip(points[-1], start)):
+            return points, n
+        if n >= max_steps:
+            return points, None
+        points.append(step(points))
 
 
 def z_lattice(
@@ -236,9 +285,11 @@ def z_lattice(
 ) -> ZLattice:
     """Orbit z_{i+1} = the root of <q(z_i), q(.)> = 0 other than z_{i-1}.
 
-    First step (no previous point): pick the root with the smaller
-    principal argument of z1/z0.  Closure when a point returns to z0
-    within tol in the chordal metric; period = number of steps taken.
+    First step (no previous point): solve the slice at z0 and pick the
+    root with the smaller principal argument of z1/z0.  Every later step
+    is _vieta_step on the slice row conj(q(z_i)) Q, which holds z_{i-1}
+    because orthogonality is symmetric.  Closure when a point returns to
+    z0 within tol in the chordal metric; period = number of steps taken.
     No closure inside max_steps is reported, not raised.
     """
     require_full(q)
@@ -254,15 +305,12 @@ def z_lattice(
             return np.pi
         return float(np.angle(r.chart / z0.chart))
 
-    points = [z0, min(roots0, key=arg_ratio)]
-    for _ in range(max_steps - 1):
-        if chordal(points[-1], z0) <= tol:
-            return ZLattice(points[:-1], True, len(points) - 1, tuple(roots0))
-        roots = spectral_slice(q, points[-1])
-        points.append(_other_root(roots, points[-2], tol))
-    if chordal(points[-1], z0) <= tol:
-        return ZLattice(points[:-1], True, len(points) - 1, tuple(roots0))
-    return ZLattice(points, False, None, tuple(roots0))
+    def step(points):
+        (prev,), (cur,) = points[-2:]
+        return (_vieta_step(np.conj(eval_sphere(q, cur)) @ q.Q, prev, tol),)
+
+    visited, period = _walk([(z0,), (min(roots0, key=arg_ratio),)], step, max_steps, tol)
+    return ZLattice([z for (z,) in visited[:period]], period is not None, period, tuple(roots0))
 
 
 @dataclass(frozen=True)
@@ -273,17 +321,26 @@ class PSequence:
     max_residual: float
 
 
-def _vertical_roots(S: SpectralMatrix, w) -> list[SpherePoint]:
-    """Roots in z of psi(w, .) = 0 (the vertical line at w)."""
-    return proj_roots(folded_vector(w, S.k) @ S.psi)
+def _vertical_row(S: SpectralMatrix, w) -> np.ndarray:
+    """Coefficients in z of psi(w, .), the vertical line at w."""
+    return folded_vector(w, S.k) @ S.psi
 
 
-def _horizontal_roots(S: SpectralMatrix, z) -> list[SpherePoint]:
-    """Roots in w of psi(., z) = 0 (the horizontal line at z)."""
+def _horizontal_row(S: SpectralMatrix, z) -> np.ndarray:
+    """Coefficients in w of psi(., z), the horizontal line at z."""
     # psi(w, z) = sum_i d_i (-1/w)^i; times w^k, the w^(k-i) coefficient
     # is (-1)^i d_i.
     d = S.psi @ hom_vector(z, S.k)
-    return proj_roots((vander(-1.0, S.k) * d)[::-1])
+    return (vander(-1.0, S.k) * d)[::-1]
+
+
+def _residuals(S: SpectralMatrix, points: list) -> np.ndarray:
+    """metric_scale_residual(S, w, z) at every (w, z) of points, k = 2."""
+    w0, w1, z0, z1 = np.array([(w.z0, w.z1, z.z0, z.z1) for w, z in points]).T
+    folded = np.array([w1 * w1, -w0 * w1, w0 * w0])
+    hom = np.array([z0 * z0, z0 * z1, z1 * z1])
+    scale = (abs(w0) ** 2 + abs(w1) ** 2) * (abs(z0) ** 2 + abs(z1) ** 2)
+    return abs((folded * (S.psi @ hom)).sum(axis=0)) / (scale * np.linalg.norm(S.psi))
 
 
 def start_point(S: SpectralMatrix, w) -> tuple[SpherePoint, SpherePoint]:
@@ -296,7 +353,7 @@ def start_point(S: SpectralMatrix, w) -> tuple[SpherePoint, SpherePoint]:
             return (1, 0.0, 0.0)
         return (0, round(p.chart.real, 12), round(p.chart.imag, 12))
 
-    return w, min(_vertical_roots(S, w), key=key)
+    return w, min(proj_roots(_vertical_row(S, w)), key=key)
 
 
 def p_sequence(
@@ -308,30 +365,28 @@ def p_sequence(
     """Alternating other-root walk on the curve, starting vertically.
 
     p0 = (w, z) must lie on the curve to CURVE_TOL (relative residual).
-    Each half-step counts toward the period; closure at the first
-    return to p0 in the product chordal metric.
+    Each half-step is _vieta_step on the line through the current point,
+    vertical (w fixed) after an even number of half-steps and horizontal
+    (z fixed) after an odd one, and counts toward the period; closure at
+    the first return to p0 in the product chordal metric.  max_residual
+    is the largest residual over every point visited, the return included.
     """
     if S.k != 2:
         raise DomainViolation("P-sequences are a charge-2 construction")
-    w, z = (SpherePoint.of(p0[0]), SpherePoint.of(p0[1]))
-    res0 = metric_scale_residual(S, w, z)
+    p0 = (SpherePoint.of(p0[0]), SpherePoint.of(p0[1]))
+    res0 = metric_scale_residual(S, *p0)
     if res0 > CURVE_TOL:
         raise NotOnCurve(f"start point residual {res0:.2e} exceeds {CURVE_TOL:.0e}")
-    points = [(w, z)]
-    worst = res0
-    vertical = True
-    for n in range(1, max_steps + 1):
+
+    def step(points):
         w, z = points[-1]
-        if vertical:
-            z = _other_root(_vertical_roots(S, w), z, tol)
-        else:
-            w = _other_root(_horizontal_roots(S, z), w, tol)
-        vertical = not vertical
-        worst = max(worst, metric_scale_residual(S, w, z))
-        if chordal(w, points[0][0]) <= tol and chordal(z, points[0][1]) <= tol:
-            return PSequence(points, True, n, worst)
-        points.append((w, z))
-    return PSequence(points, False, None, worst)
+        if len(points) % 2:  # an even number of half-steps taken
+            return w, _vieta_step(_vertical_row(S, w), z, tol)
+        return _vieta_step(_horizontal_row(S, z), w, tol), z
+
+    visited, period = _walk([p0], step, max_steps, tol)
+    worst = float(np.max(_residuals(S, visited)))
+    return PSequence(visited[:period], period is not None, period, worst)
 
 
 def _winding(seq: PSequence) -> int:

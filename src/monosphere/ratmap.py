@@ -181,8 +181,10 @@ def find_line(q: HoloSphere, w) -> tuple[ProjLine, int]:
     """
     require_full(q)
     w = SpherePoint.of(w)
-    u1 = _unit(eval_sphere(q, w))
-    cand = _unit(eval_sphere(q, w.antipode()))
+    # an overflowing sphere value is refused by _unit as NonFiniteResult
+    with np.errstate(over="ignore", invalid="ignore"):
+        u1 = _unit(eval_sphere(q, w))
+        cand = _unit(eval_sphere(q, w.antipode()))
     cand = cand - (np.conj(u1) @ cand) * u1
     if np.linalg.norm(cand) < 1e-12:
         basis = np.eye(q.k + 1, dtype=complex)

@@ -31,9 +31,16 @@ from monosphere.errors import (
     NotFull,
     NotOnCurve,
 )
-from monosphere.projective import SpherePoint, antipode, chordal, proj_roots
+from monosphere.projective import (
+    SpherePoint,
+    antipode,
+    chordal,
+    folded_vector,
+    hom_vector,
+    proj_roots,
+)
 from monosphere.ratmap import spectral_slice
-from monosphere.spheres import factor_sphere, spectral_from_sphere, tuple_to_sphere
+from monosphere.spheres import eval_sphere, factor_sphere, spectral_from_sphere, tuple_to_sphere
 
 E = np.eye(3)
 ORTHONORMAL = Su2Triple(E[0], E[1], E[2])
@@ -249,6 +256,149 @@ class TestMassFlow:
             assert np.allclose(rep.derivative, 2.0 * diagonal_quartic(nu), rtol=1e-12, atol=1e-12)
 
 
+def _step(c, r, tol=CLOSURE_TOL):
+    from monosphere.charge2 import _vieta_step
+
+    return _vieta_step(np.asarray(c, dtype=complex), SpherePoint.of(r), tol)
+
+
+class TestVietaStep:
+    def test_matches_the_root_solve_on_random_quadratics(self):
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            c *= 10.0 ** rng.uniform(-3, 3, 3)
+            a, b = proj_roots(c)
+            assert chordal(_step(c, a), b) <= 1e-12
+            assert chordal(_step(c, b), a) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "c, r, s",
+        [
+            ([0, 1, 0], 0, "inf"),  # z0 z1: roots 0 and infinity
+            ([0, 1, 0], "inf", 0),
+            ([2, 3, 0], "inf", -2 / 3),  # c2 = 0: a root at infinity
+            ([2, 3, 0], -2 / 3, "inf"),
+            ([0, 3, 2], 0, -1.5),  # c0 = 0: a root at 0
+            ([0, 3, 2], -1.5, 0),
+        ],
+    )
+    def test_zero_infinity_and_degree_deficient_lines(self, c, r, s):
+        got = _step(c, r)
+        want = SpherePoint.of(s)
+        assert got.is_infinity == want.is_infinity and chordal(got, want) == 0.0
+
+    @pytest.mark.parametrize("small, large", [(1e-8, 1e8), (1e-8 + 2e-9j, -3e8j)])
+    def test_widely_spread_roots_keep_every_digit(self, small, large):
+        # the z-chart sum alone gives (small + large) - large, which rounds to 0
+        c = [small * large, -(small + large), 1.0]
+        assert abs(_step(c, large).chart - small) <= 4e-16 * abs(small)
+        assert abs(_step(c, small).chart - large) <= 4e-16 * abs(large)
+
+    @pytest.mark.parametrize(
+        "c, r",
+        [([1, -2, 1], 1), ([1, 0, 0], "inf"), ([0, 0, 1], 0), ([1, 0, 0], 1e13)],
+        ids=["at-1", "at-infinity", "at-0", "at-infinity-from-off-it"],
+    )
+    def test_double_root_is_branch_point(self, c, r):
+        with pytest.raises(BranchPoint):
+            _step(c, r)
+
+    def test_roots_within_tol_are_branch_point(self):
+        c = [1.0, -2.0, 1.0 - 1e-12]  # roots 1 +- 1e-6
+        assert chordal(_step(c, proj_roots(c)[0], tol=1e-8), proj_roots(c)[1]) <= 1e-9
+        with pytest.raises(BranchPoint):
+            _step(c, proj_roots(c)[0], tol=1e-5)
+
+    @pytest.mark.parametrize("c", [[0, 0, 0], [1, np.inf, 0], [np.nan, 1, 1]])
+    def test_vanishing_or_non_finite_line_is_identically_zero(self, c):
+        with pytest.raises(IdenticallyZero):
+            _step(c, 1.0)
+
+
+def _root_solve_walk(points, line, max_steps, tol=CLOSURE_TOL):
+    """Reference walk: solve the line through the newest point with
+    proj_roots and take the root farther from the point it replaces."""
+    start = points[0]
+    while True:
+        n = len(points) - 1
+        if n and all(chordal(a, b) <= tol for a, b in zip(points[-1], start)):
+            return points[:-1], n
+        if n >= max_steps:
+            return points, None
+        row, i = line(points)
+        # a lattice avoids z_{i-1}; a P-sequence the coordinate it moves
+        old = points[-2 if len(points[-1]) == 1 else -1][i]
+        new = max(proj_roots(row), key=lambda r: chordal(r, old))
+        points.append(tuple(new if j == i else p for j, p in enumerate(points[-1])))
+
+
+def _reference_p_sequence(S, p0, max_steps=40):
+    def line(points):
+        w, z = points[-1]
+        if len(points) % 2:
+            return folded_vector(w, 2) @ S.psi, 1
+        d = S.psi @ hom_vector(z, 2)
+        return [d[2], -d[1], d[0]], 0
+
+    p0 = (SpherePoint.of(p0[0]), SpherePoint.of(p0[1]))
+    return _root_solve_walk([p0], line, max_steps)
+
+
+def _reference_z_lattice(q, z0, max_steps=48):
+    z0 = SpherePoint.of(z0)
+    first = z_lattice(q, z0, max_steps=1).points[1]  # the solved first step
+    points, period = _root_solve_walk(
+        [(z0,), (first,)], lambda pts: (np.conj(eval_sphere(q, pts[-1][0])) @ q.Q, 0), max_steps
+    )
+    return [z for (z,) in points], period
+
+
+def _walk_curves():
+    """The criterion-08 axial curves and three random k = 2 curves A A* + 3 I."""
+    curves = [axial_spectral(2, 0.5), axial_spectral(2, 0.01)]
+    rng = np.random.default_rng(808)
+    for _ in range(3):
+        A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        curves.append(SpectralMatrix(2, A @ np.conj(A).T + 3.0 * np.eye(3)))
+    return curves
+
+
+class TestWalksMatchTheRootSolve:
+    @pytest.mark.parametrize("i", range(5))
+    @pytest.mark.parametrize("w", [0.9 + 0.1j, -1.17j, 1.9 - 0.33j])
+    def test_p_sequence(self, i, w):
+        S = _walk_curves()[i]
+        p0 = start_point(S, w)
+        seq = p_sequence(S, p0)
+        points, period = _reference_p_sequence(S, p0)
+        assert seq.period == period and seq.closed == (period is not None)
+        assert len(seq.points) == len(points)
+        for (w1, z1), (w2, z2) in zip(seq.points, points):
+            assert chordal(w1, w2) <= 1e-12 and chordal(z1, z2) <= 1e-12
+
+    @pytest.mark.parametrize("i", range(5))
+    @pytest.mark.parametrize("z0", [1.0, 0.4 + 0.2j, -2.1 + 0.7j])
+    def test_z_lattice(self, i, z0):
+        q = factor_sphere(_walk_curves()[i])
+        lat = z_lattice(q, z0, max_steps=12)
+        points, period = _reference_z_lattice(q, z0, max_steps=12)
+        assert lat.period == period and lat.closed == (period is not None)
+        assert len(lat.points) == len(points)
+        assert max(chordal(a, b) for a, b in zip(lat.points, points)) <= 1e-12
+
+    @pytest.mark.parametrize("i", range(5))
+    def test_residual_is_the_metric_scale_residual_of_every_point(self, i):
+        from monosphere.charge2 import _residuals
+
+        S = _walk_curves()[i]
+        seq = p_sequence(S, start_point(S, 0.9 + 0.1j))
+        got = _residuals(S, seq.points)
+        want = [metric_scale_residual(S, w, z) for w, z in seq.points]
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert abs(seq.max_residual - max(want)) <= 1e-15  # the closing point ~ p0 too
+
+
 class TestZLattice:
     def test_double_root_start_is_branch_point(self):
         # <q(0), q(z)> = Psi[0, 0] for a diagonal Psi: both roots at infinity
@@ -323,10 +473,8 @@ class TestPSequence:
 
     def test_mass_one_closes_at_eight(self):
         S = axial_spectral(2, 1.0)
-        from monosphere.charge2 import _vertical_roots
-
         w = 0.9 + 0.1j
-        z = _vertical_roots(S, w)[0]
+        z = proj_roots(folded_vector(w, 2) @ S.psi)[0]
         seq = p_sequence(S, (w, z))
         assert seq.closed and seq.period == 8
 
@@ -337,10 +485,8 @@ class TestPSequence:
     @pytest.mark.parametrize("w", [1.0, -1.0])
     def test_start_point_breaks_a_conjugate_tie_by_the_imaginary_part(self, w):
         # on the real axis the two roots of an axial curve are a conjugate pair
-        from monosphere.charge2 import _vertical_roots
-
         S = axial_spectral(2, 1.0)
-        roots = [r.chart for r in _vertical_roots(S, w)]
+        roots = [r.chart for r in proj_roots(folded_vector(w, 2) @ S.psi)]
         assert abs(roots[0] - np.conj(roots[1])) <= 1e-12 and abs(roots[0].imag) > 0.1
         w0, z0 = start_point(S, w)
         assert w0.chart == w and metric_scale_residual(S, w0, z0) <= 1e-15
@@ -348,10 +494,8 @@ class TestPSequence:
 
     def test_irrational_mass_no_closure(self):
         S = axial_spectral(2, 0.37)
-        from monosphere.charge2 import _vertical_roots
-
         w = 0.9 + 0.1j
-        z = _vertical_roots(S, w)[0]
+        z = proj_roots(folded_vector(w, 2) @ S.psi)[0]
         seq = p_sequence(S, (w, z), max_steps=40)
         assert not seq.closed
 
@@ -503,10 +647,8 @@ class TestPoncelet:
 
     def test_mass_one_octagon(self):
         S = axial_spectral(2, 1.0)
-        from monosphere.charge2 import _vertical_roots
-
         w = 0.9 + 0.1j
-        z = _vertical_roots(S, w)[0]
+        z = proj_roots(folded_vector(w, 2) @ S.psi)[0]
         poly = poncelet(S, (w, z.chart))
         assert poly.closed and len(poly.vertices) == 8
         assert np.max(poly.vertex_residuals) < 1e-8

@@ -448,6 +448,13 @@ class TestFieldCommands:
         assert code == 3
         assert report["error"]["code"] == "OverflowError"
 
+    @pytest.mark.parametrize("r", ["360", "1000"])
+    def test_sample_zero_mass_underflow_exits_3(self, tmp_path, r):
+        # e^(-2r) is subnormal at 360 and 0 at 1000: 1/a overflows, the profile stays positive
+        code, report = run_cli(tmp_path, ["field", "sample", "--r", r, "--profile", "zero-mass"])
+        assert code == 3
+        assert report["error"]["code"] == "NonFiniteResult"
+
     def test_sample_report(self, tmp_path):
         code, report = run_cli(
             tmp_path, ["field", "sample", "--z", "0.5+0.2j", "--r", "1.5"]
