@@ -34,7 +34,6 @@ serves as the negative control.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -82,9 +81,9 @@ def sech_field() -> AxialField:
 
 def _exp_minus_2r(r: float) -> Jet:
     e = math.exp(-2.0 * r)
-    if e < 1.0 / sys.float_info.max:
-        # a is positive; only its floating-point value is too small to invert
-        raise NonFiniteResult(f"1/a(r) = e^(2r) overflows at r={r}")
+    if e == 0.0:
+        # a is positive; only its floating-point value underflows
+        raise NonFiniteResult(f"a(r) = e^(-2r) underflows to 0 at r={r}")
     return e, -2.0 * e, 4.0 * e
 
 
@@ -112,13 +111,18 @@ def _times(f: Jet, g: Jet) -> Jet:
 def _coefficients(field: AxialField, r: float):
     """Value, d/dr and d^2/dr^2 of the coefficients (a, 1/a, b, w, s, 1).
 
-    Where 1 - b^2 = 0 the jet of sqrt(1 - b^2) exists only if b' = b'' = 0;
-    it is then zero.
+    The jet of 1/a is taken in the ratio q = a'/a, which stays of order
+    one where a' a' underflows; NonFiniteResult when it overflows.  Where
+    1 - b^2 = 0 the jet of sqrt(1 - b^2) exists only if b' = b'' = 0; it
+    is then zero.
     """
     a, b = field.profile(r)
     (a0, a1, a2), (b0, b1, b2) = a, b
     i0 = 1.0 / a0
-    inv = (i0, -a1 * i0 * i0, (2.0 * a1 * a1 * i0 - a2) * i0 * i0)
+    q = a1 * i0
+    inv = (i0, -q * i0, (2.0 * q * q - a2 * i0) * i0)
+    if not all(map(math.isfinite, inv)):
+        raise NonFiniteResult(f"the jet of 1/a(r) overflows at r={r}: {inv}")
     c0 = math.sqrt(1.0 - b0 * b0)
     if c0 > 0.0:
         c1 = -b0 * b1 / c0

@@ -334,15 +334,6 @@ def _horizontal_row(S: SpectralMatrix, z) -> np.ndarray:
     return (vander(-1.0, S.k) * d)[::-1]
 
 
-def _residuals(S: SpectralMatrix, points: list) -> np.ndarray:
-    """metric_scale_residual(S, w, z) at every (w, z) of points, k = 2."""
-    w0, w1, z0, z1 = np.array([(w.z0, w.z1, z.z0, z.z1) for w, z in points]).T
-    folded = np.array([w1 * w1, -w0 * w1, w0 * w0])
-    hom = np.array([z0 * z0, z0 * z1, z1 * z1])
-    scale = (abs(w0) ** 2 + abs(w1) ** 2) * (abs(z0) ** 2 + abs(z1) ** 2)
-    return abs((folded * (S.psi @ hom)).sum(axis=0)) / (scale * np.linalg.norm(S.psi))
-
-
 def start_point(S: SpectralMatrix, w) -> tuple[SpherePoint, SpherePoint]:
     """(w, z) on the curve: z the first root of the vertical line at w,
     finite roots ordered by chart value to 12 decimals, infinity last."""
@@ -369,7 +360,8 @@ def p_sequence(
     vertical (w fixed) after an even number of half-steps and horizontal
     (z fixed) after an odd one, and counts toward the period; closure at
     the first return to p0 in the product chordal metric.  max_residual
-    is the largest residual over every point visited, the return included.
+    is metric_scale_residual over every point visited, the return
+    included, in one array pass.
     """
     if S.k != 2:
         raise DomainViolation("P-sequences are a charge-2 construction")
@@ -385,7 +377,7 @@ def p_sequence(
         return _vieta_step(_horizontal_row(S, z), w, tol), z
 
     visited, period = _walk([p0], step, max_steps, tol)
-    worst = float(np.max(_residuals(S, visited)))
+    worst = metric_scale_residual(S, *zip(*visited))
     return PSequence(visited[:period], period is not None, period, worst)
 
 

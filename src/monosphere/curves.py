@@ -22,13 +22,12 @@ chart-degenerate arguments w = 0 and z = infinity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteResult, NotHermitian, NotPositiveDefinite
-from .projective import SpherePoint, folded_vector, hom_vector
+from .projective import SpherePoint, folded_vector, hom_vector, vander
 
 # Relative tolerance for Hermiticity and positive definiteness.
 HERM_TOL = 1e-10
@@ -67,15 +66,12 @@ def hermitian_form(psi: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.vecdot(v, np.tensordot(psi, v, 1), axis=0).real
 
 
-def chart_pairing(M: np.ndarray, w, z, unit: bool = False) -> complex:
+def chart_pairing(M: np.ndarray, w, z) -> complex:
     """folded_vector(w) . M hom_vector(z) divided by (-w1)^k where w1 != 0
     and by z0^k where z0 != 0 (for w != 0 and finite z, the value
-    sum_{i,j} M[i,j] (-1/w)^i z^j), or with unit set by |w|^k |z|^k."""
+    sum_{i,j} M[i,j] (-1/w)^i z^j)."""
     w, z = SpherePoint.of(w), SpherePoint.of(z)
-    if unit:
-        scale = math.hypot(abs(w.z0), abs(w.z1)) * math.hypot(abs(z.z0), abs(z.z1))
-    else:
-        scale = (-w.z1 if w.z1 != 0.0 else 1.0) * (z.z0 if z.z0 != 0.0 else 1.0)
+    scale = (-w.z1 if w.z1 != 0.0 else 1.0) * (z.z0 if z.z0 != 0.0 else 1.0)
     k = M.shape[0] - 1
     return complex(folded_vector(w, k) @ M @ hom_vector(z, k) / scale**k)
 
@@ -96,9 +92,22 @@ def eval_psi(S: SpectralMatrix, w, z) -> complex:
 def metric_scale_residual(S: SpectralMatrix, w, z) -> float:
     """|psi| at unit-normalized homogeneous representatives, over |Psi|.
 
-    Scale-invariant residual for `is this point on the curve'.
+    Scale-invariant residual for `is this point on the curve'.  w and z
+    are points, or equal-length lists or tuples of points: the residual
+    is then the largest over the pairs (w[i], z[i]), in one array pass.
     """
-    return float(abs(chart_pairing(S.psi, w, z, unit=True)) / np.linalg.norm(S.psi))
+    pairs = zip(w, z) if isinstance(w, (list, tuple)) else [(w, z)]
+    # per pair, the rows (w0 : -w1) and (z0 : z1) at unit length;
+    # hom_vector(a : b) is v(a) reversed times v(b), and folded_vector(w)
+    # is hom_vector(w0 : -w1) reversed
+    pts = [(SpherePoint.of(a), SpherePoint.of(b)) for a, b in pairs]
+    c = np.array([(p.z0, -p.z1, q.z0, q.z1) for p, q in pts]).reshape(-1, 2, 2)
+    m = abs(c)
+    c /= np.hypot(m[..., :1], m[..., 1:])
+    v = vander(c, S.k)
+    folded = v[..., 0, 0] * v[::-1, ..., 0, 1]
+    hom = v[::-1, ..., 1, 0] * v[..., 1, 1]
+    return float(abs((folded * (S.psi @ hom)).sum(axis=0)).max() / np.linalg.norm(S.psi))
 
 
 def normalize_reality(S: SpectralMatrix, tol: float = HERM_TOL) -> SpectralMatrix:

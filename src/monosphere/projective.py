@@ -13,7 +13,9 @@ in the sense that antipodal pairs are at maximal distance 1.
 Every evaluation vector of the package comes from one kernel here:
 vander(z, k) = (1, z, ..., z^k) at a chart value or on an array of
 them, with vander_derivative for its chart derivative and
-hom_vector / folded_vector for its homogeneous forms at a point.
+hom_vector / folded_vector for its homogeneous forms at a point
+(curves.metric_scale_residual takes the same forms over arrays of
+points as products of vander rows).
 """
 
 from __future__ import annotations

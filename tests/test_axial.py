@@ -6,6 +6,7 @@ import pytest
 from monosphere.axial import (
     AxialField,
     H_matrix,
+    _coefficients,
     bog_residual,
     gauge_fields,
     mass_profile,
@@ -17,7 +18,7 @@ from monosphere.boundary import degree_integral
 from monosphere.charge2 import z_lattice
 from monosphere.centering import moment_map
 from monosphere.curves import SpectralMatrix
-from monosphere.errors import DomainViolation
+from monosphere.errors import DomainViolation, NonFiniteResult
 from monosphere.spheres import eval_sphere, spectral_from_sphere, sphere_to_tuple
 
 
@@ -121,6 +122,23 @@ class TestHMatrix:
             H_matrix(field, 0.3 + 0.2j, 1.0)
         with pytest.raises(DomainViolation):
             bog_residual(field, [(0.3 + 0.2j, 1.0)])
+
+
+class TestInverseJet:
+    def test_zero_mass_inverse_jet_far_out(self):
+        # At r = 200, a'a' = 4 e^(-4r) underflows to 0; the jet of 1/a =
+        # e^(2r) must still be (e^(2r), 2 e^(2r), 4 e^(2r)).
+        r = 200.0
+        (_, inv0, *_), (_, inv1, *_), (_, inv2, *_) = _coefficients(zero_mass_field(), r)
+        e = math.exp(2.0 * r)
+        for got, want in zip((inv0, inv1, inv2), (e, 2.0 * e, 4.0 * e)):
+            assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("r", [354.7, 360.0, 1000.0])
+    def test_zero_mass_inverse_overflow_is_numerical(self, r):
+        # 2/a and 4/a in the jet overflow at 354.7, 1/a at 360 (a subnormal); a is 0 at 1000
+        with pytest.raises(NonFiniteResult):
+            H_matrix(zero_mass_field(), 0.5 + 0j, r)
 
 
 class TestGaugeFields:

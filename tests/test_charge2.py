@@ -387,17 +387,6 @@ class TestWalksMatchTheRootSolve:
         assert len(lat.points) == len(points)
         assert max(chordal(a, b) for a, b in zip(lat.points, points)) <= 1e-12
 
-    @pytest.mark.parametrize("i", range(5))
-    def test_residual_is_the_metric_scale_residual_of_every_point(self, i):
-        from monosphere.charge2 import _residuals
-
-        S = _walk_curves()[i]
-        seq = p_sequence(S, start_point(S, 0.9 + 0.1j))
-        got = _residuals(S, seq.points)
-        want = [metric_scale_residual(S, w, z) for w, z in seq.points]
-        assert np.max(np.abs(got - want)) <= 1e-15
-        assert abs(seq.max_residual - max(want)) <= 1e-15  # the closing point ~ p0 too
-
 
 class TestZLattice:
     def test_double_root_start_is_branch_point(self):

@@ -7,6 +7,7 @@ from monosphere.curves import (
     SpectralMatrix,
     axial_spectral,
     eval_psi,
+    metric_scale_residual,
     nondegeneracy_check,
     normalize_reality,
     positivity_check,
@@ -67,6 +68,21 @@ def test_eval_at_infinity_is_top_row():
     z = 0.7 - 0.2j
     expect = sum(S.psi[0, j] * z**j for j in range(3))
     assert abs(eval_psi(S, "inf", z) - expect) < 1e-13
+
+
+def test_metric_scale_residual_pointwise_and_over_sequences():
+    rng = np.random.default_rng(11)
+    k = 3
+    S = SpectralMatrix(k, _rand_hermitian_pd(rng, k + 1))
+    ws = [0.7 - 0.2j, 1e6j, -3.0, 0.0, "inf"]
+    zs = [0.1 + 2.0j, 1e-7, 250.0, 0.5j, "inf"]
+    got = [metric_scale_residual(S, w, z) for w, z in zip(ws, zs)]
+    for w, z, g in list(zip(ws, zs, got))[:3]:
+        # finite w != 0 and finite z: |psi| times |w|^k / (|(1, w)|^k |(1, z)|^k)
+        unit = (abs(w) / np.hypot(1.0, abs(w))) ** k / np.hypot(1.0, abs(z)) ** k
+        assert abs(g - abs(eval_psi(S, w, z)) * unit / np.linalg.norm(S.psi)) <= 1e-15
+    assert min(got) > 0.0
+    assert abs(metric_scale_residual(S, ws, zs) - max(got)) <= 1e-15
 
 
 # -- reality normalization ---------------------------------------------------
