@@ -47,6 +47,11 @@ from .spheres import HoloSphere
 # for H is local.
 R_MIN = 0.1
 Z_MAX = 4.0
+# Largest |H|_F^2 eps accepted before inverting H.  det H = 1 gives
+# cond(H) <= |H|_F^2, so H^-1 and the fields built from it keep a
+# relative rounding error of about this size or less.  The sech field
+# passes up to r = 14.1, the zero-mass field up to r = 6.7.
+H_ROUNDING = 1e-4
 
 Jet = tuple[float, float, float]
 
@@ -197,10 +202,23 @@ class GaugeSample:
     trace_phi_sq: complex
 
 
+def _inverse(H: np.ndarray, z: complex, r: float) -> np.ndarray:
+    """H^-1; NonFiniteResult where |H|_F^2 eps exceeds H_ROUNDING."""
+    lost = float(np.vdot(H, H).real) * np.finfo(float).eps
+    if not lost <= H_ROUNDING:
+        raise NonFiniteResult(
+            f"H is too ill-conditioned to invert at (z={z}, r={r}): "
+            f"|H|_F^2 eps = {lost:.2e} exceeds {H_ROUNDING:.0e}"
+        )
+    return np.linalg.inv(H)
+
+
 def gauge_fields(field: AxialField, z: complex, r: float) -> GaugeSample:
-    """Gauge fields from the exact derivatives of H."""
-    H, H_r, _, H_z, _ = _metric(field, complex(z), r)
-    Hinv = np.linalg.inv(H)
+    """Gauge fields from the exact derivatives of H (NonFiniteResult
+    where H is too ill-conditioned to invert, see H_ROUNDING)."""
+    z = complex(z)
+    H, H_r, _, H_z, _ = _metric(field, z, r)
+    Hinv = _inverse(H, z, r)
     A_r = 0.5 * (Hinv @ H_r)
     Phi = -1j * A_r
     return GaugeSample(A_z=Hinv @ H_z, A_r=A_r, Phi=Phi, trace_phi_sq=complex(np.trace(Phi @ Phi)))
@@ -222,7 +240,7 @@ class ResidualReport:
 def _residual_matrix(field: AxialField, z: complex, r: float) -> np.ndarray:
     """d/dr(H^-1 H_r) + ((1+t)^2 / sinh^2 r) d/dzbar(H^-1 H_z), by the product rule."""
     H, H_r, H_rr, H_z, H_zzb = _metric(field, z, r)
-    Hinv = np.linalg.inv(H)
+    Hinv = _inverse(H, z, r)
     F_r = Hinv @ H_r
     radial = Hinv @ H_rr - F_r @ F_r
     angular = Hinv @ H_zzb - (Hinv @ np.conj(H_z).T) @ (Hinv @ H_z)

@@ -29,11 +29,19 @@ D(p) = p0 H0 + p1 H1 + p2 H2, with H0 = diag(2j - k), H1 = L + L^T,
 H2 = i (L - L^T) and L the subdiagonal sqrt((j+1)(k-j)).  So
 F(p) = norm2(exp X(p) . t) = <v, exp(2 D(p)) v> has the exact gradient
 2 (mu_r, 2 Re mu_c, 2 Im mu_c) and Hessian 4 Re <H_i v, H_j v> at
-p = 0, and the flow takes damped Newton steps on F.  Stability
-(v_0 != 0, v_k != 0, tuple full) guarantees a minimum exists and makes
-the Hessian positive definite; the minimizing tuple is unique up to
-SU(2) x U(k+1), so the spectrum of the Gram matrix Psi = conj(Q)^T Q
-is the invariant the tests compare.
+p = 0, and the flow takes Newton steps on F with an exact line search.
+The spectrum of each step is known: X(p) = |p| U diag(1, -1) U* with U
+in SU(2) in closed form, so in the frame c = R(U) v (R(U) the unitary
+action matrix of U) D(p) is |p| diag(2j - k), and the norm along the
+whole geodesic exp(s X(p / |p|)) is F(s) = sum_j |c_j|^2 e^(2s(2j-k)),
+whose logarithm is convex; a scalar Newton solve finds its minimum.
+Stability (v_0 != 0, v_k != 0, tuple full) guarantees a minimum exists
+and makes the Hessian positive definite.  Fullness is judged on the
+centred tuple: |det v| is an SL(2) invariant, but the singular-value
+ratio is not, and a stable tuple moved far along its orbit reads as
+nearly singular.  The minimizing tuple is unique up to SU(2) x U(k+1),
+so the spectrum of its Gram matrix conj(v) v^T is the invariant the
+tests compare.
 
 The centre of the monopole is the point of hyperbolic 3-space
 X = g^-1 (g^-1)* (determinant normalized to 1), in upper-half-space
@@ -42,11 +50,14 @@ coordinates X = (1/x3) [[1, x1 + i x2], [x1 - i x2, x3^2 + |x|^2]].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import MaxIterExceeded, NonFiniteResult, NotStable
+from .projective import vander
 from .spheres import CoeffTuple, binom_weights, fullness_check
 
 FLOW_TOL = 1e-10
@@ -55,6 +66,9 @@ FLOW_MAX_ITER = 10000
 FLOW_STALL = 10
 DET_TOL = 1e-12
 STAB_TOL = 1e-12
+# Relative step of the line search's Newton iteration at which it stops.
+LINE_TOL = 1e-6
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -102,31 +116,47 @@ class MomentValue:
 
     @property
     def magnitude(self) -> float:
-        return float(np.sqrt(self.mu_r**2 + 2.0 * abs(self.mu_c) ** 2))
+        return math.hypot(self.mu_r, math.sqrt(2.0) * abs(self.mu_c))
+
+
+@lru_cache(maxsize=None)
+def _pascal(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """binom(n, r) for 0 <= n, r <= k, and the exponents max(n - r, 0)."""
+    B = np.array([[math.comb(n, r) for r in range(k + 1)] for n in range(k + 1)], dtype=float)
+    n = np.arange(k + 1)
+    e = np.maximum(n[:, None] - n[None, :], 0)
+    B.setflags(write=False)
+    e.setflags(write=False)
+    return B, e
 
 
 def _rep_matrix(g: Mobius, k: int) -> np.ndarray:
     """P[j, m] = coefficient of z^m in (c z + d)^(k-j) (a z + b)^j.
 
-    The assembled sphere matrix transforms as Q -> Q P.
+    Row j is the product of the rows binom(j, t) a^t b^(j-t) and
+    binom(k-j, r) c^r d^(k-j-r); all k + 1 products are taken at once
+    as sums over a sliding window of the second.  The assembled sphere
+    matrix transforms as Q -> Q P.
     """
-    P = np.zeros((k + 1, k + 1), dtype=complex)
-    down = [np.array([1.0 + 0.0j])]
-    up = [np.array([1.0 + 0.0j])]
-    for _ in range(k):
-        down.append(np.convolve(down[-1], np.array([g.d, g.c])))
-        up.append(np.convolve(up[-1], np.array([g.b, g.a])))
-    for j in range(k + 1):
-        P[j, : k + 1] = np.convolve(down[k - j], up[j])
-    return P
+    B, e = _pascal(k)
+    up = B * vander(g.a, k) * vander(g.b, k)[e]
+    down = np.zeros((k + 1, 2 * k + 1), dtype=complex)
+    down[:, k:] = B[::-1] * vander(g.c, k) * vander(g.d, k)[e[::-1]]
+    # window[j, m, i] = down[j, m + i], a strided view of down (built
+    # directly: sliding_window_view leaves cyclic garbage on every call)
+    window = np.ndarray((k + 1,) * 3, complex, down, 0, down.strides + down.strides[1:])
+    return (window @ up[:, ::-1, None])[..., 0]
+
+
+def _tuple_matrix(g: Mobius, k: int) -> np.ndarray:
+    """M with act_sl2(g, t).v = M @ t.v; unitary when g is in SU(2)."""
+    w = binom_weights(k)
+    return _rep_matrix(g, k).T * w / w[:, None]
 
 
 def act_sl2(g: Mobius, t: CoeffTuple) -> CoeffTuple:
     """Symmetric-power action on a coefficient tuple (right action)."""
-    wts = binom_weights(t.k)
-    Q = t.v.T * wts
-    Qg = Q @ _rep_matrix(g, t.k)
-    return CoeffTuple(t.k, (Qg / wts).T)
+    return CoeffTuple(t.k, _tuple_matrix(g, t.k) @ t.v)
 
 
 def norm2(t: CoeffTuple) -> float:
@@ -144,14 +174,16 @@ def moment_map(t: CoeffTuple) -> MomentValue:
     return MomentValue(mu_r, mu_c)
 
 
+def _ends_nonzero(v: np.ndarray) -> bool:
+    """v_0 and v_k above STAB_TOL times the norm of the tuple v."""
+    scale = np.linalg.norm(v)
+    ends = min(np.linalg.norm(v[0]), np.linalg.norm(v[-1]))
+    return bool(scale > 0.0 and ends > STAB_TOL * scale)
+
+
 def stability_check(t: CoeffTuple) -> bool:
     """True iff v_0 != 0, v_k != 0 and the tuple is full."""
-    scale = np.sqrt(norm2(t))
-    if scale == 0.0:
-        return False
-    if np.linalg.norm(t.v[0]) <= STAB_TOL * scale or np.linalg.norm(t.v[-1]) <= STAB_TOL * scale:
-        return False
-    return fullness_check(t.v)[1]
+    return _ends_nonzero(t.v) and fullness_check(t.v)[1]
 
 
 def _exp_step(p) -> Mobius:
@@ -165,18 +197,86 @@ def _exp_step(p) -> Mobius:
     return Mobius(complex(ch + sh * p[0]), sh * off.conjugate(), sh * off, complex(ch - sh * p[0]))
 
 
-def _hessian(t: CoeffTuple) -> np.ndarray:
-    """4 Re <H_i v, H_j v>, the Hessian of p -> norm2(exp X(p) . t) at p = 0."""
-    k, v = t.k, t.v
+def _frame(n) -> Mobius:
+    """U in SU(2) with X(n) = U diag(1, -1) U* for a unit vector n.
+
+    Its first column is the unit eigenvector of X(n) for 1, taken from
+    whichever of (1 + n0, z) and (conj z, 1 - n0), z = n1 + i n2, is
+    the longer, so no cancellation occurs.
+    """
+    z = complex(n[1], n[2])
+    if n[0] >= 0.0:
+        h = math.sqrt((1.0 + n[0]) / 2.0)
+        alpha, beta = complex(h), z / (2.0 * h)
+    else:
+        h = math.sqrt((1.0 - n[0]) / 2.0)
+        alpha, beta = z.conjugate() / (2.0 * h), complex(h)
+    return Mobius(alpha, -beta.conjugate(), beta, alpha.conjugate())
+
+
+@lru_cache(maxsize=None)
+def _generators(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weights 2j - k of H0; the stack (I, H0, H1, H2); and the rows
+    (1, 2 (2j - k), 4 (2j - k)^2) that sum log F and its derivatives."""
+    lam = 2.0 * np.arange(k + 1) - k
     j = np.arange(k)
-    sub = np.sqrt((j + 1) * (k - j))[:, None]
-    lo = np.zeros_like(v)
-    up = np.zeros_like(v)
-    lo[1:] = sub * v[:-1]  # L v
-    up[:-1] = sub * v[1:]  # L^T v
-    hv = np.stack([(2.0 * np.arange(k + 1) - k)[:, None] * v, lo + up, 1j * (lo - up)])
-    hv = hv.reshape(3, -1)
-    return 4.0 * np.real(np.conj(hv) @ hv.T)
+    L = np.diag(np.sqrt((j + 1) * (k - j)), -1)
+    H = np.stack([np.eye(k + 1), np.diag(lam), L + L.T, 1j * (L - L.T)])
+    rows = np.stack([np.ones(k + 1), 2.0 * lam, 4.0 * lam * lam])
+    for a in (lam, H, rows):
+        a.setflags(write=False)
+    return lam, H, rows
+
+
+def _jets(v: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """norm2, gradient and Hessian of p -> norm2(exp X(p) . t) at p = 0.
+
+    All three come from one Gram matrix of the stack (v, H0 v, H1 v,
+    H2 v): norm2 = <v, v>, the gradient 2 Re <v, H_i v> =
+    2 (mu_r, 2 Re mu_c, 2 Im mu_c) and the Hessian 4 Re <H_i v, H_j v>.
+    """
+    hv = (_generators(len(v) - 1)[1] @ v).reshape(4, -1)
+    gram = np.conj(hv) @ hv.T
+    return float(gram[0, 0].real), 2.0 * gram[0, 1:].real, 4.0 * gram[1:, 1:].real
+
+
+def _magnitude(grad: np.ndarray) -> float:
+    """|mu| = sqrt(mu_r^2 + 2 |mu_c|^2) from the gradient 2 (mu_r, 2 Re mu_c, 2 Im mu_c)."""
+    return math.sqrt(grad[0] ** 2 / 4.0 + (grad[1] ** 2 + grad[2] ** 2) / 8.0)
+
+
+def _line_search(w: np.ndarray, s: float) -> float:
+    """The minimiser over s >= 0 of F(s) = sum_j w_j e^(2 s (2j - k)).
+
+    F is the squared norm along a step whose frame weights are w; its
+    slope at 0 is negative and w_k > 0.  Since F(s) >= w_k e^(2 s k)
+    and F(s*) <= F(0), the minimiser lies in [0, log(F(0) / w_k) / 2k].
+    Newton on the convex log F from s, with bisection whenever a step
+    leaves the bracket, until a step moves s by at most LINE_TOL
+    relative (or by rounding).
+    """
+    k = len(w) - 1
+    rows = _generators(k)[2]
+    lo, hi = 0.0, (math.log(w.sum()) - math.log(w[-1])) / (2.0 * k)
+    s = min(s, hi)
+    logw = np.log(np.maximum(w, np.finfo(float).tiny))
+    while True:
+        x = logw + s * rows[1]
+        f0, f1, f2 = rows @ np.exp(x - x.max())
+        d1 = f1 / f0  # (log F)'
+        if d1 < 0.0:
+            lo = s
+        elif d1 > 0.0:
+            hi = s
+        else:
+            return s
+        d2 = f2 / f0 - d1 * d1  # (log F)''
+        nxt = s - d1 / d2 if d2 > 0.0 else hi
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - s) <= LINE_TOL * nxt + EPS:
+            return nxt
+        s = nxt
 
 
 @dataclass(frozen=True)
@@ -194,61 +294,77 @@ def center_flow(
 ) -> FlowResult:
     """Flow to the zero of the moment map on the SL(2,C) orbit.
 
-    Damped Newton on F(p) = norm2(exp X(p) . t), whose gradient
-    2 (mu_r, 2 Re mu_c, 2 Im mu_c) and Hessian (_hessian) are exact:
-    each step is p = -Hess^-1 grad, |p| capped, backtracked until
-    norm2 satisfies the Armijo condition along p; converged when
+    Newton on F(p) = norm2(exp X(p) . t), whose gradient and Hessian
+    (_jets) are exact, with an exact line search: the Newton direction
+    p = -Hess^-1 grad has the SU(2) frame U (_frame) in which D(p) is
+    |p| diag(2j - k), so one product c = R(U) v gives the norm along
+    the whole geodesic, F(s) = sum_j |c_j|^2 e^(2 s (2j - k)), and the
+    step goes to its minimiser (_line_search); converged when
     |mu| <= tol * norm2.  Refuses a tuple whose norm2 overflows
-    (NonFiniteResult) and unstable tuples (NotStable); raises
-    MaxIterExceeded carrying the best iterate when the budget runs out,
-    when the line search finds no decrease, or when |mu| has not
-    improved for FLOW_STALL iterations (tol below the rounding floor).
+    (NonFiniteResult); raises NotStable when v_0 or v_k vanishes or the
+    tuple is singular to rounding (singular-value ratio at most
+    (k + 1) eps), when F has no minimiser (an end weight of a frame is
+    0) or the Hessian is singular or not finite, and when the centred
+    tuple is not full (fullness_check);
+    raises MaxIterExceeded carrying the best iterate when the budget
+    runs out or when |mu| has not improved for FLOW_STALL iterations
+    (tol below the rounding floor).
     """
     with np.errstate(over="ignore"):
         if not np.isfinite(norm2(t)):
             raise NonFiniteResult("the squared norm of the tuple overflows")
-    if not stability_check(t):
-        raise NotStable("tuple is not stable (v_0, v_k or fullness fails)")
-    g_total = Mobius.identity()
-    cur = t
+    k = t.k
+    # The flow is scale-invariant; run it on t / m, whose largest entry is 1.
+    m = float(np.max(np.abs(t.v)))
+    v = t.v / m if m > 0.0 else t.v
+    if not _ends_nonzero(v):
+        raise NotStable("tuple is not stable (v_0 or v_k vanishes)")
+    ratio = fullness_check(v)[0]
+    if not ratio > (k + 1) * EPS:
+        raise NotStable(f"tuple is singular to rounding (sv ratio {ratio:.2e})")
+    lam = _generators(k)[0]
+    g_total = np.eye(2, dtype=complex)
+    n2, grad, hess = _jets(v)
+    mu = _magnitude(grad)
+    best, best_it = (mu, g_total, v), 0
     trace = []
-    best = (moment_map(t).magnitude, g_total, t)
-    best_it = 0
     for it in range(max_iter):
-        mu = moment_map(cur)
-        n2 = norm2(cur)
-        trace.append((it, n2, mu.magnitude))
-        if mu.magnitude < best[0]:
-            best = (mu.magnitude, g_total, cur)
-            best_it = it
-        if mu.magnitude <= tol * n2:
-            return FlowResult(g_total, cur, it, tuple(trace))
-        grad = 2.0 * np.array([mu.mu_r, 2.0 * mu.mu_c.real, 2.0 * mu.mu_c.imag])
-        p = -np.linalg.solve(_hessian(cur), grad)
-        lam = np.linalg.norm(p)
-        if lam > 5.0:
-            # cap so the group displacement |p| stays moderate
-            p *= 5.0 / lam
-        slope = float(grad @ p)
-        alpha = 1.0
-        for _ in range(60 if it - best_it < FLOW_STALL else 0):  # at the floor: raise
-            g_step = _exp_step(alpha * p)
-            trial = act_sl2(g_step, cur)
-            if norm2(trial) <= n2 + 0.25 * alpha * slope:
-                break
-            alpha *= 0.5
-        else:
-            raise MaxIterExceeded(
-                f"line search stalled at iteration {it} (best |mu| {best[0]:.3e}); "
-                f"tol {tol:.0e} is below the attainable floor for this tuple",
-                best={"g": best[1], "tuple": best[2]},
-                trace=tuple(trace),
+        trace.append((it, m * m * n2, m * m * mu))
+        if mu < best[0]:
+            best, best_it = (mu, g_total, v), it
+        if mu <= tol * n2:
+            ratio, full = fullness_check(v)
+            if not full:
+                raise NotStable(f"centred tuple is not full (sv ratio {ratio:.2e})")
+            return FlowResult(Mobius.from_matrix(g_total), CoeffTuple(k, m * v), it, tuple(trace))
+        if it - best_it >= FLOW_STALL:
+            reason = (
+                f"|mu| has not decreased for {FLOW_STALL} iterations by iteration {it}; "
+                f"tol {tol:.0e} is below the attainable floor for this tuple"
             )
-        cur = trial
-        g_total = g_total.compose(g_step)  # right action: total = s0 s1 ... sn
+            break
+        try:
+            p = -np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            raise NotStable(f"the Hessian is singular at iteration {it}") from None
+        size = float(np.linalg.norm(p))
+        if not math.isfinite(size):
+            raise NotStable(f"the Hessian is singular or not finite at iteration {it}")
+        M = _tuple_matrix(_frame(p / size), k)
+        c = M @ v
+        w = np.vecdot(c, c).real
+        if not (w[0] > 0.0 and w[-1] > 0.0):
+            raise NotStable(f"an end weight of the step is 0 at iteration {it}: the tuple is not full")
+        s = _line_search(w, size)
+        v = np.conj(M).T @ (np.exp(s * lam)[:, None] * c)
+        g_total = g_total @ _exp_step(p * (s / size)).matrix()  # right action: total = s0 s1 ... sn
+        n2, grad, hess = _jets(v)
+        mu = _magnitude(grad)
+    else:
+        reason = f"no convergence in {max_iter} iterations"
     raise MaxIterExceeded(
-        f"no convergence in {max_iter} iterations (best |mu| {best[0]:.3e})",
-        best={"g": best[1], "tuple": best[2]},
+        f"{reason} (best |mu| {m * m * best[0]:.3e})",
+        best={"g": Mobius.from_matrix(best[1]), "tuple": t if best_it == 0 else CoeffTuple(k, m * best[2])},
         trace=tuple(trace),
     )
 

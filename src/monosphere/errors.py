@@ -110,4 +110,5 @@ class NoEstimate(ConvergenceError):
 
 
 class NonFiniteResult(ConvergenceError):
-    """A computed value overflowed the floating-point range."""
+    """A computed value overflowed the floating-point range, or would
+    lose its precision to rounding (an ill-conditioned axial H)."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,9 +31,12 @@ from .projective import hom_vector
 FULL_TOL = 1e-10
 
 
+@lru_cache(maxsize=None)
 def binom_weights(k: int) -> np.ndarray:
-    """sqrt(binom(k, j)) for j = 0..k."""
-    return np.sqrt(np.array([math.comb(k, j) for j in range(k + 1)], dtype=float))
+    """sqrt(binom(k, j)) for j = 0..k (read-only)."""
+    w = np.sqrt(np.array([math.comb(k, j) for j in range(k + 1)], dtype=float))
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,14 @@ class TestGaugeFields:
         assert g.trace_phi_sq == direct
         assert g.trace_phi_sq.real < 0.0
 
+    @pytest.mark.parametrize("r", [20.0, 30.0])
+    def test_ill_conditioned_metric_is_refused(self, r):
+        # cond(H) <= |H|_F^2 since det H = 1; past H_ROUNDING / eps the
+        # inverse is rounding noise
+        for evaluate in (lambda: gauge_fields(sech_field(), 0.5, r), lambda: bog_residual(sech_field(), [(0.5, r)])):
+            with pytest.raises(NonFiniteResult, match="ill-conditioned"):
+                evaluate()
+
     def test_margin_violation(self):
         with pytest.raises(DomainViolation):
             gauge_fields(sech_field(), 0j, 0.0995)

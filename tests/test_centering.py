@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
 from monosphere.centering import (
     Mobius,
     _exp_step,
-    _hessian,
+    _jets,
+    _rep_matrix,
     act_sl2,
     center_flow,
     centre_point,
@@ -16,7 +20,7 @@ from monosphere.centering import (
 )
 from monosphere.curves import SpectralMatrix, axial_spectral
 from monosphere.errors import MaxIterExceeded, NotStable
-from monosphere.spheres import CoeffTuple, HoloSphere, factor_sphere, sphere_to_tuple
+from monosphere.spheres import CoeffTuple, HoloSphere, factor_sphere, fullness_check, sphere_to_tuple
 
 
 def _tuple_from_rows(rows):
@@ -82,6 +86,27 @@ def test_act_is_right_action():
     lhs = act_sl2(g1, act_sl2(g2, t))
     rhs = act_sl2(g2.compose(g1), t)
     assert np.max(np.abs(lhs.v - rhs.v)) < 1e-10 * np.max(np.abs(rhs.v))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Mobius.from_matrix([[1.001, 0.002 + 0.001j], [-0.001j, 0.999]]), Mobius(np.exp(5.0), 0.0, 0.0, np.exp(-5.0))],
+    ids=["near-identity", "diag-e5"],
+)
+def test_rep_matrix_matches_exact_expansion_at_charge32(g):
+    # P[j, m] = sum_t C(j, t) C(k-j, m-t) a^t b^(j-t) c^(m-t) d^(k-j-m+t), to 50 digits
+    k = 32
+    P = _rep_matrix(g, k)
+    with mpmath.workdps(50):
+        a, b, c, d = (mpmath.mpc(x.real, x.imag) for x in (g.a, g.b, g.c, g.d))
+        for j in range(k + 1):
+            for m in range(k + 1):
+                exact = mpmath.fsum(
+                    math.comb(j, t) * math.comb(k - j, m - t)
+                    * a**t * b ** (j - t) * c ** (m - t) * d ** (k - j - m + t)
+                    for t in range(max(0, m + j - k), min(j, m) + 1)
+                )
+                assert abs(complex(P[j, m]) - complex(exact)) <= 1e-13 * abs(complex(exact))
 
 
 def test_su2_preserves_norm():
@@ -150,8 +175,10 @@ def test_gradient_and_hessian_match_central_differences():
             return norm2(act_sl2(_exp_step(p), t))
 
         mu = moment_map(t)
-        grad = 2.0 * np.array([mu.mu_r, 2.0 * mu.mu_c.real, 2.0 * mu.mu_c.imag])
-        hess = _hessian(t)
+        n2, grad, hess = _jets(t.v)
+        assert abs(n2 - norm2(t)) <= 1e-14 * norm2(t)
+        want = 2.0 * np.array([mu.mu_r, 2.0 * mu.mu_c.real, 2.0 * mu.mu_c.imag])
+        assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(hess))
         scale = np.max(np.abs(hess))
         h = 1e-4 / k
         e = np.eye(3) * h
@@ -171,7 +198,7 @@ def test_hessian_positive_definite_on_stable_tuples():
     for k in range(1, 33):
         t = _rand_tuple(rng, k)
         assert stability_check(t)
-        vals = np.linalg.eigvalsh(_hessian(t))
+        vals = np.linalg.eigvalsh(_jets(t.v)[2])
         assert vals[0] > 0.0
 
 
@@ -306,11 +333,42 @@ def _assert_centred(t, res):
     assert np.linalg.norm(moved - res.tuple_centred.v) <= 1e-10 * np.linalg.norm(res.tuple_centred.v)
 
 
-@pytest.mark.parametrize("k", [16, 24])
+MOVE = [[1.5, 0.3], [0.1, 0.8]]
+
+
+def _axial_gram_oracle(k):
+    """Gram spectrum of the axial m = 1/2 tuple to 50 digits: the tuple
+    is centred, and its Gram matrix is W^-1 Psi W^-1, W = diag sqrt(binom(k, j))."""
+    psi = axial_spectral(k, 0.5).psi
+    with mpmath.workdps(50):
+        w = [mpmath.sqrt(math.comb(k, j)) for j in range(k + 1)]
+        gram = mpmath.matrix(k + 1, k + 1)
+        for i in range(k + 1):
+            for j in range(k + 1):
+                gram[i, j] = mpmath.mpc(psi[i, j].real, psi[i, j].imag) / (w[i] * w[j])
+        return np.array([float(x) for x in mpmath.eigh(gram, eigvals_only=True)])
+
+
+@pytest.mark.parametrize("k", [16, 24, 32])
 def test_flow_centres_moved_axial_tuple(k):
-    move = Mobius.from_matrix([[1.5, 0.3], [0.1, 0.8]])
-    t = act_sl2(move, sphere_to_tuple(factor_sphere(axial_spectral(k, 0.5))))
-    _assert_centred(t, center_flow(t))
+    # the exact line search centres each in 4 iterations
+    t = act_sl2(Mobius.from_matrix(MOVE), sphere_to_tuple(factor_sphere(axial_spectral(k, 0.5))))
+    res = center_flow(t)
+    _assert_centred(t, res)
+    assert res.iterations <= 6
+    ref = _axial_gram_oracle(k)
+    assert np.max(np.abs(_gram_spectrum(res.tuple_centred) - ref)) < 1e-6 * max(ref)
+
+
+def test_flow_centres_moved_random_charge32_tuple():
+    rng = np.random.default_rng(132)
+    A = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
+    t0 = sphere_to_tuple(factor_sphere(SpectralMatrix(32, A @ A.conj().T + 33.0 * np.eye(33))))
+    t = act_sl2(Mobius.from_matrix(MOVE), t0)
+    res = center_flow(t)
+    _assert_centred(t, res)
+    base = _gram_spectrum(center_flow(t0).tuple_centred)
+    assert np.max(np.abs(_gram_spectrum(res.tuple_centred) - base)) < 1e-6 * max(base)
 
 
 def test_flow_centres_random_charge32_curve():
@@ -318,6 +376,32 @@ def test_flow_centres_random_charge32_curve():
     A = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
     t = sphere_to_tuple(factor_sphere(SpectralMatrix(32, A @ A.conj().T + 33.0 * np.eye(33))))
     _assert_centred(t, center_flow(t))
+
+
+@pytest.mark.parametrize("middle, full", [(4e-10, True), (1e-11, False)])
+def test_fullness_is_judged_on_the_centred_tuple(middle, full):
+    # diag(1, middle, 1) is centred with singular-value ratio `middle`;
+    # moved by MOVE^2 its ratio is 0.17 middle, below FULL_TOL in both cases
+    g = Mobius.from_matrix(np.linalg.matrix_power(np.array(MOVE), 2))
+    t = act_sl2(g, CoeffTuple(2, np.diag([1.0, middle, 1.0])))
+    assert not fullness_check(t.v)[1]
+    if full:
+        res = center_flow(t)
+        _assert_centred(t, res)
+        assert abs(fullness_check(res.tuple_centred.v)[0] - middle) < 1e-3 * middle
+    else:
+        with pytest.raises(NotStable, match="centred tuple is not full"):
+            center_flow(t)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_flow_is_scale_invariant(scale):
+    # |mu|^2 of the tuple itself underflows at 1e-150 and overflows at 1e150
+    t = _rand_tuple(np.random.default_rng(3), 3)
+    ref = center_flow(t)
+    res = center_flow(CoeffTuple(3, scale * t.v))
+    assert res.iterations == ref.iterations
+    assert np.max(np.abs(res.tuple_centred.v / scale - ref.tuple_centred.v)) <= 1e-12 * np.max(np.abs(ref.tuple_centred.v))
 
 
 def test_flow_converges_within_40_iterations_up_to_charge32():

@@ -8,6 +8,7 @@ import pytest
 
 from monosphere.axial import sphere_of_sech
 from monosphere.boundary import metric_h, reconstruct_psi_from_metric
+from monosphere.centering import Mobius, act_sl2
 from monosphere.cli import _boundary_rings, main
 from monosphere.curves import SpectralMatrix, axial_spectral
 from monosphere.projective import hom_vector
@@ -23,7 +24,14 @@ from monosphere.serialize import (
 )
 from monosphere.charge2 import Su2Triple
 from monosphere.errors import NotPositiveDefinite
-from monosphere.spheres import CoeffTuple, HoloSphere, factor_sphere, sphere_to_tuple
+from monosphere.spheres import (
+    CoeffTuple,
+    HoloSphere,
+    factor_sphere,
+    spectral_from_sphere,
+    sphere_to_tuple,
+    tuple_to_sphere,
+)
 
 # An overflow must end as an exit-3 report, not as a numpy warning on stderr.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -266,6 +274,21 @@ class TestTransformChain:
         assert report["mu"]["magnitude"] < 1e-12
         assert report["iterations"] == 0
 
+    def test_center_rank_one_tuple_is_not_stable(self, tmp_path):
+        # v_0 and v_k are nonzero; the rows are equal, so the tuple is singular
+        rows = [[[1, 0], [0, 0], [0, 0]]] * 3
+        code, report = run_cli(tmp_path, ["center"], {"k": 2, "v": rows})
+        assert code == 2
+        assert report["error"]["code"] == "NotStable"
+
+    def test_center_is_scale_invariant(self, tmp_path):
+        # |mu|^2 of the tuple scaled by 1e140 overflows a float
+        v = np.random.default_rng(3).standard_normal((4, 4)) + 0j
+        (c1, r1), (c2, r2) = (run_cli(tmp_path, ["center"], tuple_to_json(CoeffTuple(3, s * v))) for s in (1.0, 1e140))
+        assert (c1, c2) == (0, 0)
+        assert r1["iterations"] == r2["iterations"]
+        assert r2["mu"]["magnitude"] <= 1e-10 * r2["norm2"]
+
     def test_center_trace_csv(self, tmp_path):
         t = sphere_to_tuple(factor_sphere(SpectralMatrix(2, np.eye(3))))
         csv_path = tmp_path / "trace.csv"
@@ -455,6 +478,14 @@ class TestFieldCommands:
         assert code == 3
         assert report["error"]["code"] == "NonFiniteResult"
 
+    @pytest.mark.parametrize("r", ["20", "30"])
+    def test_sample_ill_conditioned_metric_exits_3(self, tmp_path, r):
+        # |H|_F^2 eps is 8.6 at r = 20 (tr Phi^2 read -1.47 for -0.5 there)
+        # and H is singular to rounding at r = 30
+        code, report = run_cli(tmp_path, ["field", "sample", "--r", r, "--z", "0.5"])
+        assert code == 3
+        assert report["error"]["code"] == "NonFiniteResult"
+
     def test_sample_report(self, tmp_path):
         code, report = run_cli(
             tmp_path, ["field", "sample", "--z", "0.5+0.2j", "--r", "1.5"]
@@ -475,6 +506,21 @@ class TestPipelineAndDeterminism:
         assert np.allclose(report["eigenvalues"], [1.0, 1.0, 1.0])
         assert report["mu_centred"]["magnitude"] < 1e-12
         assert abs(report["degree_integral"] - 2.0) < 1e-5
+
+    @pytest.mark.parametrize("k", [8, 16, 24, 32])
+    @pytest.mark.parametrize("kind", ["axial", "random", "moved"])
+    def test_pipeline_centres_up_to_charge32(self, tmp_path, kind, k):
+        if kind == "axial":
+            S = axial_spectral(k, 0.5)
+        else:
+            S = curve_from_json(random_pd_curve(seed=100 + k, k=k))
+        if kind == "moved":
+            t = act_sl2(Mobius.from_matrix([[1.05, 0.02], [0.01, 0.96]]), sphere_to_tuple(factor_sphere(S)))
+            S = spectral_from_sphere(tuple_to_sphere(t))
+        code, report = run_cli(tmp_path, ["pipeline"], curve_to_json(S))
+        assert code == 0
+        assert report["mu_centred"]["magnitude"] <= 1e-10 * report["norm2_centred"]
+        assert abs(report["degree_integral"] - k) <= 1e-6
 
     def test_identical_jobs_identical_bytes(self, tmp_path):
         doc = write_doc(tmp_path, "c.json", half_mass_curve())
