@@ -24,15 +24,14 @@ The degree integral is split across two charts at |z| = 1: the 1/z
 chart carries the same formulas with the index-reversed matrix
 Psi~[i, j] = Psi[k-i, k-j] (the O(-k) transition absorbs |z|^(2k),
 which is harmonic away from the origin and drops out of F).  By Stokes
-each patch is a flux, (1/pi) * integral of F over |z| <= r equal to the
-mean of Re(z h_z / h) on |z| = r, a periodic analytic integrand for
-which the trapezoid rule converges exponentially (Trefethen & Weideman,
-SIAM Review 56, 2014).  On |z| = r, h = sum_m a_m(r) e^(i m theta) with
-a_m(r) = sum_{j-i=m} Psi[i,j] r^(i+j), |m| <= k, and z h_z weights the
-same terms by j.  One product of a scatter matrix of Psi with the
-powers r^s gives these coefficients; on 2n equispaced nodes m aliases
-to m mod 2n, so they are folded onto it (exact; needed when 2n < 2k + 1)
-and one inverse FFT gives the values at all 2n nodes.
+each patch is a flux, (1/pi) * integral of F over |z| <= 1 equal to the
+mean of Re(z h_z / h) on |z| = 1.  On the circle the two fluxes add up
+to k node by node, Re(u h~_u / h~) = k - Re(z h_z / h), so the degree
+is k by construction at every rule size: `degree` checks the chart
+swap and the kernel, not the curve, and each flux is evaluated once,
+on 2k + 2 nodes, where the 2k + 1 frequencies of h and z h_z are
+sampled without aliasing by one inverse FFT each.  Its error bound is
+a rounding bound.
 """
 
 from __future__ import annotations
@@ -40,14 +39,11 @@ from __future__ import annotations
 import numpy as np
 
 from .curves import SpectralMatrix, hermitian_form, require_hermitian, require_positive_definite
-from .errors import QuadratureNotConverged, Underdetermined
+from .errors import NonFiniteResult, QuadratureNotConverged, Underdetermined
 from .projective import vander, vander_derivative
 
 DEGREE_TOL = 1e-7
-# Circle-rule sizes: 2n trapezoid nodes, n doubled from the first to
-# the last until two successive estimates agree.
-RULE_FIRST = 16
-RULE_CAP = 256
+EPS = np.finfo(float).eps
 
 
 def _h_jets(psi: np.ndarray, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -83,58 +79,34 @@ def curvature_density(S: SpectralMatrix, z):
     return _scalar_or_array((hzz * h - np.abs(hz) ** 2) / h**2, z, float)
 
 
-def _ring_scatter(psi: np.ndarray) -> np.ndarray:
-    """Rows for h and z h_z (weights 1 and j) at each frequency
-    m = j - i = -k..k; column s carries Psi[i, j] with i + j = s."""
+def _patch(psi: np.ndarray) -> tuple[float, float]:
+    """(1/pi) * integral of F over |z| <= 1 as the mean of Re(z h_z / h)
+    on the 2k + 2 equispaced nodes of |z| = 1, and a bound on its rounding.
+
+    On |z| = 1, h and z h_z have the coefficients sum Psi[i, j] and
+    sum j Psi[i, j] over j - i = m at frequency m, |m| <= k; on 2k + 2
+    nodes these take distinct residues m mod 2k + 2, so one inverse FFT
+    each gives the samples, without aliasing.  Each sample sums at most
+    (k + 1)^2 terms bounded by s = sum |Psi[i, j]| (k s for z h_z), so
+    with c = 8 (k + 1) eps its rounding is at most c s (c k s), and that
+    of Re(z h_z / h) at most c s (k + |z h_z / h|) / |h|; the bound is
+    the mean of that over the nodes.  Raises NonFiniteResult when h
+    vanishes at a node.
+    """
     k = psi.shape[0] - 1
+    n = 2 * k + 2
     i, j = np.indices(psi.shape)
-    scatter = np.zeros((2, 2 * k + 1, 2 * k + 1), dtype=complex)
-    scatter[:, j - i + k, i + j] = np.stack([psi, j * psi])
-    return scatter.reshape(-1, 2 * k + 1)
-
-
-def _patch(scatter: np.ndarray, radius: float, n: int) -> float:
-    """(1/pi) * integral of F over |z| <= radius: the mean of Re(z h_z / h)
-    over 2n equispaced nodes of the circle |z| = radius."""
-    k = scatter.shape[1] // 2
-    # Complex powers: at k >= 24 a complex @ float64 product was timed at
-    # up to 8 ms a call on a two-core machine, complex @ complex at 6 us.
-    powers = (radius ** np.arange(2 * k + 1)).astype(complex)
-    folded = np.zeros((2, 2 * n), dtype=complex)
-    residue = np.arange(-k, k + 1) % (2 * n)
-    # An overflow shows as a non-finite sample, reported below.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        coeffs = (scatter @ powers).reshape(2, -1)
-        for start in range(0, 2 * k + 1, 2 * n):  # 2n frequencies in a row fold onto distinct residues
-            run = slice(start, start + 2 * n)
-            folded[:, residue[run]] += coeffs[:, run]
-        h = np.fft.irfft(folded[0, : n + 1], 2 * n, norm="forward")  # real: Hermitian coefficients
-        zhz = np.fft.ifft(folded[1], norm="forward")
-        flux = np.mean((zhz / h).real)
-    if not all(np.isfinite(x).all() for x in (h, zhz, flux)):
-        raise QuadratureNotConverged(f"degree integral is not finite at n = {n}", nodes=n)
-    return float(flux)
-
-
-def _converged_patch(scatter: np.ndarray, floor: float, tol: float) -> tuple[float, float]:
-    """(I_2n, |I_n - I_2n|) of the patch |z| <= 1, doubling n from
-    RULE_FIRST until |I_n - I_2n| + floor |I_2n| <= tol / 2."""
-    n = RULE_FIRST
-    prev = _patch(scatter, 1.0, n)
-    best = np.inf
-    while n < RULE_CAP:
-        n *= 2
-        flux = _patch(scatter, 1.0, n)
-        step = abs(prev - flux)
-        patch_bound = step + floor * abs(flux)
-        if patch_bound <= tol / 2.0:
-            return flux, step
-        best = min(best, patch_bound)
-        prev = flux
-    raise QuadratureNotConverged(
-        f"degree integral error bound {best:.2e} exceeds {tol:.2e} "
-        f"with {2 * RULE_CAP} nodes on the circle", best=float(best), nodes=RULE_CAP
-    )
+    coeffs = np.zeros((2, k + 1, n), dtype=complex)
+    coeffs[:, i, (j - i) % n] = np.stack([psi, j * psi])
+    h_coeffs, zhz_coeffs = coeffs.sum(axis=1)
+    h = np.fft.irfft(h_coeffs[: k + 2], n, norm="forward")  # real: Hermitian coefficients
+    zhz = np.fft.ifft(zhz_coeffs, norm="forward")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = zhz / h
+        rounding = 8.0 * (k + 1) * EPS * np.sum(np.abs(psi)) * np.mean((k + np.abs(ratio)) / np.abs(h))
+    if not np.isfinite(rounding):
+        raise NonFiniteResult("degree integral is not finite: h vanishes at a node of |z| = 1")
+    return float(np.mean(ratio.real)), float(rounding)
 
 
 def degree_integral(S: SpectralMatrix, tol: float = DEGREE_TOL) -> tuple[float, float]:
@@ -142,32 +114,31 @@ def degree_integral(S: SpectralMatrix, tol: float = DEGREE_TOL) -> tuple[float, 
 
     By Stokes each chart's patch is I = (1/2 pi) * integral of
     Re(z h_z / h) dtheta on |z| = 1: the z chart covers |z| <= 1 and the
-    1/z chart the rest.  Each patch takes the trapezoid rule on 2n nodes,
-    doubling n from 16 up to 256 until its estimates I_n and I_2n agree
-    within half of tol.  Returns (I_z + I_1/z, bound) with
-
-        bound = |I_n - I_2n|_z + |I_n - I_2n|_1/z + 8 (k + 1) eps |value|,
-
-    the differences of each patch's last two rules plus a floor for the
-    rounding in the sums; bound <= tol.  The value is k for every
-    Hermitian Psi with h != 0 on the circle (Chern-Weil for a metric on
-    O(k)), positive definite or not: it checks the chart swap and the
-    kernel, not the curve.  Psi is first scaled by the power of two that
-    brings its largest entry into [1/2, 1), so no sample overflows and,
-    the scaling being exact, the value does not move.  Raises QuadratureNotConverged when a sample of
-    h or z h_z is not finite (h vanishes at a node), or with the best
-    bound the patch reached when it still exceeds half of tol at n = 256.
+    1/z chart the rest.  On |z| = 1 the 1/z chart has h~(u) = h(u) and
+    Re(u h~_u / h~) = k - Re(z h_z / h) at the same node, so the two
+    patches add up to k node by node, at any rule size: the value is k
+    for every Hermitian Psi with h != 0 at the nodes (Chern-Weil for a
+    metric on O(k)), positive definite or not.  It checks the chart swap
+    and the kernel, not the curve.  Each patch is therefore evaluated
+    once, on 2k + 2 nodes (_patch).  Returns (I_z + I_1/z, bound), the
+    bound being the sum of the patches' rounding bounds; it grows with
+    cond(Psi), since h >= lambda_min |v|^2.  Psi is first scaled by the
+    power of two that brings its largest entry into [1/2, 1), so no
+    sample overflows and, the scaling being exact, neither the value nor
+    the bound moves.  Raises NonFiniteResult when h vanishes at a node,
+    and QuadratureNotConverged, carrying the bound as best, when the
+    bound exceeds tol.
     """
     require_hermitian(S.psi)
     exponent = np.frexp(np.max(np.abs(S.psi)))[1]
     unit = np.ldexp(S.psi.view(float), -exponent).view(complex)
-    floor = 8.0 * (S.k + 1) * np.finfo(float).eps
-    value = bound = 0.0
-    for psi in (unit, unit[::-1, ::-1]):  # the z chart, then the 1/z chart
-        flux, step = _converged_patch(_ring_scatter(psi), floor, tol)
-        value += flux
-        bound += step
-    return value, bound + floor * abs(value)
+    (flux_z, bound_z), (flux_inv, bound_inv) = _patch(unit), _patch(unit[::-1, ::-1])
+    bound = bound_z + bound_inv
+    if not bound <= tol:
+        raise QuadratureNotConverged(
+            f"degree integral rounding bound {bound:.2e} exceeds {tol:.2e}", best=bound
+        )
+    return flux_z + flux_inv, bound
 
 
 def _design_matrix(z: np.ndarray, k: int) -> np.ndarray:

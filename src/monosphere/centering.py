@@ -182,8 +182,16 @@ def _ends_nonzero(v: np.ndarray) -> bool:
 
 
 def stability_check(t: CoeffTuple) -> bool:
-    """True iff v_0 != 0, v_k != 0 and the tuple is full."""
-    return _ends_nonzero(t.v) and fullness_check(t.v)[1]
+    """True iff center_flow centres t: v_0 != 0, v_k != 0, the tuple is
+    not singular to rounding, and the centred tuple is full.  Fullness
+    is judged after the flow, as there, since the singular-value ratio is
+    not an SL(2) invariant.  Raises what center_flow raises besides
+    NotStable."""
+    try:
+        center_flow(t)
+    except NotStable:
+        return False
+    return True
 
 
 def _exp_step(p) -> Mobius:

@@ -1,9 +1,9 @@
 """Exception hierarchy.
 
 Two families matter to callers: validation failures (bad or inconsistent
-input data) and convergence failures (an iteration or quadrature ran out
-of budget).  The command line maps the first family to exit code 2 and
-the second to exit code 3.
+input data) and convergence failures (an iteration ran out of budget, or
+a quadrature's rounding bound exceeds its tolerance).  The command line
+maps the first family to exit code 2 and the second to exit code 3.
 """
 
 
@@ -84,12 +84,12 @@ class DegenerateMap(ValidationError):
 # -- convergence -----------------------------------------------------------
 
 class QuadratureNotConverged(ConvergenceError):
-    """Carries the smallest bound reached (None if not finite) and the last n."""
+    """The rounding bound of a quadrature exceeds its tolerance.  Carries
+    that bound as best."""
 
-    def __init__(self, message, best=None, nodes=None):
+    def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
-        self.nodes = nodes
 
 
 class MaxIterExceeded(ConvergenceError):

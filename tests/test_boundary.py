@@ -5,10 +5,7 @@ import pytest
 
 from monosphere.boundary import (
     DEGREE_TOL,
-    RULE_CAP,
-    RULE_FIRST,
     _patch,
-    _ring_scatter,
     connection_at_infinity,
     curvature_density,
     degree_integral,
@@ -16,7 +13,7 @@ from monosphere.boundary import (
     reconstruct_psi_from_metric,
 )
 from monosphere.curves import SpectralMatrix, axial_spectral
-from monosphere.errors import NotPositiveDefinite, QuadratureNotConverged, Underdetermined
+from monosphere.errors import NonFiniteResult, NotPositiveDefinite, QuadratureNotConverged, Underdetermined
 
 
 def _rand_hermitian_pd(rng, n):
@@ -140,19 +137,41 @@ def test_degree_integral_is_scale_free(scale):
     assert degree_integral(SpectralMatrix(2, scale * psi)) == degree_integral(SpectralMatrix(2, psi))
 
 
-def test_degree_integral_zero_of_h_is_not_converged():
-    # Hermitian, but h = |1 - z|^2 vanishes at the node z = 1 of every rule
-    with pytest.raises(QuadratureNotConverged, match="not finite") as info:
+def test_degree_integral_zero_of_h_is_not_finite():
+    # Hermitian, but h = |1 - z|^2 vanishes at the node z = 1 of the rule
+    with pytest.raises(NonFiniteResult, match="not finite"):
         degree_integral(SpectralMatrix(1, np.array([[1.0, -1.0], [-1.0, 1.0]])))
-    assert info.value.nodes == RULE_FIRST
-    assert info.value.best is None
 
 
-def test_quadrature_not_converged_carries_best_and_nodes():
+def test_quadrature_not_converged_carries_the_rounding_bound():
+    _, bound = degree_integral(axial_spectral(2, 0.5))
     with pytest.raises(QuadratureNotConverged) as info:
         degree_integral(axial_spectral(2, 0.5), tol=1e-20)
-    assert info.value.nodes == RULE_CAP
-    assert 1e-20 < info.value.best < 1e-12
+    assert info.value.best == bound
+    assert f"{bound:.2e}" in str(info.value)
+    assert not hasattr(info.value, "nodes")
+
+
+def _near_zero_curve(eps):
+    """Psi = p p* + eps max|p|^2 I for p(z) = (z - 1)(z - 2): h = |p|^2 +
+    eps 9 |v|^2 nearly vanishes at z = 1 on the unit circle."""
+    p = np.array([2.0, -3.0, 1.0])
+    return SpectralMatrix(2, np.outer(p, p) + eps * np.max(p**2) * np.eye(3))
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-7], ids=["cond-1.6e4", "cond-1.6e7"])
+def test_degree_integral_near_zero_curve_within_bound(eps):
+    val, bound = degree_integral(_near_zero_curve(eps))
+    assert abs(val - 2.0) <= bound <= DEGREE_TOL
+
+
+def test_degree_integral_near_zero_curve_past_rounding():
+    # cond 1.6e10: the rounding bound on the sum of the fluxes exceeds 1e-7
+    S = _near_zero_curve(1e-10)
+    assert np.linalg.cond(S.psi) >= 1e10
+    with pytest.raises(QuadratureNotConverged, match="exceeds 1.00e-07") as info:
+        degree_integral(S)
+    assert info.value.best > DEGREE_TOL
     assert f"{info.value.best:.2e}" in str(info.value)
 
 
@@ -163,18 +182,26 @@ def _charts(k):
     return [SpectralMatrix(k, c) for p in curves for c in (p, p[::-1, ::-1])]
 
 
+def _pointwise_flux(chart: SpectralMatrix, radius: float, n: int) -> float:
+    """The 2n-node trapezoid mean of Re(z h_z / h) = Re(2 z A_z) on
+    |z| = radius, point by point."""
+    z = radius * np.exp(1j * np.pi * np.arange(2 * n) / n)
+    return float(np.mean((2.0 * z * connection_at_infinity(chart, z)).real))
+
+
 @pytest.mark.parametrize("n", [16, 32, 64])
 @pytest.mark.parametrize("k", [1, 2, 8, 16, 32])
 def test_ring_kernel_matches_pointwise_rule(k, n):
-    # the 2n-node trapezoid mean of Re(z h_z / h) = Re(2 z A_z), point by
-    # point; k = 32 at n = 16 folds
-    theta = np.pi * np.arange(2 * n) / n
-    for chart in _charts(k):
-        for radius in (0.5, 2.0):
-            z = radius * np.exp(1j * theta)
-            expect = np.mean((2.0 * z * connection_at_infinity(chart, z)).real)
-            got = _patch(_ring_scatter(chart.psi), radius, n)
-            assert abs(got - expect) <= 1e-12 * abs(expect)
+    # the kernel is the pointwise rule on 2k + 2 nodes of |z| = 1; the
+    # pointwise fluxes of the two charts add up to k on 2n nodes as well
+    charts = _charts(k)
+    for chart in charts:
+        expect = _pointwise_flux(chart, 1.0, k + 1)
+        got, _ = _patch(chart.psi)
+        assert abs(got - expect) <= 1e-12 * abs(expect)
+    for z_chart, inv_chart in zip(charts[::2], charts[1::2]):
+        total = _pointwise_flux(z_chart, 1.0, n) + _pointwise_flux(inv_chart, 1.0, n)
+        assert abs(total - k) <= 1e-12 * k
 
 
 def _area_oracle(chart: SpectralMatrix, radius: float, n: int) -> float:
@@ -187,13 +214,18 @@ def _area_oracle(chart: SpectralMatrix, radius: float, n: int) -> float:
     return float((w / 2.0 * r * radius**2 / n) @ rings)
 
 
+# The pointwise rule that the area oracle checks takes 2 * FLUX_NODES
+# nodes; a single patch converges exponentially in n and is converged there.
+FLUX_NODES = 256
+
+
 @pytest.mark.parametrize("k, n", [(1, 64), (2, 64), (8, 64), (16, 128), (32, 256)])
 def test_flux_patch_matches_area_oracle(k, n):
     # Stokes: the flux through |z| = radius is the curvature inside it
     for chart in _charts(k):
         for radius in (0.5, 1.0, 2.0):
             expect = _area_oracle(chart, radius, n)
-            got = _patch(_ring_scatter(chart.psi), radius, RULE_CAP)
+            got = _pointwise_flux(chart, radius, FLUX_NODES)
             assert abs(got - expect) <= 1e-12 * abs(expect)
 
 

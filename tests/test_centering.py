@@ -360,6 +360,13 @@ def test_flow_centres_moved_axial_tuple(k):
     assert np.max(np.abs(_gram_spectrum(res.tuple_centred) - ref)) < 1e-6 * max(ref)
 
 
+def test_stability_agrees_with_the_flow_on_the_moved_axial_charge32_tuple():
+    # raw singular-value ratio 3.3e-13, below FULL_TOL; centred, it is full
+    t = act_sl2(Mobius.from_matrix(MOVE), sphere_to_tuple(factor_sphere(axial_spectral(32, 0.5))))
+    assert not fullness_check(t.v)[1]
+    assert stability_check(t)
+
+
 def test_flow_centres_moved_random_charge32_tuple():
     rng = np.random.default_rng(132)
     A = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))

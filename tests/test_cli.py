@@ -522,6 +522,20 @@ class TestPipelineAndDeterminism:
         assert report["mu_centred"]["magnitude"] <= 1e-10 * report["norm2_centred"]
         assert abs(report["degree_integral"] - k) <= 1e-6
 
+    @pytest.mark.parametrize("command, degree, bound", [
+        ("boundary", "degree", "error_bound"),
+        ("pipeline", "degree_integral", "degree_error_bound"),
+    ])
+    def test_near_zero_curve_degree_2(self, tmp_path, command, degree, bound):
+        # Psi = p p* + 1e-4 max|p|^2 I, p(z) = (z - 1)(z - 2): cond 1.6e4,
+        # accepted by check; h nearly vanishes at z = 1 on the unit circle
+        p = np.array([2.0, -3.0, 1.0])
+        S = SpectralMatrix(2, np.outer(p, p) + 1e-4 * np.max(p**2) * np.eye(3))
+        assert run_cli(tmp_path, ["check"], curve_to_json(S))[0] == 0
+        code, report = run_cli(tmp_path, [command], curve_to_json(S))
+        assert code == 0
+        assert abs(report[degree] - 2.0) <= report[bound] <= 1e-7
+
     def test_identical_jobs_identical_bytes(self, tmp_path):
         doc = write_doc(tmp_path, "c.json", half_mass_curve())
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from monosphere import charge2
+from monosphere.charge2 import Su2Triple
 from monosphere.cli import main
 from monosphere.curves import SpectralMatrix, axial_spectral
-from monosphere.serialize import curve_to_json, dumps_report, sphere_to_json
+from monosphere.serialize import curve_to_json, dumps_report, sphere_to_json, triple_to_json
 from monosphere.spheres import factor_sphere
 
 
@@ -56,3 +58,32 @@ def test_charge2_walks_read_closed_both_ways(tmp_path, command, document, m, clo
     code, report = _run(tmp_path, ["charge2", command], doc)
     assert code == 0
     assert report["closed"] is closed
+
+
+@pytest.mark.parametrize(
+    "rows, full",
+    [
+        ([[1.5, 0, 0], [0, 0.7, 0], [0, 0, 1.5]], True),
+        ([[1, 2, 0], [0, 1, 0], [3, -1, 0]], False),
+    ],
+    ids=[
+        "axial",  # three orthogonal rows span R^3
+        "coplanar",  # all three rows lie in the plane x3 = 0
+    ],
+)
+def test_involution_full_reads_both_ways(tmp_path, rows, full):
+    code, report = _run(tmp_path, ["charge2", "involution"], triple_to_json(Su2Triple(*rows)))
+    assert code == 0
+    assert report["full"] is full
+
+
+@pytest.mark.parametrize("moves_gram", [False, True], ids=["bracket", "along-nu"])
+def test_involution_first_order_invariant_reads_both_ways(tmp_path, monkeypatch, moves_gram):
+    # along nu itself (bracket patched to the identity) the Gram moves at
+    # 2 N N^T, so the quartic moves at twice itself and is not invariant
+    if moves_gram:
+        monkeypatch.setattr(charge2, "bracket", lambda nu: nu)
+    nu = Su2Triple(*np.random.default_rng(47).standard_normal((3, 3)))
+    code, report = _run(tmp_path, ["charge2", "involution"], triple_to_json(nu))
+    assert code == 0
+    assert report["first_order_invariant"] is not moves_gram
