@@ -24,11 +24,14 @@ and the pair solves the Bogomolny equation exactly when
 A profile returns its jet (value, d/dr, d^2/dr^2), and D H is linear in
 the jets of (a, 1/a, b, w, s) and in the monomials (1, t, t^2, zbar^2,
 z^2), so the quotient rule gives the derivatives of H, the gauge fields
-and the residual above exactly.  The mass is read off the axis through
-the gauge-invariant scalar tr Phi^2.  The profile a = b = sech r is an
-exact solution of mass 1/2 and doubles as the accuracy oracle;
-a = e^{-2r}, b = 0 solves only a degenerate limit of the equation and
-serves as the negative control.
+and the residual above exactly.  One kernel (_metric) evaluates H and
+its derivatives on an array of points, taking the profile jets once
+per distinct radius, so a residual grid or a mass profile is one array
+evaluation.  The mass is read off the axis through the gauge-invariant
+scalar tr Phi^2.  The profile a = b = sech r is an exact solution of
+mass 1/2 and doubles as the accuracy oracle; a = e^{-2r}, b = 0 solves
+only a degenerate limit of the equation and serves as the negative
+control.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainViolation, NonFiniteResult
+from .errors import DomainViolation, MonosphereError, NonFiniteResult
 from .spheres import HoloSphere
 
 # Axis singularity at r = 0 and the chart point z = infinity are
@@ -101,13 +104,6 @@ def zero_mass_field() -> AxialField:
     return AxialField(a=_exp_minus_2r, b=lambda r: (0.0, 0.0, 0.0))
 
 
-def _check_point(z: complex, r: float) -> None:
-    if not r >= R_MIN:
-        raise DomainViolation(f"r={r} inside the excluded axis margin {R_MIN}")
-    if not abs(z) <= Z_MAX:
-        raise DomainViolation(f"|z|={abs(z)} beyond the chart margin {Z_MAX}")
-
-
 def _times(f: Jet, g: Jet) -> Jet:
     """Jet of the product f g by the Leibniz rule."""
     return f[0] * g[0], f[1] * g[0] + f[0] * g[1], f[2] * g[0] + 2.0 * f[1] * g[1] + f[0] * g[2]
@@ -141,26 +137,106 @@ def _coefficients(field: AxialField, r: float):
     return tuple(zip(a, inv, b, w, s, (1.0, 0.0, 0.0)))
 
 
-def _numerator(c: Sequence[float], m: Sequence[complex]) -> tuple[np.ndarray, complex]:
-    """N and D of H = N / D, linear in the coefficients c = (a, 1/a, b, w, s, 1)
-    and in the monomials m = (1, t, t^2, zbar^2, z^2); a derivative of
-    either in place of its value gives that derivative of N and D."""
+def _numerator(c: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N and D of H = N / D, linear in the coefficients c = (a, 1/a, b, w,
+    s, 1) and in the monomials m = (1, t, t^2, zbar^2, z^2), given as
+    arrays of one shape along their first axis; a derivative of either in
+    place of its value gives that derivative of N and D.  N stacks 2x2
+    matrices over that shape."""
     a, inv, b, w, s, one = c
     m0, t, t2, zb2, z2 = m
-    N = np.array([[a * m0 + 2.0 * b * t + inv * t2, w * zb2], [w * z2, inv * m0 + 2.0 * b * t + a * t2]])
+    N = np.empty(a.shape + (2, 2), dtype=complex)
+    N[..., 0, 0] = a * m0 + 2.0 * b * t + inv * t2
+    N[..., 0, 1] = w * zb2
+    N[..., 1, 0] = w * z2
+    N[..., 1, 1] = inv * m0 + 2.0 * b * t + a * t2
     return N, one * (m0 + t2) + s * t
 
 
-def _quotient(field: AxialField, z: complex, r: float):
-    """Coefficient jets, chart monomials, H = N / D and D at (z, r)."""
-    _check_point(z, r)
-    c = _coefficients(field, r)
-    t, zb = abs(z) ** 2, z.conjugate()
-    m = (1.0, t, t * t, zb * zb, z * z)
-    N, D = _numerator(c[0], m)
-    if not D > 0.0:
-        raise DomainViolation(f"denominator D={D} not positive at (z={z}, r={r})")
-    return c, m, N / D, D
+def _adjoint(A: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return np.conj(A).swapaxes(-1, -2)
+
+
+def _metric(field: AxialField, z, r, invert: bool = True):
+    """Stacks H, H_r, H_rr, H_z, H_zzbar and H^-1 at the points (z_i, r_i).
+
+    The coefficient jets are taken once per distinct radius.  A failing
+    point raises what a point-by-point loop would: the error of the
+    first point in order that fails one of, in this order, the margins
+    R_MIN and Z_MAX (DomainViolation), its profile jets (what
+    _coefficients raises, or an ArithmeticError such as OverflowError
+    from a profile), D > 0 (DomainViolation) and, when invert, H_ROUNDING
+    (NonFiniteResult).  Each check runs on the points before the first
+    failure found so far, so a later check can only find an earlier one.
+    Without invert the last stack is None.
+    """
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    r = np.asarray(r, dtype=float).reshape(-1)
+    fault = None
+    (out,) = np.nonzero(~((r >= R_MIN) & (np.abs(z) <= Z_MAX)))
+    n = out[0] if out.size else z.size
+    if out.size and not r[n] >= R_MIN:
+        fault = DomainViolation(f"r={float(r[n])} inside the excluded axis margin {R_MIN}")
+    elif out.size:
+        fault = DomainViolation(f"|z|={abs(complex(z[n]))} beyond the chart margin {Z_MAX}")
+    slot: dict[float, int] = {}
+    jets, rows = [], []
+    for i, radius in enumerate(r[:n].tolist()):
+        if radius not in slot:
+            try:
+                jets.append(_coefficients(field, radius))
+            except (MonosphereError, ArithmeticError) as exc:  # raised below unless an earlier point fails
+                fault, n = exc, i
+                break
+            slot[radius] = len(jets) - 1
+        rows.append(slot[radius])
+    c = np.array(jets, dtype=float).reshape(-1, 3, 6)[rows]
+    z, r = z[:n], r[:n]
+    t, zb = np.abs(z) ** 2, np.conj(z)
+    t2, zb2, z2 = t * t, zb * zb, z * z
+    one, zero = np.ones(n), np.zeros(n)
+    # Each monomial as it enters N and D of H, H_r and H_rr, then its
+    # d/dz and d^2/dz dzbar for H_z and H_zzbar; the coefficients enter
+    # as their value, d/dr, d^2/dr^2, value, value.
+    m = np.array(
+        [
+            [one, one, one, zero, zero],
+            [t, t, t, zb, one],
+            [t2, t2, t2, 2.0 * t * zb, 4.0 * t],
+            [zb2, zb2, zb2, zero, zero],
+            [z2, z2, z2, 2.0 * z, zero],
+        ]
+    )
+    N, D = _numerator(c.T[:, [0, 1, 2, 0, 0]], m)
+    D, D_z = D.real[..., None, None], D[3, :, None, None]
+    (bad,) = np.nonzero(~(D[0, :, 0, 0] > 0.0))
+    if bad.size:
+        n = bad[0]
+        fault = DomainViolation(
+            f"denominator D={float(D[0, n, 0, 0])} not positive at (z={complex(z[n])}, r={float(r[n])})"
+        )
+    H = N[0, :n] / D[0, :n]
+    if invert:
+        lost = np.sum(H.real**2 + H.imag**2, axis=(1, 2)) * np.finfo(float).eps
+        (bad,) = np.nonzero(~(lost <= H_ROUNDING))
+        if bad.size:
+            n = bad[0]
+            raise NonFiniteResult(
+                f"H is too ill-conditioned to invert at (z={complex(z[n])}, r={float(r[n])}): "
+                f"|H|_F^2 eps = {lost[n]:.2e} exceeds {H_ROUNDING:.0e}"
+            )
+    if fault is not None:
+        raise fault
+    Hinv = np.linalg.inv(H) if invert else None
+    # Quotient rule on N = H D; H is Hermitian, so H_zbar = H_z^*.
+    _, N_r, N_rr, N_z, N_zzb = N
+    D, D_r, D_rr, _, D_zzb = D
+    H_r = (N_r - D_r * H) / D
+    H_rr = (N_rr - 2.0 * D_r * H_r - D_rr * H) / D
+    H_z = (N_z - D_z * H) / D
+    H_zzb = (N_zzb - np.conj(D_z) * H_z - D_z * _adjoint(H_z) - D_zzb * H) / D
+    return H, H_r, H_rr, H_z, H_zzb, Hinv
 
 
 def H_matrix(field: AxialField, z: complex, r: float) -> np.ndarray:
@@ -169,23 +245,7 @@ def H_matrix(field: AxialField, z: complex, r: float) -> np.ndarray:
     det H = 1 for every admissible profile pair, solution or not: it
     checks the algebra of the formula for H, not the field.
     """
-    return _quotient(field, complex(z), r)[2]
-
-
-def _metric(field: AxialField, z: complex, r: float):
-    """H with its exact derivatives H_r, H_rr, H_z and H_zzbar at (z, r)."""
-    c, m, H, D = _quotient(field, z, r)
-    t, zb = m[1], z.conjugate()
-    N_r, D_r = _numerator(c[1], m)
-    N_rr, D_rr = _numerator(c[2], m)
-    N_z, D_z = _numerator(c[0], (0.0, zb, 2.0 * t * zb, 0.0, 2.0 * z))
-    N_zzb, D_zzb = _numerator(c[0], (0.0, 1.0, 4.0 * t, 0.0, 0.0))
-    # Quotient rule on N = H D; H is Hermitian, so H_zbar = H_z^*.
-    H_r = (N_r - D_r * H) / D
-    H_rr = (N_rr - 2.0 * D_r * H_r - D_rr * H) / D
-    H_z = (N_z - D_z * H) / D
-    H_zzb = (N_zzb - np.conj(D_z) * H_z - D_z * np.conj(H_z).T - D_zzb * H) / D
-    return H, H_r, H_rr, H_z, H_zzb
+    return _metric(field, z, r, invert=False)[0][0]
 
 
 @dataclass(frozen=True)
@@ -202,26 +262,19 @@ class GaugeSample:
     trace_phi_sq: complex
 
 
-def _inverse(H: np.ndarray, z: complex, r: float) -> np.ndarray:
-    """H^-1; NonFiniteResult where |H|_F^2 eps exceeds H_ROUNDING."""
-    lost = float(np.vdot(H, H).real) * np.finfo(float).eps
-    if not lost <= H_ROUNDING:
-        raise NonFiniteResult(
-            f"H is too ill-conditioned to invert at (z={z}, r={r}): "
-            f"|H|_F^2 eps = {lost:.2e} exceeds {H_ROUNDING:.0e}"
-        )
-    return np.linalg.inv(H)
+def _higgs(Hinv: np.ndarray, H_r: np.ndarray):
+    """Stacks A_r = (1/2) H^-1 H_r and Phi = -i A_r, and tr Phi^2."""
+    A_r = 0.5 * (Hinv @ H_r)
+    Phi = -1j * A_r
+    return A_r, Phi, np.trace(Phi @ Phi, axis1=-2, axis2=-1)
 
 
 def gauge_fields(field: AxialField, z: complex, r: float) -> GaugeSample:
     """Gauge fields from the exact derivatives of H (NonFiniteResult
     where H is too ill-conditioned to invert, see H_ROUNDING)."""
-    z = complex(z)
-    H, H_r, _, H_z, _ = _metric(field, z, r)
-    Hinv = _inverse(H, z, r)
-    A_r = 0.5 * (Hinv @ H_r)
-    Phi = -1j * A_r
-    return GaugeSample(A_z=Hinv @ H_z, A_r=A_r, Phi=Phi, trace_phi_sq=complex(np.trace(Phi @ Phi)))
+    _, H_r, _, H_z, _, Hinv = _metric(field, z, r)
+    A_r, Phi, trace = _higgs(Hinv, H_r)
+    return GaugeSample(A_z=(Hinv @ H_z)[0], A_r=A_r[0], Phi=Phi[0], trace_phi_sq=complex(trace[0]))
 
 
 @dataclass(frozen=True)
@@ -237,48 +290,43 @@ class ResidualReport:
     per_point: tuple[PointResidual, ...]
 
 
-def _residual_matrix(field: AxialField, z: complex, r: float) -> np.ndarray:
-    """d/dr(H^-1 H_r) + ((1+t)^2 / sinh^2 r) d/dzbar(H^-1 H_z), by the product rule."""
-    H, H_r, H_rr, H_z, H_zzb = _metric(field, z, r)
-    Hinv = _inverse(H, z, r)
+def _residual_matrix(field: AxialField, z, r) -> np.ndarray:
+    """Stack of d/dr(H^-1 H_r) + ((1+t)^2 / sinh^2 r) d/dzbar(H^-1 H_z)
+    at the points (z_i, r_i) of the sequences z and r, by the product rule."""
+    _, H_r, H_rr, H_z, H_zzb, Hinv = _metric(field, z, r)
     F_r = Hinv @ H_r
     radial = Hinv @ H_rr - F_r @ F_r
-    angular = Hinv @ H_zzb - (Hinv @ np.conj(H_z).T) @ (Hinv @ H_z)
-    return radial + (1.0 + abs(z) ** 2) ** 2 / math.sinh(r) ** 2 * angular
+    angular = Hinv @ H_zzb - (Hinv @ _adjoint(H_z)) @ (Hinv @ H_z)
+    weight = (1.0 + np.abs(z) ** 2) ** 2 / np.sinh(r) ** 2
+    return radial + weight[:, None, None] * angular
 
 
 def bog_residual(field: AxialField, grid: Iterable[tuple[complex, float]]) -> ResidualReport:
     """Frobenius residual of the Bogomolny equation at each grid point.
 
     grid is an iterable of (z, r) pairs, each inside the margins R_MIN
-    and Z_MAX.  The residual is exact up to rounding: on a solution it
-    sits at the rounding floor, and on anything else it measures the
-    defect of the field.
+    and Z_MAX, evaluated as one array.  The residual is exact up to
+    rounding: on a solution it sits at the rounding floor, and on
+    anything else it measures the defect of the field.
     """
-    rows = []
-    for z, r in grid:
-        z = complex(z)
-        R = _residual_matrix(field, z, r)
-        rows.append(PointResidual(z=z, r=float(r), residual=float(np.linalg.norm(R))))
-    if not rows:
+    points = [(complex(z), float(r)) for z, r in grid]
+    if not points:
         raise DomainViolation("empty residual grid")
-    return ResidualReport(
-        max_frobenius=max(p.residual for p in rows),
-        per_point=tuple(rows),
-    )
+    z, r = zip(*points)
+    norms = np.linalg.norm(_residual_matrix(field, z, r), axis=(1, 2)).tolist()
+    rows = tuple(PointResidual(z=p, r=q, residual=x) for p, q, x in zip(z, r, norms))
+    return ResidualReport(max_frobenius=max(norms), per_point=rows)
 
 
 def mass_profile(field: AxialField, r_list: Sequence[float]) -> list[float]:
-    """m(r) = sqrt(-tr Phi(0, r)^2 / 2) along the axis.
+    """m(r) = sqrt(-tr Phi(0, r)^2 / 2) along the axis, as one array.
 
     The scalar is conjugation-invariant, so it reads the same in every
     gauge; on the axis Phi = (-i/2) diag(a'/a, -a'/a), so m = |a'/a| / 2.
     """
-    out = []
-    for r in r_list:
-        sample = gauge_fields(field, 0j, float(r))
-        out.append(math.sqrt(max(-0.5 * sample.trace_phi_sq.real, 0.0)))
-    return out
+    _, H_r, _, _, _, Hinv = _metric(field, np.zeros(len(r_list)), r_list)
+    trace = _higgs(Hinv, H_r)[2]
+    return [math.sqrt(max(-0.5 * x, 0.0)) for x in trace.real.tolist()]
 
 
 def sphere_of_sech() -> HoloSphere:

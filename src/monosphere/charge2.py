@@ -347,6 +347,24 @@ def start_point(S: SpectralMatrix, w) -> tuple[SpherePoint, SpherePoint]:
     return w, min(proj_roots(_vertical_row(S, w)), key=key)
 
 
+def _p_walk(S: SpectralMatrix, p0, max_steps: int, tol: float) -> tuple[list, int | None]:
+    """The visited points and period of the P-sequence walk from p0; see p_sequence."""
+    if S.k != 2:
+        raise DomainViolation("P-sequences are a charge-2 construction")
+    p0 = (SpherePoint.of(p0[0]), SpherePoint.of(p0[1]))
+    res0 = metric_scale_residual(S, *p0)
+    if res0 > CURVE_TOL:
+        raise NotOnCurve(f"start point residual {res0:.2e} exceeds {CURVE_TOL:.0e}")
+
+    def step(points):
+        w, z = points[-1]
+        if len(points) % 2:  # an even number of half-steps taken
+            return w, _vieta_step(_vertical_row(S, w), z, tol)
+        return _vieta_step(_horizontal_row(S, z), w, tol), z
+
+    return _walk([p0], step, max_steps, tol)
+
+
 def p_sequence(
     S: SpectralMatrix,
     p0,
@@ -363,34 +381,22 @@ def p_sequence(
     is metric_scale_residual over every point visited, the return
     included, in one array pass.
     """
-    if S.k != 2:
-        raise DomainViolation("P-sequences are a charge-2 construction")
-    p0 = (SpherePoint.of(p0[0]), SpherePoint.of(p0[1]))
-    res0 = metric_scale_residual(S, *p0)
-    if res0 > CURVE_TOL:
-        raise NotOnCurve(f"start point residual {res0:.2e} exceeds {CURVE_TOL:.0e}")
-
-    def step(points):
-        w, z = points[-1]
-        if len(points) % 2:  # an even number of half-steps taken
-            return w, _vieta_step(_vertical_row(S, w), z, tol)
-        return _vieta_step(_horizontal_row(S, z), w, tol), z
-
-    visited, period = _walk([p0], step, max_steps, tol)
+    visited, period = _p_walk(S, p0, max_steps, tol)
     worst = metric_scale_residual(S, *zip(*visited))
     return PSequence(visited[:period], period is not None, period, worst)
 
 
-def _winding(seq: PSequence) -> int:
-    """Turns of w about the axis of its orbit over one period of a closed walk.
+def _winding(points: list) -> int:
+    """Turns of w about the axis of its orbit over one period of a closed
+    walk, given as the walk's points before its return.
 
     The w of a walk on a centred curve are the orbit of a rotation of
     the sphere: on the unit sphere they circle their mean, about the
     axis of the orbit's vector area.  On an axial curve this is the
     winding of arg w about 0.
     """
-    z0 = np.array([w.z0 for w, _ in seq.points])
-    z1 = np.array([w.z1 for w, _ in seq.points])
+    z0 = np.array([w.z0 for w, _ in points])
+    z1 = np.array([w.z1 for w, _ in points])
     p = 2.0 * np.conj(z0) * z1
     x = np.stack([p.real, p.imag, abs(z1) ** 2 - abs(z0) ** 2], axis=1)
     x /= (abs(z0) ** 2 + abs(z1) ** 2)[:, None]  # w on the unit sphere
@@ -422,12 +428,12 @@ def estimate_mass(S: SpectralMatrix, max_steps: int = 60) -> float:
     found = []
     for w in MASS_STARTS:
         try:
-            seq = p_sequence(S, start_point(S, w), max_steps=max_steps)
+            visited, period = _p_walk(S, start_point(S, w), max_steps, CLOSURE_TOL)
         except MonosphereError as exc:
             raise NoEstimate(f"start w = {w} failed: {exc}") from exc
-        if not seq.closed:
+        if period is None:
             raise NoEstimate(f"no closure within {max_steps} steps from w = {w}")
-        found.append((seq.period, abs(_winding(seq))))
+        found.append((period, abs(_winding(visited[:period]))))
     if len(set(found)) != 1:
         raise NoEstimate(f"starts disagree on the period and |winding|: {found}")
     period, winding = found[0]

@@ -62,6 +62,11 @@ from .ratmap import find_line, massless_curve, project_map
 from .spheres import factor_sphere, sphere_to_tuple
 
 
+# Largest --grid: the grids are evaluated as whole arrays, so memory
+# grows with the grid.
+GRID_MAX = 4096
+
+
 def _opt(**pairs) -> dict:
     """Keyword arguments for the values that were actually supplied."""
     return {k: v for k, v in pairs.items() if v is not None}
@@ -73,11 +78,14 @@ def _finite(x: float):
 
 
 def _grid(args, default: int) -> int:
-    """--grid, or default when it is not given; below 1 is a SchemaError."""
+    """--grid, or default when it is not given; below 1 or above GRID_MAX
+    is a SchemaError, raised before any grid is built."""
     if args.grid is None:
         return default
     if args.grid < 1:
         raise SchemaError(f"--grid must be at least 1, got {args.grid}")
+    if args.grid > GRID_MAX:
+        raise SchemaError(f"--grid must be at most {GRID_MAX}, got {args.grid}")
     return args.grid
 
 
@@ -310,12 +318,11 @@ def _field_for(args) -> AxialField:
 
 
 def _field_rows(field: AxialField, report):
-    """CSV rows (r, re z, im z, residual, m) with the axis mass per r."""
-    masses: dict[float, float] = {}
-    for p in report.per_point:
-        if p.r not in masses:
-            (masses[p.r],) = mass_profile(field, [p.r])
-        yield (p.r, p.z.real, p.z.imag, p.residual, masses[p.r])
+    """CSV rows (r, re z, im z, residual, m) with the axis mass per r,
+    from one mass_profile over the distinct radii."""
+    radii = list(dict.fromkeys(p.r for p in report.per_point))
+    masses = dict(zip(radii, mass_profile(field, radii)))
+    return [(p.r, p.z.real, p.z.imag, p.residual, masses[p.r]) for p in report.per_point]
 
 
 def cmd_field_residual(args) -> dict:
@@ -406,7 +413,7 @@ def cmd_pipeline(args) -> dict:
 _FLAGS = {
     "--tol": {"type": float, "help": "tolerance override"},
     "--max-iter": {"type": int, "dest": "max_iter", "help": "iteration/step budget"},
-    "--grid": {"type": int, "help": "grid resolution (at least 1)"},
+    "--grid": {"type": int, "help": f"grid resolution (1 to {GRID_MAX})"},
 }
 
 

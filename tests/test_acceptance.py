@@ -384,7 +384,7 @@ def test_criterion_11_bogomolny_residual():
     for name, f in (("sech", field), ("zero-mass", zm)):
         orders = []
         for z, r in points:
-            exact = _residual_matrix(f, z, r)
+            (exact,) = _residual_matrix(f, [z], [r])
             coarse = np.linalg.norm(_stencil_residual(f, z, r, 2e-3) - exact)
             fine = np.linalg.norm(_stencil_residual(f, z, r, 1e-3) - exact)
             orders.append(np.log2(coarse / fine))

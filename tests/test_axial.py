@@ -7,6 +7,7 @@ from monosphere.axial import (
     AxialField,
     H_matrix,
     _coefficients,
+    _residual_matrix,
     bog_residual,
     gauge_fields,
     mass_profile,
@@ -226,6 +227,124 @@ class TestBogResidual:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainViolation):
             bog_residual(sech_field(), [])
+
+
+def field_grid():
+    """72 points: the axis and 4 points on each of |z| = 1, 2, on 8 radii."""
+    return [
+        (radius * np.exp(2j * np.pi * j / 4) if radius else 0j, float(r))
+        for r in np.linspace(0.2, 4.0, 8)
+        for radius in (0.0, 1.0, 2.0)
+        for j in range(4 if radius else 1)
+    ]
+
+
+def ill_conditioned_past_five():
+    """b = -1, a = 1 (D = (1 - t)^2) up to r = 5, then a = e^-r, b = 0, whose
+    H is past H_ROUNDING at r = 30."""
+
+    def a(r):
+        return (math.exp(-r), -math.exp(-r), math.exp(-r)) if r > 5.0 else (1.0, 0.0, 0.0)
+
+    return AxialField(a=a, b=lambda r: (0.0, 0.0, 0.0) if r > 5.0 else (-1.0, 0.0, 0.0))
+
+
+def bad_b_from_two():
+    """a = 1, b = -1 below r = 2 (D = (1 - t)^2 vanishes on |z| = 1), |b| = 2 from r = 2 on."""
+    return AxialField(a=constant(1.0), b=lambda r: (-1.0, 0.0, 0.0) if r < 2.0 else (2.0, 0.0, 0.0))
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize(
+        "field",
+        [sech_field(), zero_mass_field(), AxialField(a=constant(1.7), b=constant(0.3))],
+        ids=["sech", "zero-mass", "constant"],
+    )
+    def test_grid_matches_one_point_evaluations(self, field):
+        grid = field_grid()
+        report = bog_residual(field, grid)
+        assert len(report.per_point) == 72
+        for (z, r), point in zip(grid, report.per_point):
+            (one,) = _residual_matrix(field, [z], [r])
+            single = float(np.linalg.norm(one))
+            assert (point.z, point.r) == (complex(z), r)
+            assert abs(point.residual - single) <= 1e-15 * max(single, 1.0)
+        assert report.max_frobenius == max(p.residual for p in report.per_point)
+
+    @pytest.mark.parametrize("field", [sech_field(), zero_mass_field()], ids=["sech", "zero-mass"])
+    def test_mass_profile_matches_one_radius_calls(self, field):
+        rs = [float(r) for r in np.linspace(0.5, 6.0, 12)]
+        assert mass_profile(field, rs) == [mass_profile(field, [r])[0] for r in rs]
+
+    @pytest.mark.parametrize(
+        "field, grid, error, message",
+        [
+            # D <= 0 at the second point, the margin at the third, the profile at the fourth
+            (
+                bad_b_from_two(),
+                [(0.3, 1.0), (1.0, 1.0), (0j, 0.05), (0.5, 3.0)],
+                DomainViolation,
+                "denominator D=0.0 not positive at (z=(1+0j), r=1.0)",
+            ),
+            (
+                bad_b_from_two(),
+                [(0.3, 1.0), (0j, 0.05), (1.0, 1.0), (0.5, 3.0)],
+                DomainViolation,
+                "r=0.05 inside the excluded axis margin 0.1",
+            ),
+            (
+                bad_b_from_two(),
+                [(0.3, 1.0), (0.5, 3.0), (1.0, 1.0), (5.0, 1.0)],
+                DomainViolation,
+                "profile |b(r)| must not exceed 1, got 2.0 at r=3.0",
+            ),
+            (
+                bad_b_from_two(),
+                [(0.3, 1.0), (5.0, 1.0), (0j, 0.05)],
+                DomainViolation,
+                "|z|=5.0 beyond the chart margin 4.0",
+            ),
+            # the profile is evaluated once per radius, but fails at its first point
+            (
+                bad_b_from_two(),
+                [(0.3, 3.0), (1.0, 1.0)],
+                DomainViolation,
+                "profile |b(r)| must not exceed 1, got 2.0 at r=3.0",
+            ),
+            (
+                ill_conditioned_past_five(),
+                [(0.5, 30.0), (1.0, 1.0)],
+                NonFiniteResult,
+                "H is too ill-conditioned to invert at (z=(0.5+0j), r=30.0): |H|_F^2 eps = 2.54e+10 exceeds 1e-04",
+            ),
+            (
+                ill_conditioned_past_five(),
+                [(1.0, 1.0), (0.5, 30.0)],
+                DomainViolation,
+                "denominator D=0.0 not positive at (z=(1+0j), r=1.0)",
+            ),
+            (
+                zero_mass_field(),
+                [(0.5, 1.0), (0.5, 360.0), (0.5, 1000.0)],
+                NonFiniteResult,
+                "the jet of 1/a(r) overflows at r=360.0: (inf, inf, nan)",
+            ),
+            (
+                zero_mass_field(),
+                [(0.5, 1.0), (0.5, 1000.0), (0.5, 360.0)],
+                NonFiniteResult,
+                "a(r) = e^(-2r) underflows to 0 at r=1000.0",
+            ),
+            # cosh(1000) overflows inside the sech profile
+            (sech_field(), [(0.5, 1.0), (0.5, 1000.0), (0j, 0.05)], OverflowError, "math range error"),
+            (sech_field(), [(0.5, 1.0), (0j, 0.05), (0.5, 1000.0)], DomainViolation, "r=0.05 inside the excluded axis margin 0.1"),
+        ],
+    )
+    def test_first_failing_point_in_grid_order(self, field, grid, error, message):
+        with pytest.raises(error) as caught:
+            bog_residual(field, grid)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
 
 class TestMassProfile:

@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from monosphere.axial import sphere_of_sech
+from monosphere import cli
+from monosphere.axial import mass_profile, sech_field, sphere_of_sech
 from monosphere.boundary import metric_h, reconstruct_psi_from_metric
 from monosphere.centering import Mobius, act_sl2
-from monosphere.cli import _boundary_rings, main
+from monosphere.cli import GRID_MAX, _boundary_rings, main
 from monosphere.curves import SpectralMatrix, axial_spectral
 from monosphere.projective import hom_vector
 from monosphere.serialize import (
@@ -210,6 +211,38 @@ class TestValidationAndExitCodes:
         assert code == 2
         assert report["error"]["code"] == "SchemaError"
         assert "--grid must be at least 1" in report["error"]["message"]
+
+    @pytest.mark.parametrize("grid", [GRID_MAX + 1, 10**20])
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["boundary", "--csv", "rings.csv"], random_pd_curve()),
+            (["reconstruct"], random_pd_curve()),
+            (["field", "residual"], None),
+            (["field", "mass"], None),
+        ],
+        ids=["boundary", "reconstruct", "field-residual", "field-mass"],
+    )
+    def test_grid_above_the_cap_is_refused_before_any_grid_is_built(self, tmp_path, monkeypatch, argv, doc, grid):
+        # 1e20 ended in a numpy traceback from linspace, and the boundary rings
+        # would have been listed point by point
+        def built(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.chdir(tmp_path)
+        for name in ("_boundary_rings", "bog_residual", "mass_profile"):
+            monkeypatch.setattr(cli, name, built)
+        monkeypatch.setattr(cli.np, "linspace", built)
+        code, report = run_cli(tmp_path, argv + ["--grid", str(grid)], doc)
+        assert code == 2
+        assert report["error"]["code"] == "SchemaError"
+        assert report["error"]["message"] == f"--grid must be at most {GRID_MAX}, got {grid}"
+        assert not (tmp_path / "rings.csv").exists()
+
+    def test_grid_at_the_cap_is_accepted(self, tmp_path):
+        code, report = run_cli(tmp_path, ["field", "mass", "--grid", str(GRID_MAX)])
+        assert code == 0
+        assert len(report["m"]) == GRID_MAX
 
     @pytest.mark.parametrize(
         "argv",
@@ -464,6 +497,18 @@ class TestFieldCommands:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "r,re_z,im_z,residual,m"
         assert len(lines) == 6
+
+    def test_residual_csv_masses_are_the_mass_profile(self, tmp_path):
+        csv_path = tmp_path / "grid.csv"
+        code, report = run_cli(tmp_path, ["field", "residual", "--grid", "5", "--csv", str(csv_path)])
+        assert code == 0
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "r,re_z,im_z,residual,m" and len(lines) == 1 + report["points"] == 46
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        radii = list(dict.fromkeys(row[0] for row in rows))
+        assert radii == [float(r) for r in np.linspace(0.2, 4.0, 5)]
+        masses = dict(zip(radii, mass_profile(sech_field(), radii)))
+        assert [row[4] for row in rows] == [masses[row[0]] for row in rows]
 
     def test_sample_overflow_exits_3(self, tmp_path):
         # cosh(1000) overflows the float range inside the sech profile
