@@ -194,17 +194,6 @@ def stability_check(t: CoeffTuple) -> bool:
     return True
 
 
-def _exp_step(p) -> Mobius:
-    """exp X(p) in closed form, det exactly 1."""
-    lam = float(np.linalg.norm(p))
-    if lam == 0.0:
-        return Mobius.identity()
-    ch = np.cosh(lam)
-    sh = np.sinh(lam) / lam
-    off = complex(p[1], p[2])
-    return Mobius(complex(ch + sh * p[0]), sh * off.conjugate(), sh * off, complex(ch - sh * p[0]))
-
-
 def _frame(n) -> Mobius:
     """U in SU(2) with X(n) = U diag(1, -1) U* for a unit vector n.
 
@@ -358,14 +347,17 @@ def center_flow(
         size = float(np.linalg.norm(p))
         if not math.isfinite(size):
             raise NotStable(f"the Hessian is singular or not finite at iteration {it}")
-        M = _tuple_matrix(_frame(p / size), k)
+        U = _frame(p / size)
+        M = _tuple_matrix(U, k)
         c = M @ v
         w = np.vecdot(c, c).real
         if not (w[0] > 0.0 and w[-1] > 0.0):
             raise NotStable(f"an end weight of the step is 0 at iteration {it}: the tuple is not full")
         s = _line_search(w, size)
         v = np.conj(M).T @ (np.exp(s * lam)[:, None] * c)
-        g_total = g_total @ _exp_step(p * (s / size)).matrix()  # right action: total = s0 s1 ... sn
+        # the step exp(s X(p / |p|)) = U diag(e^s, e^-s) U*; right action: total = s0 s1 ... sn
+        u = U.matrix()
+        g_total = g_total @ (u * np.exp([s, -s])) @ np.conj(u).T
         n2, grad, hess = _jets(v)
         mu = _magnitude(grad)
     else:

@@ -31,11 +31,12 @@ closed walk.  A walk starts at start_point, the same rule for the CLI
 and estimate_mass.  Each step leaves a point that is one root of the
 next line's binary quadratic, so the other root follows from Vieta's
 sum of the roots (_vieta_step) with no root solve; the z-lattice and
-the P-sequence differ only in their line rows and share one walk loop
-(_walk), which stops at the chordal return to the start.
+the P-sequence differ only in their line rows (the P-sequence reads
+its rows off C = bidegree(Psi)) and share one walk loop (_walk), which
+stops at the chordal return to the start.
 
 The map pi(w, z) = (wz, w + z) is the quotient by the factor swap: it
-takes a centred curve onto a conic read off Psi, and the line w = s
+takes a centred curve onto a conic read off C, and the line w = s
 onto u = s v - s^2, tangent to the parabola v^2 = 4u at v = 2s.  So
 the image of a P-sequence is a polygon inscribed in that conic with
 every edge tangent to the parabola.
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SpectralMatrix, metric_scale_residual
+from .curves import SpectralMatrix, bidegree, metric_scale_residual
 from .errors import (
     BranchPoint,
     ConstraintViolated,
@@ -60,7 +61,7 @@ from .errors import (
     NotFull,
     NotOnCurve,
 )
-from .projective import SpherePoint, chordal, folded_vector, hom_vector, proj_roots, vander
+from .projective import SpherePoint, chordal, hom_vector, proj_roots
 from .ratmap import spectral_slice
 from .spheres import CoeffTuple, HoloSphere, eval_sphere, fullness_check, require_full
 
@@ -321,19 +322,6 @@ class PSequence:
     max_residual: float
 
 
-def _vertical_row(S: SpectralMatrix, w) -> np.ndarray:
-    """Coefficients in z of psi(w, .), the vertical line at w."""
-    return folded_vector(w, S.k) @ S.psi
-
-
-def _horizontal_row(S: SpectralMatrix, z) -> np.ndarray:
-    """Coefficients in w of psi(., z), the horizontal line at z."""
-    # psi(w, z) = sum_i d_i (-1/w)^i; times w^k, the w^(k-i) coefficient
-    # is (-1)^i d_i.
-    d = S.psi @ hom_vector(z, S.k)
-    return (vander(-1.0, S.k) * d)[::-1]
-
-
 def start_point(S: SpectralMatrix, w) -> tuple[SpherePoint, SpherePoint]:
     """(w, z) on the curve: z the first root of the vertical line at w,
     finite roots ordered by chart value to 12 decimals, infinity last."""
@@ -344,7 +332,7 @@ def start_point(S: SpectralMatrix, w) -> tuple[SpherePoint, SpherePoint]:
             return (1, 0.0, 0.0)
         return (0, round(p.chart.real, 12), round(p.chart.imag, 12))
 
-    return w, min(proj_roots(_vertical_row(S, w)), key=key)
+    return w, min(proj_roots(hom_vector(w, S.k) @ bidegree(S.psi)), key=key)
 
 
 def _p_walk(S: SpectralMatrix, p0, max_steps: int, tol: float) -> tuple[list, int | None]:
@@ -355,12 +343,13 @@ def _p_walk(S: SpectralMatrix, p0, max_steps: int, tol: float) -> tuple[list, in
     res0 = metric_scale_residual(S, *p0)
     if res0 > CURVE_TOL:
         raise NotOnCurve(f"start point residual {res0:.2e} exceeds {CURVE_TOL:.0e}")
+    C = bidegree(S.psi)
 
     def step(points):
         w, z = points[-1]
         if len(points) % 2:  # an even number of half-steps taken
-            return w, _vieta_step(_vertical_row(S, w), z, tol)
-        return _vieta_step(_horizontal_row(S, z), w, tol), z
+            return w, _vieta_step(hom_vector(w, 2) @ C, z, tol)
+        return _vieta_step(C @ hom_vector(z, 2), w, tol), z
 
     return _walk([p0], step, max_steps, tol)
 
@@ -443,12 +432,11 @@ def estimate_mass(S: SpectralMatrix, max_steps: int = 60) -> float:
 
 
 def is_centred(S: SpectralMatrix) -> bool:
-    """Invariance under the factor swap: psi_ab = (-1)^(k-a-b) psi_{k-b,k-a}."""
+    """Invariance under the factor swap, which transposes the bidegree
+    coefficients C = bidegree(Psi): C is symmetric."""
     scale = max(float(np.max(np.abs(S.psi))), 1e-300)
-    # psi_{k-b,k-a} is entry (a, b) of the transposed index-reversed matrix.
-    s = vander(-1.0, S.k)
-    signs = np.outer(s[::-1], s)  # (-1)^(k-a) (-1)^b
-    return bool(np.max(np.abs(S.psi - signs * S.psi[::-1, ::-1].T)) <= CONSTRAINT_TOL * scale)
+    C = bidegree(S.psi)
+    return bool(np.max(np.abs(C - C.T)) <= CONSTRAINT_TOL * scale)
 
 
 @dataclass(frozen=True)
@@ -468,10 +456,11 @@ def _conic(S: SpectralMatrix) -> np.ndarray:
     """Coefficients (u^2, uv, v^2, u, v, 1) of the image of a centred
     charge-2 curve under (w, z) -> (wz, w + z), largest entry 1.
 
-    w^2 psi(w, z) = sum c[a, b] w^a z^b with c[a, b] = (-1)^a Psi[2-a, b],
-    symmetric on a centred curve; w^2 + z^2 = v^2 - 2u rewrites it in u, v.
+    w^2 psi(w, z) = sum c[a, b] w^a z^b with c = bidegree(Psi), symmetric
+    on a centred curve and taken as its symmetric part;
+    w^2 + z^2 = v^2 - 2u rewrites it in u, v.
     """
-    c = vander(-1.0, 2)[:, None] * S.psi[::-1]
+    c = bidegree(S.psi)
     c = (c + c.T) / 2.0
     coef = np.array([c[2, 2], c[2, 1], c[2, 0], c[1, 1] - 2.0 * c[2, 0], c[1, 0], c[0, 0]])
     return coef / coef[np.argmax(np.abs(coef))]
@@ -489,13 +478,13 @@ def poncelet(S: SpectralMatrix, p0, steps: int = 40, tol: float = CLOSURE_TOL) -
     """
     if not is_centred(S):
         raise NotCentred("curve is not swap-invariant")
-    seq = p_sequence(S, p0, max_steps=steps, tol=tol)
+    visited, period = _p_walk(S, p0, steps, tol)
     verts = []
-    for w, z in seq.points:
+    for w, z in visited[:period]:
         if w.is_infinity or z.is_infinity:
             raise DomainViolation("vertex at infinity has no affine image")
         verts.append((w.chart * z.chart, w.chart + z.chart))
     conic = _conic(S)
     rows = _conic_rows(verts)
     vres = np.abs(rows @ conic) / (np.linalg.norm(rows, axis=1) * np.linalg.norm(conic))
-    return PonceletPolygon(vertices=verts, conic=conic, vertex_residuals=vres, closed=seq.closed)
+    return PonceletPolygon(vertices=verts, conic=conic, vertex_residuals=vres, closed=period is not None)

@@ -167,6 +167,8 @@ def _boundary_rings(k: int, angles: int):
 
 
 def cmd_boundary(args) -> dict:
+    if args.grid is not None and not args.csv:
+        raise SchemaError("--grid sets the --csv samples and is not read without --csv")
     S = ser.curve_from_json(ser.read_document(args.input))
     require_positive_definite(S)  # --tol is the degree tolerance
     value, bound = degree_integral(S, **_opt(tol=args.tol))
@@ -187,6 +189,8 @@ def cmd_boundary(args) -> dict:
 def cmd_reconstruct(args) -> dict:
     doc = ser.read_document(args.input)
     if "samples" in doc:
+        if args.grid is not None:
+            raise SchemaError("--grid is not read on a samples document")
         k, pairs = ser.samples_from_json(doc)
         return ser.curve_to_json(reconstruct_psi_from_metric(pairs, k))
     # Curve input: gate it, sample its own boundary metric, then recover.
@@ -352,14 +356,10 @@ def cmd_field_mass(args) -> dict:
     rs = [float(r) for r in np.linspace(0.5, 6.0, _grid(args, 12))]
     masses = mass_profile(field, rs)
     if args.csv:
-        residuals = bog_residual(field, [(0j, r) for r in rs])
         _write_csv_file(
             args.csv,
             ["r", "re_z", "im_z", "residual", "m"],
-            [
-                (r, 0.0, 0.0, p.residual, m)
-                for r, p, m in zip(rs, residuals.per_point, masses)
-            ],
+            _field_rows(field, bog_residual(field, [(0j, r) for r in rs])),
         )
     return {
         "profile": args.profile,

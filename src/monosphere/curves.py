@@ -15,9 +15,14 @@ is then strictly positive: h is the restriction of psi to the
 antidiagonal w = antipode(z), the real slice picked out by the real
 structure tau(w, z) = (antipode(z), antipode(w)).
 
-Evaluation is done homogeneously so that w = infinity and z = infinity
-are ordinary points; see eval_psi for the scale convention at the
-chart-degenerate arguments w = 0 and z = infinity.
+Every reading of psi goes through bidegree(Psi), the coefficients
+C[a, b] of w^a z^b in the bidegree-(k, k) polynomial (-w)^k psi(w, z):
+this module alone knows the fold v(-1/w).  Evaluation is then
+hom_vector(w) . C hom_vector(z), homogeneous so that w = infinity and
+z = infinity are ordinary points; see eval_psi for the scale convention
+at the chart-degenerate arguments w = 0 and z = infinity.  The vertical
+line at w is hom_vector(w) . C, the horizontal line at z is
+C hom_vector(z), and the factor swap (w, z) -> (z, w) transposes C.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteResult, NotHermitian, NotPositiveDefinite
-from .projective import SpherePoint, folded_vector, hom_vector, vander
+from .projective import SpherePoint, hom_vector, vander
 
 # Relative tolerance for Hermiticity and positive definiteness.
 HERM_TOL = 1e-10
@@ -66,14 +71,21 @@ def hermitian_form(psi: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.vecdot(v, np.tensordot(psi, v, 1), axis=0).real
 
 
+def bidegree(psi: np.ndarray) -> np.ndarray:
+    """C[a, b] = (-1)^a Psi[k - a, b], the coefficient of w^a z^b in
+    (-w)^k psi(w, z), so psi(w, z) is hom_vector(w) . C hom_vector(z)
+    at homogeneous points."""
+    return vander(-1.0, psi.shape[0] - 1)[:, None] * psi[::-1]
+
+
 def chart_pairing(M: np.ndarray, w, z) -> complex:
-    """folded_vector(w) . M hom_vector(z) divided by (-w1)^k where w1 != 0
-    and by z0^k where z0 != 0 (for w != 0 and finite z, the value
+    """hom_vector(w) . bidegree(M) hom_vector(z) divided by (-w1)^k where
+    w1 != 0 and by z0^k where z0 != 0 (for w != 0 and finite z, the value
     sum_{i,j} M[i,j] (-1/w)^i z^j)."""
     w, z = SpherePoint.of(w), SpherePoint.of(z)
     scale = (-w.z1 if w.z1 != 0.0 else 1.0) * (z.z0 if z.z0 != 0.0 else 1.0)
     k = M.shape[0] - 1
-    return complex(folded_vector(w, k) @ M @ hom_vector(z, k) / scale**k)
+    return complex(hom_vector(w, k) @ bidegree(M) @ hom_vector(z, k) / scale**k)
 
 
 def eval_psi(S: SpectralMatrix, w, z) -> complex:
@@ -97,17 +109,15 @@ def metric_scale_residual(S: SpectralMatrix, w, z) -> float:
     is then the largest over the pairs (w[i], z[i]), in one array pass.
     """
     pairs = zip(w, z) if isinstance(w, (list, tuple)) else [(w, z)]
-    # per pair, the rows (w0 : -w1) and (z0 : z1) at unit length;
-    # hom_vector(a : b) is v(a) reversed times v(b), and folded_vector(w)
-    # is hom_vector(w0 : -w1) reversed
+    # per pair, w and z at unit length; hom_vector(a : b) is v(a)
+    # reversed times v(b)
     pts = [(SpherePoint.of(a), SpherePoint.of(b)) for a, b in pairs]
-    c = np.array([(p.z0, -p.z1, q.z0, q.z1) for p, q in pts]).reshape(-1, 2, 2)
+    c = np.array([(p.z0, p.z1, q.z0, q.z1) for p, q in pts]).reshape(-1, 2, 2)
     m = abs(c)
     c /= np.hypot(m[..., :1], m[..., 1:])
     v = vander(c, S.k)
-    folded = v[..., 0, 0] * v[::-1, ..., 0, 1]
-    hom = v[::-1, ..., 1, 0] * v[..., 1, 1]
-    return float(abs((folded * (S.psi @ hom)).sum(axis=0)).max() / np.linalg.norm(S.psi))
+    hom = v[::-1, ..., 0] * v[..., 1]
+    return float(abs((hom[..., 0] * (bidegree(S.psi) @ hom[..., 1])).sum(axis=0)).max() / np.linalg.norm(S.psi))
 
 
 def normalize_reality(S: SpectralMatrix, tol: float = HERM_TOL) -> SpectralMatrix:

@@ -12,10 +12,11 @@ in the sense that antipodal pairs are at maximal distance 1.
 
 Every evaluation vector of the package comes from one kernel here:
 vander(z, k) = (1, z, ..., z^k) at a chart value or on an array of
-them, with vander_derivative for its chart derivative and
-hom_vector / folded_vector for its homogeneous forms at a point
-(curves.metric_scale_residual takes the same forms over arrays of
-points as products of vander rows).
+them, with vander_derivative for its chart derivative and hom_vector
+for its homogeneous form at a point (curves.metric_scale_residual
+takes the same form over arrays of points as products of vander rows).
+A curve is paired against hom_vector on both sides through its
+bidegree coefficients, curves.bidegree(Psi).
 """
 
 from __future__ import annotations
@@ -136,30 +137,16 @@ def vander_derivative(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hom(z0: complex, z1: complex, k: int) -> np.ndarray:
-    """(z0^k, z0^(k-1) z1, ..., z1^k) = z0^k v(z1/z0); z1^k e_k when z0 = 0."""
-    if z0 == 0.0:
-        return z1**k * np.eye(1, k + 1, k, dtype=complex)[0]
-    v = vander(z1 / z0, k)
-    return v if z0 == 1.0 else z0**k * v
-
-
 def hom_vector(p, k: int) -> np.ndarray:
-    """Evaluation vector (z0^k, z0^{k-1} z1, ..., z1^k); row j is z^j in the chart."""
-    p = SpherePoint.of(p)
-    return _hom(p.z0, p.z1, k)
+    """Evaluation vector (z0^k, z0^{k-1} z1, ..., z1^k); row j is z^j in the chart.
 
-
-def folded_vector(p, k: int) -> np.ndarray:
-    """conj(hom_vector(antipode(p), k)) computed without conjugating p.
-
-    Entry i is (-z1)^{k-i} z0^i, holomorphic in the coordinates of p:
-    the homogeneous vector of (-z1 : z0), which is that of (z0 : -z1)
-    reversed; at infinity the unit vector (-1)^k e_0.  Pairing it against
-    a coefficient matrix evaluates at the antipode, conjugation folded in.
+    That is z0^k v(z1/z0), and z1^k e_k when z0 = 0.
     """
     p = SpherePoint.of(p)
-    return _hom(p.z0, -p.z1, k)[::-1]
+    if p.z0 == 0.0:
+        return p.z1**k * np.eye(1, k + 1, k, dtype=complex)[0]
+    v = vander(p.z1 / p.z0, k)
+    return v if p.z0 == 1.0 else p.z0**k * v
 
 
 def proj_roots(coeffs) -> list[SpherePoint]:

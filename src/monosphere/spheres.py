@@ -13,7 +13,8 @@ the SU(2) action on tuples norm-preserving (module centering).
 
 The pairing <q(antipode(w)), q(z)> is computed with the conjugation
 folded through the antipode, so it is holomorphic in both arguments
-and coincides with eval_psi of the associated curve.
+and coincides with eval_psi of the associated curve: both read psi off
+curves.bidegree.
 """
 
 from __future__ import annotations
@@ -98,10 +99,11 @@ def eval_sphere(q: HoloSphere, z) -> np.ndarray:
 def pairing(q: HoloSphere, w, z) -> complex:
     """<q(antipode(w)), q(z)>, holomorphic in both w and z.
 
-    The conjugation of the first slot is folded through the antipode:
-    conj(q(antipode(w))) = conj(Q) folded_vector(w), no conjugate of w
-    ever taken.  Matches eval_psi(spectral_from_sphere(q), w, z)
-    including the chart scale convention.
+    The conjugation of the first slot is folded through the antipode,
+    no conjugate of w ever taken: the value is read off
+    bidegree(conj(Q)^T Q) against hom_vector(w) and hom_vector(z).
+    Matches eval_psi(spectral_from_sphere(q), w, z) including the chart
+    scale convention.
     """
     return chart_pairing(np.conj(q.Q).T @ q.Q, w, z)
 

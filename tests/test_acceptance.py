@@ -34,8 +34,8 @@ from monosphere.charge2 import (
     triple_product,
     z_lattice,
 )
-from monosphere.curves import SpectralMatrix, axial_spectral, eval_psi
-from monosphere.projective import SpherePoint, chordal, folded_vector, hom_vector, proj_roots
+from monosphere.curves import SpectralMatrix, axial_spectral, bidegree, eval_psi
+from monosphere.projective import SpherePoint, chordal, hom_vector, proj_roots
 from monosphere.ratmap import ProjLine, project_map, spectral_slice
 from monosphere.spheres import (
     CoeffTuple,
@@ -256,7 +256,7 @@ def test_criterion_07_p_sequence_closure():
     seq6 = p_sequence(S_half, (np.exp(1j * np.pi / 3), 1.0), tol=1e-9)
     S_one = axial_spectral(2, 1.0)
     w0 = 0.9 + 0.1j
-    z0 = proj_roots(folded_vector(w0, 2) @ S_one.psi)[0]
+    z0 = proj_roots(hom_vector(w0, 2) @ bidegree(S_one.psi))[0]
     seq8 = p_sequence(S_one, (w0, z0), tol=1e-9)
     m_half = estimate_mass(S_half)
     m_one = estimate_mass(S_one)

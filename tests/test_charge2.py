@@ -20,7 +20,7 @@ from monosphere.charge2 import (
     triple_product,
     z_lattice,
 )
-from monosphere.curves import SpectralMatrix, axial_spectral, metric_scale_residual
+from monosphere.curves import SpectralMatrix, axial_spectral, bidegree, metric_scale_residual
 from monosphere.errors import (
     BranchPoint,
     ConstraintViolated,
@@ -35,7 +35,6 @@ from monosphere.projective import (
     SpherePoint,
     antipode,
     chordal,
-    folded_vector,
     hom_vector,
     proj_roots,
 )
@@ -337,7 +336,7 @@ def _reference_p_sequence(S, p0, max_steps=40):
     def line(points):
         w, z = points[-1]
         if len(points) % 2:
-            return folded_vector(w, 2) @ S.psi, 1
+            return hom_vector(w, 2) @ bidegree(S.psi), 1
         d = S.psi @ hom_vector(z, 2)
         return [d[2], -d[1], d[0]], 0
 
@@ -463,7 +462,7 @@ class TestPSequence:
     def test_mass_one_closes_at_eight(self):
         S = axial_spectral(2, 1.0)
         w = 0.9 + 0.1j
-        z = proj_roots(folded_vector(w, 2) @ S.psi)[0]
+        z = proj_roots(hom_vector(w, 2) @ bidegree(S.psi))[0]
         seq = p_sequence(S, (w, z))
         assert seq.closed and seq.period == 8
 
@@ -475,7 +474,7 @@ class TestPSequence:
     def test_start_point_breaks_a_conjugate_tie_by_the_imaginary_part(self, w):
         # on the real axis the two roots of an axial curve are a conjugate pair
         S = axial_spectral(2, 1.0)
-        roots = [r.chart for r in proj_roots(folded_vector(w, 2) @ S.psi)]
+        roots = [r.chart for r in proj_roots(hom_vector(w, 2) @ bidegree(S.psi))]
         assert abs(roots[0] - np.conj(roots[1])) <= 1e-12 and abs(roots[0].imag) > 0.1
         w0, z0 = start_point(S, w)
         assert w0.chart == w and metric_scale_residual(S, w0, z0) <= 1e-15
@@ -484,7 +483,7 @@ class TestPSequence:
     def test_irrational_mass_no_closure(self):
         S = axial_spectral(2, 0.37)
         w = 0.9 + 0.1j
-        z = proj_roots(folded_vector(w, 2) @ S.psi)[0]
+        z = proj_roots(hom_vector(w, 2) @ bidegree(S.psi))[0]
         seq = p_sequence(S, (w, z), max_steps=40)
         assert not seq.closed
 
@@ -611,16 +610,15 @@ class TestPoncelet:
 
         clean = poncelet(identity_curve(), (np.exp(1j * np.pi / 3), 1.0))
         assert np.max(clean.vertex_residuals) < 1e-15
-        walk = charge2.p_sequence
+        walk = charge2._p_walk
 
         def moved(*args, **kwargs):
-            seq = walk(*args, **kwargs)
-            points = list(seq.points)
+            points, period = walk(*args, **kwargs)
             w, z = points[2]
             points[2] = (w, SpherePoint.of(z.chart + 1e-9))
-            return charge2.PSequence(points, seq.closed, seq.period, seq.max_residual)
+            return points, period
 
-        monkeypatch.setattr(charge2, "p_sequence", moved)
+        monkeypatch.setattr(charge2, "_p_walk", moved)
         poly = poncelet(identity_curve(), (np.exp(1j * np.pi / 3), 1.0))
         assert np.max(poly.vertex_residuals) > 1e-11
 
@@ -637,7 +635,7 @@ class TestPoncelet:
     def test_mass_one_octagon(self):
         S = axial_spectral(2, 1.0)
         w = 0.9 + 0.1j
-        z = proj_roots(folded_vector(w, 2) @ S.psi)[0]
+        z = proj_roots(hom_vector(w, 2) @ bidegree(S.psi))[0]
         poly = poncelet(S, (w, z.chart))
         assert poly.closed and len(poly.vertices) == 8
         assert np.max(poly.vertex_residuals) < 1e-8

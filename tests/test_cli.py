@@ -65,6 +65,13 @@ def random_pd_curve(seed=5, k=2):
     return curve_to_json(SpectralMatrix(k, np.conj(A).T @ A + (k + 2) * np.eye(k + 1)))
 
 
+def samples_doc(seed=9, k=1):
+    """A samples document: the boundary metric of random_pd_curve on its rings."""
+    S = curve_from_json(random_pd_curve(seed, k))
+    zs = np.array(list(_boundary_rings(k, 9)))
+    return {"k": k, "samples": [[[z.real, z.imag], h] for z, h in zip(zs, metric_h(S, zs))]}
+
+
 class TestValidationAndExitCodes:
     def test_check_rejects_indefinite_matrix(self, tmp_path):
         doc = {"k": 1, "psi": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}
@@ -243,6 +250,22 @@ class TestValidationAndExitCodes:
         code, report = run_cli(tmp_path, ["field", "mass", "--grid", str(GRID_MAX)])
         assert code == 0
         assert len(report["m"]) == GRID_MAX
+
+    @pytest.mark.parametrize(
+        "argv, doc, reason",
+        [
+            (["boundary", "--grid", "99999999"], random_pd_curve(), "without --csv"),
+            (["boundary", "--grid", "8"], random_pd_curve(), "without --csv"),
+            (["reconstruct", "--grid", "0"], samples_doc(), "on a samples document"),
+            (["reconstruct", "--grid", "8"], samples_doc(), "on a samples document"),
+        ],
+    )
+    def test_grid_the_command_will_not_read_is_refused(self, tmp_path, argv, doc, reason):
+        # both commands exited 0 with the grid, in range or not, ignored
+        code, report = run_cli(tmp_path, argv, doc)
+        assert code == 2
+        assert report["error"]["code"] == "SchemaError"
+        assert report["error"]["message"].endswith(f"not read {reason}")
 
     @pytest.mark.parametrize(
         "argv",
@@ -497,6 +520,10 @@ class TestFieldCommands:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "r,re_z,im_z,residual,m"
         assert len(lines) == 6
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert rows[:, 0].tolist() == report["r"]
+        assert not np.any(rows[:, 1:3])
+        assert rows[:, 4].tolist() == report["m"]
 
     def test_residual_csv_masses_are_the_mass_profile(self, tmp_path):
         csv_path = tmp_path / "grid.csv"

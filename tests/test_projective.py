@@ -3,12 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from monosphere.curves import bidegree
 from monosphere.errors import IdenticallyZero
 from monosphere.projective import (
     SpherePoint,
     antipode,
     chordal,
-    folded_vector,
     hom_vector,
     proj_roots,
     vander,
@@ -89,7 +89,6 @@ def test_kernel_matches_monomial_oracle():
             p = SpherePoint.of(z)
             _close(vander(z, k), _monomials(1.0, z, k))
             _close(hom_vector(p, k), _monomials(p.z0, p.z1, k))
-            _close(folded_vector(p, k), _monomials(-p.z1, p.z0, k))
         block = zs.reshape(2, 4)
         V = vander(block, k)
         assert V.shape == (k + 1, 2, 4)
@@ -97,12 +96,26 @@ def test_kernel_matches_monomial_oracle():
             _close(V[(slice(None),) + idx], vander(block[idx], k))
         e = np.eye(k + 1, dtype=complex)
         assert np.array_equal(hom_vector("inf", k), e[k])
-        assert np.array_equal(folded_vector("inf", k), (-1.0) ** k * e[0])
         assert np.array_equal(hom_vector(0.0, k), e[0])
-        assert np.array_equal(folded_vector(0.0, k), e[k])
         # representatives other than the normalized ones
         for z0, z1 in ((2.0 - 1.0j, 0.5 + 3.0j), (0.0, 1.5j)):
             _close(hom_vector(SpherePoint(z0, z1), k), _monomials(z0, z1, k))
+
+
+def test_bidegree_rows_match_the_folded_pairing():
+    # psi(w, z) = v(-1/w)^T Psi v(z) times (-w1)^k pairs Psi against the
+    # folded vector (-w1)^(k-i) w0^i; hom_vector(w) . bidegree(Psi) is that row
+    rng = np.random.default_rng(31)
+    ws = [SpherePoint.of(w) for w in ["inf", 0.0, *(rng.standard_normal(6) + 1j * rng.standard_normal(6))]]
+    for k in range(1, 9):
+        psi = rng.standard_normal((k + 1, k + 1)) + 1j * rng.standard_normal((k + 1, k + 1))
+        C = bidegree(psi)
+        for w in ws:
+            want = _monomials(-w.z1, w.z0, k) @ psi
+            got = hom_vector(w, k) @ C
+            if w.is_infinity or w.z1 == 0.0:
+                assert np.array_equal(got, want)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_kernel_derivatives_match_falling_factorials():
