@@ -4,7 +4,8 @@ One binary, subcommand style; each command takes only the flags it
 reads.  Input documents are JSON in the formats of the serialize
 module, read from --input or stdin (the field commands take none); the
 report JSON goes to --output or stdout with sorted keys and a fixed
-layout, so a repeated job produces identical bytes.  Transform commands
+layout, so a repeated job produces identical bytes.  A command returns
+library values, which serialize.encode writes once.  Transform commands
 (normalize, factor, center, massless, reconstruct) emit the payload
 type itself extended with diagnostic keys, so their output feeds the
 next command directly.  Exit status: 0 success, 2 validation failure,
@@ -39,6 +40,8 @@ from .boundary import (
 )
 from .centering import center_flow, moment_map, norm2
 from .charge2 import (
+    PonceletPolygon,
+    ZLattice,
     bracket,
     diagonal_quartic,
     estimate_mass,
@@ -59,7 +62,7 @@ from .curves import (
 from .errors import ConvergenceError, NonFiniteResult, SchemaError, ValidationError
 from .projective import SpherePoint
 from .ratmap import find_line, massless_curve, project_map
-from .spheres import factor_sphere, sphere_to_tuple
+from .spheres import HoloSphere, factor_sphere, sphere_to_tuple
 
 
 # Largest --grid: the grids are evaluated as whole arrays, so memory
@@ -89,6 +92,18 @@ def _grid(args, default: int) -> int:
     return args.grid
 
 
+def _check_ranges(args) -> None:
+    """Refuse a --tol that is negative or not finite and a --max-iter
+    below 0 (SchemaError), before any document is read; 0 is legal for
+    both."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise SchemaError(f"--tol must be finite and at least 0, got {tol}")
+    max_iter = getattr(args, "max_iter", None)
+    if max_iter is not None and max_iter < 0:
+        raise SchemaError(f"--max-iter must be at least 0, got {max_iter}")
+
+
 def _parse_point(text: str, name: str) -> SpherePoint:
     """A chart value or 'inf'; an infinite part is the point at infinity,
     and a NaN part, which a complex literal spells only as 'nan', is a
@@ -109,11 +124,7 @@ def _parse_complex(text: str, name: str) -> complex:
 
 
 def _mu_json(mu) -> dict:
-    return {
-        "r": float(mu.mu_r),
-        "c": ser.complex_to_json(mu.mu_c),
-        "magnitude": float(mu.magnitude),
-    }
+    return {"r": mu.mu_r, "c": mu.mu_c, "magnitude": mu.magnitude}
 
 
 def _write_csv_file(path: str, header, rows) -> None:
@@ -127,10 +138,9 @@ def _write_csv_file(path: str, header, rows) -> None:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_normalize(args) -> dict:
+def cmd_normalize(args) -> SpectralMatrix:
     S = ser.curve_from_json(ser.read_document(args.input))
-    out = normalize_reality(S, **_opt(tol=args.tol))
-    return ser.curve_to_json(out)
+    return normalize_reality(S, **_opt(tol=args.tol))
 
 
 def _gated_curve(args) -> tuple[np.ndarray, SpectralMatrix]:
@@ -145,17 +155,16 @@ def cmd_check(args) -> dict:
     vals, S = _gated_curve(args)
     deg = nondegeneracy_check(S, **_opt(tol=args.tol))
     return {
+        **vars(deg),
         "k": S.k,
-        "eigenvalues": [float(v) for v in vals],
-        "determinant": ser.complex_to_json(deg.determinant),
+        "eigenvalues": vals,
         "condition_estimate": _finite(deg.condition_estimate),
-        "degenerate": bool(deg.degenerate),
     }
 
 
-def cmd_factor(args) -> dict:
+def cmd_factor(args) -> HoloSphere:
     S = ser.curve_from_json(ser.read_document(args.input))
-    return ser.sphere_to_json(factor_sphere(S, **_opt(tol=args.tol)))
+    return factor_sphere(S, **_opt(tol=args.tol))
 
 
 def _boundary_rings(k: int, angles: int):
@@ -172,7 +181,7 @@ def cmd_boundary(args) -> dict:
     S = ser.curve_from_json(ser.read_document(args.input))
     require_positive_definite(S)  # --tol is the degree tolerance
     value, bound = degree_integral(S, **_opt(tol=args.tol))
-    report = {"k": S.k, "degree": float(value), "error_bound": float(bound)}
+    report = {"k": S.k, "degree": value, "error_bound": bound}
     if args.csv:
         z = np.array(list(_boundary_rings(S.k, _grid(args, 16))))
         a_z = connection_at_infinity(S, z)
@@ -186,13 +195,13 @@ def cmd_boundary(args) -> dict:
     return report
 
 
-def cmd_reconstruct(args) -> dict:
+def cmd_reconstruct(args) -> SpectralMatrix | dict:
     doc = ser.read_document(args.input)
     if "samples" in doc:
         if args.grid is not None:
             raise SchemaError("--grid is not read on a samples document")
         k, pairs = ser.samples_from_json(doc)
-        return ser.curve_to_json(reconstruct_psi_from_metric(pairs, k))
+        return reconstruct_psi_from_metric(pairs, k)
     # Curve input: gate it, sample its own boundary metric, then recover.
     S = ser.curve_from_json(doc)
     require_positive_definite(S)
@@ -200,9 +209,7 @@ def cmd_reconstruct(args) -> dict:
     pts = list(_boundary_rings(S.k, angles))
     pairs = list(zip(pts, metric_h(S, np.array(pts))))
     out = reconstruct_psi_from_metric(pairs, S.k)
-    result = ser.curve_to_json(out)
-    result["max_abs_deviation"] = float(np.max(np.abs(out.psi - S.psi)))
-    return result
+    return {**vars(out), "max_abs_deviation": np.max(np.abs(out.psi - S.psi))}
 
 
 def cmd_center(args) -> dict:
@@ -210,16 +217,13 @@ def cmd_center(args) -> dict:
     flow = center_flow(t, **_opt(tol=args.tol, max_iter=args.max_iter))
     centred = flow.tuple_centred
     if args.csv:
-        _write_csv_file(
-            args.csv,
-            ["iter", "norm2", "mu_abs"],
-            [(int(i), float(n), float(m)) for i, n, m in flow.trace],
-        )
-    result = ser.tuple_to_json(centred)
-    result["iterations"] = flow.iterations
-    result["norm2"] = norm2(centred)
-    result["mu"] = _mu_json(moment_map(centred))
-    return result
+        _write_csv_file(args.csv, ["iter", "norm2", "mu_abs"], flow.trace)
+    return {
+        **vars(centred),
+        "iterations": flow.iterations,
+        "norm2": norm2(centred),
+        "mu": _mu_json(moment_map(centred)),
+    }
 
 
 def cmd_ratmap(args) -> dict:
@@ -227,54 +231,28 @@ def cmd_ratmap(args) -> dict:
     w = _parse_point(args.w, "--w")
     line, _ = find_line(q, w)
     f = project_map(q, w, line)
-    return {
-        "w": ser.point_to_json(w),
-        "num": ser.vector_to_json(f.num),
-        "den": ser.vector_to_json(f.den),
-        "scale": ser.complex_to_json(f.scale),
-        "poles": [ser.point_to_json(p) for p in f.poles()],
-        "zeros": [ser.point_to_json(p) for p in f.zeros()],
-        "line": {
-            "u1": ser.vector_to_json(line.u1),
-            "u2": ser.vector_to_json(line.u2),
-        },
-    }
+    return {**vars(f), "w": w, "poles": f.poles(), "zeros": f.zeros(), "line": line}
 
 
-def cmd_massless(args) -> dict:
+def cmd_massless(args) -> SpectralMatrix:
     f = ser.ratmap_from_json(ser.read_document(args.input))
-    S = massless_curve(f, **_opt(tol=args.tol))
-    return ser.curve_to_json(S)
+    return massless_curve(f, **_opt(tol=args.tol))
 
 
-def cmd_charge2_lattice(args) -> dict:
+def cmd_charge2_lattice(args) -> ZLattice:
     q = ser.sphere_from_json(ser.read_document(args.input))
     z0 = _parse_point(args.z0, "--z0")
-    lat = z_lattice(q, z0, **_opt(max_steps=args.max_iter, tol=args.tol))
-    return {
-        "points": [ser.point_to_json(p) for p in lat.points],
-        "closed": bool(lat.closed),
-        "period": lat.period,
-        "initial_roots": [ser.point_to_json(p) for p in lat.initial_roots],
-    }
+    return z_lattice(q, z0, **_opt(max_steps=args.max_iter, tol=args.tol))
 
 
 def cmd_charge2_pseq(args) -> dict:
     S = ser.curve_from_json(ser.read_document(args.input))
     p0 = start_point(S, _parse_point(args.w, "--w"))
     seq = p_sequence(S, p0, **_opt(max_steps=args.max_iter, tol=args.tol))
-    return {
-        "start": [ser.point_to_json(p0[0]), ser.point_to_json(p0[1])],
-        "points": [
-            [ser.point_to_json(w), ser.point_to_json(z)] for w, z in seq.points
-        ],
-        "closed": bool(seq.closed),
-        "period": seq.period,
-        "max_residual": float(seq.max_residual),
-    }
+    return {**vars(seq), "start": p0}
 
 
-def cmd_charge2_poncelet(args) -> dict:
+def cmd_charge2_poncelet(args) -> PonceletPolygon:
     S = ser.curve_from_json(ser.read_document(args.input))
     p0 = start_point(S, _parse_point(args.w, "--w"))
     poly = poncelet(S, p0, **_opt(steps=args.max_iter, tol=args.tol))
@@ -284,20 +262,13 @@ def cmd_charge2_poncelet(args) -> dict:
             ["re_u", "im_u", "re_v", "im_v"],
             [(u.real, u.imag, v.real, v.imag) for u, v in poly.vertices],
         )
-    return {
-        "vertices": [
-            [ser.complex_to_json(u), ser.complex_to_json(v)] for u, v in poly.vertices
-        ],
-        "conic": ser.vector_to_json(poly.conic),
-        "closed": bool(poly.closed),
-        "vertex_residuals": [float(x) for x in poly.vertex_residuals],
-    }
+    return poly
 
 
 def cmd_charge2_mass(args) -> dict:
     S = ser.curve_from_json(ser.read_document(args.input))
     mass = estimate_mass(S, **_opt(max_steps=args.max_iter))
-    return {"mass": float(mass)}
+    return {"mass": mass}
 
 
 def cmd_charge2_involution(args) -> dict:
@@ -305,12 +276,12 @@ def cmd_charge2_involution(args) -> dict:
     br = bracket(nu)
     flow = mass_flow_check(nu)
     return {
-        "bracket": ser.triple_to_json(br),
-        "triple_product": float(triple_product(nu)),
-        "quartic": ser.vector_to_json(diagonal_quartic(nu)),
-        "first_order_invariant": bool(flow.first_order_invariant),
-        "max_derivative": float(flow.max_derivative),
-        "full": bool(flow.full),
+        "bracket": br,
+        "triple_product": triple_product(nu),
+        "quartic": diagonal_quartic(nu),
+        "first_order_invariant": flow.first_order_invariant,
+        "max_derivative": flow.max_derivative,
+        "full": flow.full,
     }
 
 
@@ -321,12 +292,14 @@ def _field_for(args) -> AxialField:
     return _PROFILES[args.profile]()
 
 
-def _field_rows(field: AxialField, report):
-    """CSV rows (r, re z, im z, residual, m) with the axis mass per r,
-    from one mass_profile over the distinct radii."""
-    radii = list(dict.fromkeys(p.r for p in report.per_point))
-    masses = dict(zip(radii, mass_profile(field, radii)))
-    return [(p.r, p.z.real, p.z.imag, p.residual, masses[p.r]) for p in report.per_point]
+def _write_field_csv(path: str, report, masses: dict) -> None:
+    """The grid CSV (r, re z, im z, residual, m), m = masses[r] the axis
+    mass at the radius of each point."""
+    _write_csv_file(
+        path,
+        ["r", "re_z", "im_z", "residual", "m"],
+        [(p.r, p.z.real, p.z.imag, p.residual, masses[p.r]) for p in report.per_point],
+    )
 
 
 def cmd_field_residual(args) -> dict:
@@ -339,11 +312,8 @@ def cmd_field_residual(args) -> dict:
     ]
     report = bog_residual(field, grid)
     if args.csv:
-        _write_csv_file(
-            args.csv,
-            ["r", "re_z", "im_z", "residual", "m"],
-            _field_rows(field, report),
-        )
+        radii = list(dict.fromkeys(p.r for p in report.per_point))
+        _write_field_csv(args.csv, report, dict(zip(radii, mass_profile(field, radii))))
     return {
         "profile": args.profile,
         "points": len(report.per_point),
@@ -353,20 +323,12 @@ def cmd_field_residual(args) -> dict:
 
 def cmd_field_mass(args) -> dict:
     field = _field_for(args)
-    rs = [float(r) for r in np.linspace(0.5, 6.0, _grid(args, 12))]
+    rs = np.linspace(0.5, 6.0, _grid(args, 12)).tolist()
     masses = mass_profile(field, rs)
     if args.csv:
-        _write_csv_file(
-            args.csv,
-            ["r", "re_z", "im_z", "residual", "m"],
-            _field_rows(field, bog_residual(field, [(0j, r) for r in rs])),
-        )
-    return {
-        "profile": args.profile,
-        "r": rs,
-        "m": [float(m) for m in masses],
-        "limit_estimate": float(masses[-1]),
-    }
+        report = bog_residual(field, [(0j, r) for r in rs])
+        _write_field_csv(args.csv, report, dict(zip(rs, masses)))
+    return {"profile": args.profile, "r": rs, "m": masses, "limit_estimate": masses[-1]}
 
 
 def cmd_field_sample(args) -> dict:
@@ -375,15 +337,12 @@ def cmd_field_sample(args) -> dict:
     sample = gauge_fields(field, z, args.r)
     H = H_matrix(field, z, args.r)
     return {
+        **vars(sample),
         "profile": args.profile,
-        "z": ser.complex_to_json(z),
-        "r": float(args.r),
-        "H": ser.matrix_to_json(H),
-        "det_H": ser.complex_to_json(np.linalg.det(H)),
-        "A_z": ser.matrix_to_json(sample.A_z),
-        "A_r": ser.matrix_to_json(sample.A_r),
-        "Phi": ser.matrix_to_json(sample.Phi),
-        "trace_phi_sq": ser.complex_to_json(sample.trace_phi_sq),
+        "z": z,
+        "r": args.r,
+        "H": H,
+        "det_H": np.linalg.det(H),
     }
 
 
@@ -397,13 +356,13 @@ def cmd_pipeline(args) -> dict:
     degree, bound = degree_integral(S)
     return {
         "k": S.k,
-        "eigenvalues": [float(v) for v in vals],
+        "eigenvalues": vals,
         "mu_initial": _mu_json(mu0),
         "mu_centred": _mu_json(mu1),
         "norm2_centred": norm2(flow.tuple_centred),
         "center_iterations": flow.iterations,
-        "degree_integral": float(degree),
-        "degree_error_bound": float(bound),
+        "degree_integral": degree,
+        "degree_error_bound": bound,
     }
 
 
@@ -511,7 +470,8 @@ def main(argv=None) -> int:
     try:
         # An overflow ends in exit 3, so numpy's warnings would only repeat it.
         with np.errstate(all="ignore"):
-            report = args.handler(args)
+            _check_ranges(args)
+            report = ser.encode(args.handler(args))
     except ValidationError as exc:
         return _emit(args, _error_report(args, exc), 2)
     except (ConvergenceError, np.linalg.LinAlgError, OverflowError) as exc:

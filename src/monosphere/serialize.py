@@ -1,15 +1,16 @@
 """JSON and CSV interchange for the library's value types.
 
-Complex numbers travel as [re, im] pairs; points of P^1 additionally
-admit the string "inf".  The curve format
+encode writes every value as JSON: complex numbers travel as [re, im]
+pairs, points of P^1 as a pair or the string "inf", arrays as nested
+lists and any dataclass as the object of its fields, so the curve is
 
     {"k": int, "psi": [[[re, im], ...], ...]}
 
-is the interchange unit consumed and produced by every command;
-spheres use {"k", "Q"}, coefficient tuples {"k", "v"}, real triples
-{"r0", "r1", "r2"}, rational maps {"num", "den"}.  Decoders are strict
-about structure (SchemaError on anything malformed) but tolerate extra
-keys, so command reports that extend a payload with diagnostics still
+and spheres are {"k", "Q"}, coefficient tuples {"k", "v"}, real
+triples {"r0", "r1", "r2"} and rational maps {"num", "den", "scale"}.
+The decoders read the same forms back.  They are strict about
+structure (SchemaError on anything malformed) but tolerate extra keys,
+so command reports that extend a payload with diagnostics still
 re-parse as the payload type.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,9 +44,25 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-def complex_to_json(c) -> list[float]:
-    c = complex(c)
-    return [float(c.real), float(c.imag)]
+def encode(x):
+    """The JSON form of x.  Complex numbers (Python or numpy) become
+    [re, im], a SpherePoint "inf" or its chart value, an array its
+    tolist(), numpy scalars Python numbers, lists and tuples lists,
+    dicts and dataclasses objects, entry by entry; anything else is
+    left for json.dumps, which refuses a non-finite float."""
+    if isinstance(x, SpherePoint):
+        return "inf" if x.is_infinity else encode(x.chart)
+    if isinstance(x, complex):
+        return [float(x.real), float(x.imag)]
+    if isinstance(x, (np.ndarray, np.generic)):
+        return encode(x.tolist())
+    if isinstance(x, dict):
+        return {key: encode(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [encode(value) for value in x]
+    if is_dataclass(x):
+        return {f.name: encode(getattr(x, f.name)) for f in fields(x)}
+    return x
 
 
 def complex_from_json(obj, name: str = "value") -> complex:
@@ -55,17 +73,9 @@ def complex_from_json(obj, name: str = "value") -> complex:
     return complex(float(obj[0]), float(obj[1]))
 
 
-def vector_to_json(v) -> list[list[float]]:
-    return [complex_to_json(c) for c in np.asarray(v, dtype=complex)]
-
-
 def vector_from_json(obj, name: str = "vector") -> np.ndarray:
     _require(isinstance(obj, list) and len(obj) > 0, f"{name} must be a non-empty list")
     return np.array([complex_from_json(x, name) for x in obj], dtype=complex)
-
-
-def matrix_to_json(m) -> list[list[list[float]]]:
-    return [vector_to_json(row) for row in np.asarray(m, dtype=complex)]
 
 
 def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
@@ -74,13 +84,6 @@ def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
     width = {row.size for row in rows}
     _require(len(width) == 1, f"{name} rows must have equal length")
     return np.stack(rows)
-
-
-def point_to_json(p) -> object:
-    p = SpherePoint.of(p)
-    if p.is_infinity:
-        return "inf"
-    return complex_to_json(p.chart)
 
 
 def point_from_json(obj, name: str = "point") -> SpherePoint:
@@ -107,36 +110,16 @@ def _square_from_json(d: dict, kind: str, field: str) -> tuple[int, np.ndarray]:
     return k, m
 
 
-def curve_to_json(S: SpectralMatrix) -> dict:
-    return {"k": S.k, "psi": matrix_to_json(S.psi)}
-
-
 def curve_from_json(d: dict) -> SpectralMatrix:
     return SpectralMatrix(*_square_from_json(d, "curve", "psi"))
-
-
-def sphere_to_json(q: HoloSphere) -> dict:
-    return {"k": q.k, "Q": matrix_to_json(q.Q)}
 
 
 def sphere_from_json(d: dict) -> HoloSphere:
     return HoloSphere(*_square_from_json(d, "sphere", "Q"))
 
 
-def tuple_to_json(t: CoeffTuple) -> dict:
-    return {"k": t.k, "v": matrix_to_json(t.v)}
-
-
 def tuple_from_json(d: dict) -> CoeffTuple:
     return CoeffTuple(*_square_from_json(d, "tuple", "v"))
-
-
-def triple_to_json(nu: Su2Triple) -> dict:
-    return {
-        "r0": [float(x) for x in nu.r0],
-        "r1": [float(x) for x in nu.r1],
-        "r2": [float(x) for x in nu.r2],
-    }
 
 
 def triple_from_json(d: dict) -> Su2Triple:
@@ -162,14 +145,6 @@ def samples_from_json(d: dict) -> tuple[int, list[tuple[complex, float]]]:
         _require(isinstance(entry, list) and len(entry) == 2, f"bad sample {entry!r}; expected [[re, im], h]")
         _require(_is_number(entry[1]), f"metric value must be a finite number, got {entry[1]!r}")
     return k, [(complex_from_json(z, "sample point"), float(h)) for z, h in raw]
-
-
-def ratmap_to_json(f: RationalMap) -> dict:
-    return {
-        "num": vector_to_json(f.num),
-        "den": vector_to_json(f.den),
-        "scale": complex_to_json(f.scale),
-    }
 
 
 def ratmap_from_json(d: dict) -> RationalMap:

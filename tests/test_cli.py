@@ -15,13 +15,10 @@ from monosphere.curves import SpectralMatrix, axial_spectral
 from monosphere.projective import hom_vector
 from monosphere.serialize import (
     curve_from_json,
-    curve_to_json,
     dumps_report,
+    encode,
     point_from_json,
     sphere_from_json,
-    sphere_to_json,
-    triple_to_json,
-    tuple_to_json,
 )
 from monosphere.charge2 import Su2Triple
 from monosphere.errors import NotPositiveDefinite
@@ -56,13 +53,13 @@ def run_cli(tmp_path, argv, doc=None):
 
 
 def half_mass_curve():
-    return curve_to_json(axial_spectral(2, 0.5))
+    return encode(axial_spectral(2, 0.5))
 
 
 def random_pd_curve(seed=5, k=2):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(k + 1, k + 1)) + 1j * rng.normal(size=(k + 1, k + 1))
-    return curve_to_json(SpectralMatrix(k, np.conj(A).T @ A + (k + 2) * np.eye(k + 1)))
+    return encode(SpectralMatrix(k, np.conj(A).T @ A + (k + 2) * np.eye(k + 1)))
 
 
 def samples_doc(seed=9, k=1):
@@ -82,7 +79,7 @@ class TestValidationAndExitCodes:
 
     def test_boundary_rejects_indefinite_matrix(self, tmp_path):
         # h > 0 on the unit circle, so the degree integral alone would give 2
-        doc = curve_to_json(SpectralMatrix(2, np.diag([1.0, -1.0, 1.0])))
+        doc = encode(SpectralMatrix(2, np.diag([1.0, -1.0, 1.0])))
         code, report = run_cli(tmp_path, ["boundary"], doc)
         assert code == 2
         assert report["command"] == "boundary"
@@ -136,7 +133,7 @@ class TestValidationAndExitCodes:
         assert report["error"]["code"] == "SchemaError"
 
     def test_non_convergence_exits_3(self, tmp_path):
-        code, report = run_cli(tmp_path, ["charge2", "mass"], curve_to_json(axial_spectral(2, 0.37)))
+        code, report = run_cli(tmp_path, ["charge2", "mass"], encode(axial_spectral(2, 0.37)))
         assert code == 3
         assert report["error"]["code"] == "NoEstimate"
 
@@ -148,9 +145,9 @@ class TestValidationAndExitCodes:
         assert report["error"]["code"] == "QuadratureNotConverged"
         assert "1.00e-20" in report["error"]["message"]
 
-    @pytest.mark.parametrize("command, budget", [("center", "0"), ("center", "-2"), ("pipeline", "0")])
+    @pytest.mark.parametrize("command, budget", [("center", "0"), ("pipeline", "0")])
     def test_empty_flow_budget_exits_3(self, tmp_path, command, budget):
-        doc = tuple_to_json(sphere_to_tuple(factor_sphere(axial_spectral(2, 0.5))))
+        doc = encode(sphere_to_tuple(factor_sphere(axial_spectral(2, 0.5))))
         if command == "pipeline":
             doc = half_mass_curve()
         code, report = run_cli(tmp_path, [command, "--max-iter", budget], doc)
@@ -160,7 +157,7 @@ class TestValidationAndExitCodes:
     def test_flow_tolerance_below_floor_exits_3(self, tmp_path):
         rng = np.random.default_rng(1)
         v = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        code, report = run_cli(tmp_path, ["center", "--tol", "0"], tuple_to_json(CoeffTuple(8, v)))
+        code, report = run_cli(tmp_path, ["center", "--tol", "0"], encode(CoeffTuple(8, v)))
         assert code == 3
         assert report["error"]["code"] == "MaxIterExceeded"
         assert "below the attainable floor" in report["error"]["message"]
@@ -181,7 +178,7 @@ class TestValidationAndExitCodes:
         # samples h = 2e308 and pipeline a tuple with norm2 = 2e308, while
         # the degree integral is scale-free.  The overflow shows in the
         # report, not as a warning.
-        doc = curve_to_json(SpectralMatrix(1, np.diag([1e308, 1e308])))
+        doc = encode(SpectralMatrix(1, np.diag([1e308, 1e308])))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got, report = run_cli(tmp_path, [command], doc)
@@ -252,6 +249,40 @@ class TestValidationAndExitCodes:
         assert len(report["m"]) == GRID_MAX
 
     @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            # an uncentred tuple reported as centred after 0 iterations
+            (["center", "--tol", "inf"], "moved-tuple", "--tol must be finite and at least 0, got inf"),
+            # a Hermitian curve reported as NotHermitian
+            (["check", "--tol", "-1"], "curve", "--tol must be finite and at least 0, got -1.0"),
+            (["factor", "--tol", "-1"], "curve", "--tol must be finite and at least 0, got -1.0"),
+            # a positive-definite curve reported as NotPositiveDefinite
+            (["check", "--tol", "inf"], "curve", "--tol must be finite and at least 0, got inf"),
+            (["check", "--tol", "nan"], "curve", "--tol must be finite and at least 0, got nan"),
+            # a one-point walk, exit 0
+            (["charge2", "pseq", "--max-iter", "-2"], "curve", "--max-iter must be at least 0, got -2"),
+            # "no convergence in -3 iterations", exit 3
+            (["center", "--max-iter", "-3"], "moved-tuple", "--max-iter must be at least 0, got -3"),
+        ],
+        ids=["center-tol-inf", "check-tol-neg", "factor-tol-neg", "check-tol-inf", "check-tol-nan",
+             "pseq-max-iter-neg", "center-max-iter-neg"],
+    )
+    def test_out_of_range_tol_or_max_iter_is_schema_error(self, tmp_path, argv, doc, message):
+        if doc == "curve":
+            doc = half_mass_curve()
+        else:
+            t = sphere_to_tuple(factor_sphere(axial_spectral(2, 0.5)))
+            doc = encode(act_sl2(Mobius.from_matrix([[1.05, 0.02], [0.01, 0.96]]), t))
+        code, report = run_cli(tmp_path, argv, doc)
+        assert (code, report["error"]) == (2, {"code": "SchemaError", "message": message})
+
+    def test_flag_range_is_checked_before_the_document_is_read(self, tmp_path):
+        # with no --input the document would come from stdin
+        out = tmp_path / "out.json"
+        assert main(["center", "--max-iter", "-1", "--output", str(out)]) == 2
+        assert json.loads(out.read_text())["error"]["message"] == "--max-iter must be at least 0, got -1"
+
+    @pytest.mark.parametrize(
         "argv, doc, reason",
         [
             (["boundary", "--grid", "99999999"], random_pd_curve(), "without --csv"),
@@ -291,11 +322,11 @@ class TestValidationAndExitCodes:
     @pytest.mark.parametrize(
         "argv, doc",
         [
-            (["ratmap", "--w", "nan"], sphere_to_json(sphere_of_sech())),
+            (["ratmap", "--w", "nan"], encode(sphere_of_sech())),
             (["charge2", "pseq", "--w", "nan"], half_mass_curve()),
             (["charge2", "poncelet", "--w", "nan+1j"], half_mass_curve()),
-            (["charge2", "lattice", "--z0", "nan"], sphere_to_json(sphere_of_sech())),
-            (["ratmap", "--w", "inf+nanj"], sphere_to_json(sphere_of_sech())),
+            (["charge2", "lattice", "--z0", "nan"], encode(sphere_of_sech())),
+            (["ratmap", "--w", "inf+nanj"], encode(sphere_of_sech())),
         ],
         ids=["ratmap", "pseq", "poncelet", "lattice", "infinite-and-nan"],
     )
@@ -325,7 +356,7 @@ class TestTransformChain:
 
     def test_center_reports_moment_map(self, tmp_path):
         t = sphere_to_tuple(factor_sphere(SpectralMatrix(2, np.eye(3))))
-        code, report = run_cli(tmp_path, ["center"], tuple_to_json(t))
+        code, report = run_cli(tmp_path, ["center"], encode(t))
         assert code == 0
         assert report["mu"]["magnitude"] < 1e-12
         assert report["iterations"] == 0
@@ -340,7 +371,7 @@ class TestTransformChain:
     def test_center_is_scale_invariant(self, tmp_path):
         # |mu|^2 of the tuple scaled by 1e140 overflows a float
         v = np.random.default_rng(3).standard_normal((4, 4)) + 0j
-        (c1, r1), (c2, r2) = (run_cli(tmp_path, ["center"], tuple_to_json(CoeffTuple(3, s * v))) for s in (1.0, 1e140))
+        (c1, r1), (c2, r2) = (run_cli(tmp_path, ["center"], encode(CoeffTuple(3, s * v))) for s in (1.0, 1e140))
         assert (c1, c2) == (0, 0)
         assert r1["iterations"] == r2["iterations"]
         assert r2["mu"]["magnitude"] <= 1e-10 * r2["norm2"]
@@ -348,7 +379,7 @@ class TestTransformChain:
     def test_center_trace_csv(self, tmp_path):
         t = sphere_to_tuple(factor_sphere(SpectralMatrix(2, np.eye(3))))
         csv_path = tmp_path / "trace.csv"
-        doc = write_doc(tmp_path, "t.json", tuple_to_json(t))
+        doc = write_doc(tmp_path, "t.json", encode(t))
         out = tmp_path / "out.json"
         code = main(["center", "--input", doc, "--output", str(out), "--csv", str(csv_path)])
         assert code == 0
@@ -406,7 +437,7 @@ class TestRatmapAndMassless:
         code, report = run_cli(
             tmp_path,
             ["ratmap", "--w", "0.3+0.2j"],
-            sphere_to_json(sphere_of_sech()),
+            encode(sphere_of_sech()),
         )
         assert code == 0
         assert len(report["num"]) == 3 and len(report["den"]) == 3
@@ -419,7 +450,7 @@ class TestRatmapAndMassless:
         # the axial k = 24 sphere at this w refused to project while the
         # line was found by a zero-span sweep
         S = axial_spectral(24, 0.5)
-        code, report = run_cli(tmp_path, ["ratmap", "--w", "0.3+0.2j"], sphere_to_json(factor_sphere(S)))
+        code, report = run_cli(tmp_path, ["ratmap", "--w", "0.3+0.2j"], encode(factor_sphere(S)))
         assert code == 0
         assert len(report["poles"]) == 24
         vw = hom_vector(0.3 + 0.2j, 24)
@@ -432,7 +463,7 @@ class TestRatmapAndMassless:
         code, ratmap_report = run_cli(
             tmp_path,
             ["ratmap", "--w", "0.3+0.2j"],
-            sphere_to_json(sphere_of_sech()),
+            encode(sphere_of_sech()),
         )
         assert code == 0
         code, curve = run_cli(tmp_path, ["massless"], ratmap_report)
@@ -444,7 +475,7 @@ class TestRatmapAndMassless:
 class TestCharge2Commands:
     def test_mass_of_unit_mass_curve(self, tmp_path):
         code, report = run_cli(
-            tmp_path, ["charge2", "mass"], curve_to_json(axial_spectral(2, 1.0))
+            tmp_path, ["charge2", "mass"], encode(axial_spectral(2, 1.0))
         )
         assert code == 0
         assert report["mass"] == 1.0
@@ -473,7 +504,7 @@ class TestCharge2Commands:
 
     def test_lattice_period_three(self, tmp_path):
         code, report = run_cli(
-            tmp_path, ["charge2", "lattice"], sphere_to_json(sphere_of_sech())
+            tmp_path, ["charge2", "lattice"], encode(sphere_of_sech())
         )
         assert code == 0
         assert report["closed"] is True and report["period"] == 3
@@ -481,7 +512,7 @@ class TestCharge2Commands:
 
     def test_involution_report(self, tmp_path):
         nu = Su2Triple([2.0, 0, 0], [0, 2.0, 0], [0, 0, 1.0])
-        code, report = run_cli(tmp_path, ["charge2", "involution"], triple_to_json(nu))
+        code, report = run_cli(tmp_path, ["charge2", "involution"], encode(nu))
         assert code == 0
         assert report["triple_product"] == 4.0
         assert report["first_order_invariant"] is True
@@ -489,7 +520,7 @@ class TestCharge2Commands:
         assert report["full"] is True
 
     def test_mass_off_charge_two_exits_2(self, tmp_path):
-        code, report = run_cli(tmp_path, ["charge2", "mass"], curve_to_json(SpectralMatrix(3, np.eye(4))))
+        code, report = run_cli(tmp_path, ["charge2", "mass"], encode(SpectralMatrix(3, np.eye(4))))
         assert code == 2
         assert report["error"]["code"] == "DomainViolation"
 
@@ -524,6 +555,19 @@ class TestFieldCommands:
         assert rows[:, 0].tolist() == report["r"]
         assert not np.any(rows[:, 1:3])
         assert rows[:, 4].tolist() == report["m"]
+
+    @pytest.mark.parametrize("command", ["mass", "residual"])
+    def test_csv_makes_one_mass_profile_call(self, tmp_path, monkeypatch, command):
+        calls = []
+
+        def counted(field, radii):
+            calls.append(len(radii))
+            return mass_profile(field, radii)
+
+        monkeypatch.setattr(cli, "mass_profile", counted)
+        code, _ = run_cli(tmp_path, ["field", command, "--grid", "5", "--csv", str(tmp_path / "grid.csv")])
+        assert code == 0
+        assert calls == [5]
 
     def test_residual_csv_masses_are_the_mass_profile(self, tmp_path):
         csv_path = tmp_path / "grid.csv"
@@ -589,7 +633,7 @@ class TestPipelineAndDeterminism:
         if kind == "moved":
             t = act_sl2(Mobius.from_matrix([[1.05, 0.02], [0.01, 0.96]]), sphere_to_tuple(factor_sphere(S)))
             S = spectral_from_sphere(tuple_to_sphere(t))
-        code, report = run_cli(tmp_path, ["pipeline"], curve_to_json(S))
+        code, report = run_cli(tmp_path, ["pipeline"], encode(S))
         assert code == 0
         assert report["mu_centred"]["magnitude"] <= 1e-10 * report["norm2_centred"]
         assert abs(report["degree_integral"] - k) <= 1e-6
@@ -603,8 +647,8 @@ class TestPipelineAndDeterminism:
         # accepted by check; h nearly vanishes at z = 1 on the unit circle
         p = np.array([2.0, -3.0, 1.0])
         S = SpectralMatrix(2, np.outer(p, p) + 1e-4 * np.max(p**2) * np.eye(3))
-        assert run_cli(tmp_path, ["check"], curve_to_json(S))[0] == 0
-        code, report = run_cli(tmp_path, [command], curve_to_json(S))
+        assert run_cli(tmp_path, ["check"], encode(S))[0] == 0
+        code, report = run_cli(tmp_path, [command], encode(S))
         assert code == 0
         assert abs(report[degree] - 2.0) <= report[bound] <= 1e-7
 
@@ -636,7 +680,7 @@ def test_one_gate_refuses_a_curve_that_is_not_positive_definite(tmp_path, psi):
     # the ratio 1e-11 lies below the gate's 1e-10
     S = SpectralMatrix(2, psi)
     for command in ("check", "factor", "boundary", "pipeline"):
-        code, report = run_cli(tmp_path, [command], curve_to_json(S))
+        code, report = run_cli(tmp_path, [command], encode(S))
         assert (code, report["error"]["code"]) == (2, "NotPositiveDefinite")
     with pytest.raises(NotPositiveDefinite):
         factor_sphere(S)
@@ -655,7 +699,7 @@ def test_one_gate_refuses_a_curve_that_is_not_positive_definite(tmp_path, psi):
 def test_gate_comes_before_any_normalization(tmp_path, command, psi, error):
     # normalize turns both into diag(2, 1), so a command that normalized
     # before the gate accepted them
-    code, report = run_cli(tmp_path, [command], curve_to_json(SpectralMatrix(1, psi)))
+    code, report = run_cli(tmp_path, [command], encode(SpectralMatrix(1, psi)))
     if command == "normalize":
         assert code == 0
         assert np.array_equal(curve_from_json(report).psi, np.diag([2.0, 1.0]))
@@ -667,7 +711,7 @@ def test_gate_comes_before_any_normalization(tmp_path, command, psi, error):
 def test_normalize_applies_the_gate_at_its_tolerance(tmp_path, tol, code):
     # the eigenvalue ratio 1e-9 lies above the default 1e-10 and below 1e-8
     argv = ["normalize"] + (["--tol", tol] if tol else [])
-    got, report = run_cli(tmp_path, argv, curve_to_json(SpectralMatrix(1, np.diag([1.0, 1e-9]))))
+    got, report = run_cli(tmp_path, argv, encode(SpectralMatrix(1, np.diag([1.0, 1e-9]))))
     assert got == code
     if code:
         assert report["error"]["code"] == "NotPositiveDefinite"
@@ -678,7 +722,7 @@ def test_normalize_applies_the_gate_at_its_tolerance(tmp_path, tol, code):
 @pytest.mark.parametrize("psi", [[[2, 1], [0, 2]], [[1, 2], [0, 1]]], ids=["definite-part", "indefinite-part"])
 def test_reconstruct_refuses_a_curve_that_is_not_hermitian(tmp_path, psi):
     # the samples of h see only the Hermitian part of Psi
-    code, report = run_cli(tmp_path, ["reconstruct"], curve_to_json(SpectralMatrix(1, np.array(psi))))
+    code, report = run_cli(tmp_path, ["reconstruct"], encode(SpectralMatrix(1, np.array(psi))))
     assert (code, report["error"]["code"]) == (2, "NotHermitian")
 
 
@@ -687,10 +731,10 @@ def _flag_jobs():
     of normalize is not Hermitian and the sphere Q is not triangular, so
     a true normalized or canonical claim on them is false."""
     rot = np.array([[0.6, 0.8, 0.0], [-0.8, 0.6, 0.0], [0.0, 0.0, 1.0]])
-    sphere = sphere_to_json(HoloSphere(2, rot @ sphere_of_sech().Q))
-    triple = triple_to_json(Su2Triple([2.0, 0.5, 0], [0, 2.0, 0], [0.3, 0, 1.0]))
-    t = tuple_to_json(sphere_to_tuple(factor_sphere(SpectralMatrix(2, np.eye(3)))))
-    phased = curve_to_json(SpectralMatrix(2, np.exp(0.7j) * curve_from_json(random_pd_curve()).psi))
+    sphere = encode(HoloSphere(2, rot @ sphere_of_sech().Q))
+    triple = encode(Su2Triple([2.0, 0.5, 0], [0, 2.0, 0], [0.3, 0, 1.0]))
+    t = encode(sphere_to_tuple(factor_sphere(SpectralMatrix(2, np.eye(3)))))
+    phased = encode(SpectralMatrix(2, np.exp(0.7j) * curve_from_json(random_pd_curve()).psi))
     return {
         "normalize": (["normalize"], phased),
         "check": (["check"], random_pd_curve()),

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from monosphere.axial import sphere_of_sech
 from monosphere.cli import build_parser, main
 from monosphere.curves import axial_spectral
-from monosphere.serialize import curve_to_json
+from monosphere.serialize import encode
+from monosphere.spheres import factor_sphere, sphere_to_tuple
 
 # An overflow must end as an exit-3 report, not as a numpy warning on stderr.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -52,7 +54,7 @@ def _keyed(kind):
 
 curves = st.one_of(
     _keyed("psi"),
-    st.builds(lambda k, m: curve_to_json(axial_spectral(k, m)), st.integers(1, 8), st.sampled_from([0.25, 0.37, 0.5, 1.0])),
+    st.builds(lambda k, m: encode(axial_spectral(k, m)), st.integers(1, 8), st.sampled_from([0.25, 0.37, 0.5, 1.0])),
 )
 spheres = _keyed("Q")
 tuples = _keyed("v")
@@ -150,6 +152,67 @@ def test_document_strategies_cover_exactly_the_commands_with_input():
     assert set(DOCUMENTS) == {path for path, options in LEAVES.items() if "--input" in options}
 
 
+_CURVE = encode(axial_spectral(2, 0.5))
+_SPHERE = encode(sphere_of_sech())
+
+# The keys of each leaf's report on a fixed valid job, nested objects as
+# dotted paths.  Reports are written from dataclass fields, so renaming a
+# field renames a key; this pins them.
+REPORT_KEYS = {
+    ("normalize",): ([], _CURVE, "k psi"),
+    ("check",): ([], _CURVE, "k eigenvalues determinant condition_estimate degenerate"),
+    ("factor",): ([], _CURVE, "k Q"),
+    ("boundary",): ([], _CURVE, "k degree error_bound"),
+    ("reconstruct",): ([], _CURVE, "k psi max_abs_deviation"),
+    ("center",): (
+        [],
+        encode(sphere_to_tuple(factor_sphere(axial_spectral(2, 0.5)))),
+        "k v iterations norm2 mu mu.r mu.c mu.magnitude",
+    ),
+    ("ratmap",): (["--w", "0.3+0.2j"], _SPHERE, "w num den scale poles zeros line line.u1 line.u2"),
+    ("massless",): ([], {"num": [[1, 0], [0, 1]], "den": [[0, 0], [1, 0]]}, "k psi"),
+    ("charge2", "lattice"): ([], _SPHERE, "points closed period initial_roots"),
+    ("charge2", "pseq"): ([], _CURVE, "start points closed period max_residual"),
+    ("charge2", "poncelet"): ([], _CURVE, "vertices conic closed vertex_residuals"),
+    ("charge2", "mass"): ([], _CURVE, "mass"),
+    ("charge2", "involution"): (
+        [],
+        {"r0": [2.0, 0.5, 0], "r1": [0, 2.0, 0], "r2": [0.3, 0, 1.0]},
+        "bracket bracket.r0 bracket.r1 bracket.r2 triple_product quartic first_order_invariant max_derivative full",
+    ),
+    ("field", "residual"): ([], None, "profile points max_frobenius"),
+    ("field", "mass"): ([], None, "profile r m limit_estimate"),
+    ("field", "sample"): ([], None, "profile z r H det_H A_z A_r Phi trace_phi_sq"),
+    ("pipeline",): (
+        [],
+        _CURVE,
+        "k eigenvalues mu_initial mu_initial.r mu_initial.c mu_initial.magnitude mu_centred mu_centred.r "
+        "mu_centred.c mu_centred.magnitude norm2_centred center_iterations degree_integral degree_error_bound",
+    ),
+}
+
+
+def _key_paths(report: dict, prefix: str = "") -> set:
+    keys = set()
+    for key, value in report.items():
+        keys.add(prefix + key)
+        if isinstance(value, dict):
+            keys |= _key_paths(value, prefix + key + ".")
+    return keys
+
+
+@pytest.mark.parametrize("path", sorted(LEAVES), ids=" ".join)
+def test_every_leaf_reports_its_pinned_keys(tmp_path, path):
+    extra, doc, keys = REPORT_KEYS[path]
+    argv = [*path, *extra, "--output", str(tmp_path / "out.json")]
+    if doc is not None:
+        (tmp_path / "in.json").write_text(json.dumps(doc))
+        argv += ["--input", str(tmp_path / "in.json")]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert _key_paths(report) == set(keys.split()) | {"command", "status"}
+
+
 IDENTITY_TUPLE = {"k": 1, "v": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
 
 
@@ -157,7 +220,7 @@ IDENTITY_TUPLE = {"k": 1, "v": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
 @given(job=jobs())
 @example(job=(["center", "--max-iter", "0"], IDENTITY_TUPLE))
 @example(job=(["center", "--max-iter", "-2"], IDENTITY_TUPLE))
-@example(job=(["pipeline", "--max-iter", "0"], curve_to_json(axial_spectral(2, 0.5))))
+@example(job=(["pipeline", "--max-iter", "0"], encode(axial_spectral(2, 0.5))))
 @example(job=(["massless"], {"num": [[1, 0], [0, 0]], "den": [[1e-320, 0], [0, 0]]}))
 @example(job=(["massless"], {"num": [[1.7e308, 1.7e308], [1, 0]], "den": [[1, 0], [1, 0]]}))
 @example(job=(["field", "residual", "--grid", "-3"], None))

@@ -11,7 +11,7 @@ from monosphere import charge2
 from monosphere.charge2 import Su2Triple
 from monosphere.cli import main
 from monosphere.curves import SpectralMatrix, axial_spectral
-from monosphere.serialize import curve_to_json, dumps_report, sphere_to_json, triple_to_json
+from monosphere.serialize import dumps_report, encode
 from monosphere.spheres import factor_sphere
 
 
@@ -24,7 +24,7 @@ def _run(tmp_path, argv, doc):
 
 
 def _check(tmp_path, psi):
-    return _run(tmp_path, ["check"], curve_to_json(SpectralMatrix(len(psi) - 1, np.diag(psi))))
+    return _run(tmp_path, ["check"], encode(SpectralMatrix(len(psi) - 1, np.diag(psi))))
 
 
 @pytest.mark.parametrize(
@@ -54,7 +54,7 @@ def test_check_degenerate_reads_both_ways(tmp_path, psi, degenerate):
 )
 def test_charge2_walks_read_closed_both_ways(tmp_path, command, document, m, closed):
     S = axial_spectral(2, m)
-    doc = sphere_to_json(factor_sphere(S)) if document == "sphere" else curve_to_json(S)
+    doc = encode(factor_sphere(S)) if document == "sphere" else encode(S)
     code, report = _run(tmp_path, ["charge2", command], doc)
     assert code == 0
     assert report["closed"] is closed
@@ -72,7 +72,7 @@ def test_charge2_walks_read_closed_both_ways(tmp_path, command, document, m, clo
     ],
 )
 def test_involution_full_reads_both_ways(tmp_path, rows, full):
-    code, report = _run(tmp_path, ["charge2", "involution"], triple_to_json(Su2Triple(*rows)))
+    code, report = _run(tmp_path, ["charge2", "involution"], encode(Su2Triple(*rows)))
     assert code == 0
     assert report["full"] is full
 
@@ -84,6 +84,6 @@ def test_involution_first_order_invariant_reads_both_ways(tmp_path, monkeypatch,
     if moves_gram:
         monkeypatch.setattr(charge2, "bracket", lambda nu: nu)
     nu = Su2Triple(*np.random.default_rng(47).standard_normal((3, 3)))
-    code, report = _run(tmp_path, ["charge2", "involution"], triple_to_json(nu))
+    code, report = _run(tmp_path, ["charge2", "involution"], encode(nu))
     assert code == 0
     assert report["first_order_invariant"] is not moves_gram

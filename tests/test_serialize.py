@@ -7,23 +7,20 @@ from monosphere.charge2 import Su2Triple
 from monosphere.curves import SpectralMatrix
 from monosphere.errors import SchemaError
 from monosphere.ratmap import RationalMap
+from monosphere.projective import SpherePoint
+from monosphere.ratmap import ProjLine
 from monosphere.serialize import (
     complex_from_json,
-    complex_to_json,
     curve_from_json,
-    curve_to_json,
     dumps_report,
+    encode,
+    loads_document,
     parse_payload,
     point_from_json,
-    point_to_json,
     ratmap_from_json,
-    ratmap_to_json,
     sphere_from_json,
-    sphere_to_json,
     triple_from_json,
-    triple_to_json,
     tuple_from_json,
-    tuple_to_json,
     write_csv,
 )
 from monosphere.spheres import CoeffTuple, HoloSphere, factor_sphere, sphere_to_tuple
@@ -38,7 +35,7 @@ def random_curve(seed=11, k=2):
 class TestComplexAndPoints:
     def test_complex_round_trip(self):
         c = 1.25 - 3.5j
-        assert complex_from_json(complex_to_json(c)) == c
+        assert complex_from_json(encode(c)) == c
 
     def test_bad_pairs_rejected(self):
         for bad in ([1.0], [1.0, 2.0, 3.0], ["a", 0.0], [True, 0.0], "1+2j", 7):
@@ -56,55 +53,56 @@ class TestComplexAndPoints:
     def test_point_infinity_token(self):
         p = point_from_json("inf")
         assert p.is_infinity
-        assert point_to_json(p) == "inf"
+        assert encode(p) == "inf"
 
     def test_point_finite_round_trip(self):
         p = point_from_json([0.5, -2.0])
-        assert point_to_json(p) == [0.5, -2.0]
+        assert encode(p) == [0.5, -2.0]
 
     def test_point_unknown_token(self):
         with pytest.raises(SchemaError):
             point_from_json("nan")
 
 
+ROUND_TRIPS = {
+    "curve": (lambda: random_curve(), curve_from_json, ("k", "psi")),
+    "sphere": (lambda: factor_sphere(random_curve()), sphere_from_json, ("k", "Q")),
+    "tuple": (lambda: sphere_to_tuple(factor_sphere(random_curve())), tuple_from_json, ("k", "v")),
+    "triple": (
+        lambda: Su2Triple([1.0, 2.0, 3.0], [0.5, -1.0, 0.0], [0.0, 0.25, -2.0]),
+        triple_from_json,
+        ("r0", "r1", "r2"),
+    ),
+    # the decoder renormalizes and leaves scale at 1
+    "ratmap": (
+        lambda: RationalMap.normalized([1.0, 2.0, 1.0], [1.0, 0.0, -1.0]),
+        ratmap_from_json,
+        ("num", "den"),
+    ),
+}
+
+
 class TestDocumentRoundTrips:
-    def test_curve(self):
-        S = random_curve()
-        back = curve_from_json(curve_to_json(S))
-        assert back.k == S.k
-        assert np.array_equal(back.psi, S.psi)
-
-    def test_sphere(self):
-        q = factor_sphere(random_curve())
-        back = sphere_from_json(sphere_to_json(q))
-        assert np.array_equal(back.Q, q.Q)
-
-    def test_tuple(self):
-        t = sphere_to_tuple(factor_sphere(random_curve()))
-        back = tuple_from_json(tuple_to_json(t))
-        assert np.array_equal(back.v, t.v)
-
-    def test_triple(self):
-        nu = Su2Triple([1.0, 2.0, 3.0], [0.5, -1.0, 0.0], [0.0, 0.25, -2.0])
-        back = triple_from_json(triple_to_json(nu))
-        assert np.array_equal(back.stack(), nu.stack())
-
-    def test_ratmap(self):
-        f = RationalMap.normalized([1.0, 2.0, 1.0], [1.0, 0.0, -1.0])
-        back = ratmap_from_json(ratmap_to_json(f))
-        assert np.allclose(back.num, f.num) and np.allclose(back.den, f.den)
+    @pytest.mark.parametrize("kind", sorted(ROUND_TRIPS))
+    def test_document_round_trip(self, kind):
+        # value -> report bytes -> document -> decoder gives the value back
+        make, decode, names = ROUND_TRIPS[kind]
+        value = make()
+        back = decode(loads_document(dumps_report(encode(value))))
+        for name in names:
+            assert np.array_equal(getattr(back, name), getattr(value, name)), name
 
     def test_dispatch_by_signature(self):
         S = random_curve()
-        assert isinstance(parse_payload(curve_to_json(S)), SpectralMatrix)
-        assert isinstance(parse_payload(sphere_to_json(factor_sphere(S))), HoloSphere)
+        assert isinstance(parse_payload(encode(S)), SpectralMatrix)
+        assert isinstance(parse_payload(encode(factor_sphere(S))), HoloSphere)
         t = sphere_to_tuple(factor_sphere(S))
-        assert isinstance(parse_payload(tuple_to_json(t)), CoeffTuple)
+        assert isinstance(parse_payload(encode(t)), CoeffTuple)
         with pytest.raises(SchemaError):
             parse_payload({"what": 1})
 
     def test_extra_keys_tolerated(self):
-        doc = curve_to_json(random_curve())
+        doc = encode(random_curve())
         doc["status"] = "ok"
         doc["command"] = "normalize"
         assert curve_from_json(doc).k == 2
@@ -117,7 +115,7 @@ class TestSchemaValidation:
                 curve_from_json({"k": bad_k, "psi": [[[1, 0]]]})
 
     def test_shape_mismatch(self):
-        doc = curve_to_json(random_curve(k=2))
+        doc = encode(random_curve(k=2))
         doc["k"] = 3
         with pytest.raises(SchemaError):
             curve_from_json(doc)
@@ -135,6 +133,41 @@ class TestSchemaValidation:
     def test_ratmap_length_mismatch(self):
         with pytest.raises(SchemaError):
             ratmap_from_json({"num": [[1, 0]], "den": [[1, 0], [0, 0]]})
+
+
+class TestEncode:
+    def test_numpy_scalars_become_python_numbers(self):
+        for value, expected in ((np.bool_(True), True), (np.int64(-3), -3), (np.float64(0.25), 0.25)):
+            got = encode(value)
+            assert got == expected and type(got) is type(expected)
+
+    def test_complex_scalars_become_pairs(self):
+        assert encode(1.5 - 2j) == [1.5, -2.0]
+        assert encode(np.complex128(-0.5 + 4j)) == [-0.5, 4.0]
+
+    def test_real_array_against_complex_array(self):
+        assert encode(np.array([[1.0, -2.0]])) == [[1.0, -2.0]]
+        assert encode(np.array([[1.0, -2.0]], dtype=complex)) == [[[1.0, 0.0], [-2.0, 0.0]]]
+
+    def test_tuple_of_sphere_points(self):
+        pts = (SpherePoint.of("inf"), SpherePoint.of(0.5 - 2j), SpherePoint.of(0))
+        assert encode(pts) == ["inf", [0.5, -2.0], [0.0, 0.0]]
+
+    def test_nested_dataclass(self):
+        line = ProjLine(np.array([1.0, 0.0]), np.array([0.0, 1j]))
+        report = encode({"line": line, "period": None, "closed": np.bool_(False)})
+        assert report == {
+            "line": {"u1": [[1.0, 0.0], [0.0, 0.0]], "u2": [[0.0, 0.0], [0.0, 1.0]]},
+            "period": None,
+            "closed": False,
+        }
+        assert json.loads(dumps_report(report)) == report
+
+    @pytest.mark.parametrize("bad", [np.float64("inf"), float("-inf"), float("nan")])
+    def test_non_finite_report_is_refused(self, bad):
+        # the CLI turns this ValueError into a NonFiniteResult report, exit 3
+        with pytest.raises(ValueError):
+            dumps_report(encode({"mass": bad, "trace": np.array([1.0 + 0j, complex(bad, 0.0)])}))
 
 
 class TestReportsAndCsv:
