@@ -42,7 +42,6 @@ from .charge2 import (
     PonceletPolygon,
     PSequence,
     Su2Triple,
-    TwoMonopole,
     ZLattice,
     bracket,
     diagonal_quartic,

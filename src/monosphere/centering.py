@@ -57,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MaxIterExceeded, NonFiniteResult, NotStable
-from .projective import vander
+from .projective import frozen, vander
 from .spheres import CoeffTuple, binom_weights, fullness_check
 
 FLOW_TOL = 1e-10
@@ -87,10 +87,6 @@ class Mobius:
             raise ValueError(f"determinant {det} is not 1")
 
     @staticmethod
-    def identity() -> "Mobius":
-        return Mobius(1.0, 0.0, 0.0, 1.0)
-
-    @staticmethod
     def from_matrix(m) -> "Mobius":
         m = np.asarray(m, dtype=complex)
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
@@ -100,10 +96,6 @@ class Mobius:
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
-
-    def compose(self, other: "Mobius") -> "Mobius":
-        """Matrix product self @ other (composition of Mobius maps)."""
-        return Mobius.from_matrix(self.matrix() @ other.matrix())
 
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)
@@ -122,12 +114,10 @@ class MomentValue:
 @lru_cache(maxsize=None)
 def _pascal(k: int) -> tuple[np.ndarray, np.ndarray]:
     """binom(n, r) for 0 <= n, r <= k, and the exponents max(n - r, 0)."""
-    B = np.array([[math.comb(n, r) for r in range(k + 1)] for n in range(k + 1)], dtype=float)
+    B = [[math.comb(n, r) for r in range(k + 1)] for n in range(k + 1)]
     n = np.arange(k + 1)
     e = np.maximum(n[:, None] - n[None, :], 0)
-    B.setflags(write=False)
-    e.setflags(write=False)
-    return B, e
+    return frozen(B, float, (k + 1, k + 1), "binomials"), frozen(e, int, (k + 1, k + 1), "exponents")
 
 
 def _rep_matrix(g: Mobius, k: int) -> np.ndarray:
@@ -220,9 +210,11 @@ def _generators(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     L = np.diag(np.sqrt((j + 1) * (k - j)), -1)
     H = np.stack([np.eye(k + 1), np.diag(lam), L + L.T, 1j * (L - L.T)])
     rows = np.stack([np.ones(k + 1), 2.0 * lam, 4.0 * lam * lam])
-    for a in (lam, H, rows):
-        a.setflags(write=False)
-    return lam, H, rows
+    return (
+        frozen(lam, float, (k + 1,), "weights"),
+        frozen(H, complex, (4, k + 1, k + 1), "generators"),
+        frozen(rows, float, (3, k + 1), "rows"),
+    )
 
 
 def _jets(v: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -376,10 +368,7 @@ class HyperbolicPoint:
     X: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.X, dtype=complex)
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "X", m)
+        object.__setattr__(self, "X", frozen(self.X, complex, (2, 2), "X"))
 
     @property
     def coords(self) -> tuple[float, float, float]:

@@ -1,14 +1,14 @@
 """Charge-2 structure: canonical triples, the bracket flow, lattices,
 P-sequences, mass estimation, and Poncelet polygons.
 
-A charge-2 coefficient tuple (v0, v1, v2) in C^3 with centred moment
-map satisfies exactly two constraints,
+A charge-2 tuple is a CoeffTuple (v0, v1, v2) with k = 2, and its two
+constraints are those of a centred moment map, mu = 0:
 
-    |v0|^2 = |v2|^2    and    (v0, v1) + (v1, v2) = 0,
+    |v0|^2 - |v2|^2 = -mu_r / 2 = 0    and    (v0, v1) + (v1, v2) = mu_c / sqrt(2) = 0.
 
-and (when full) is equivalent under U(3) to a canonical representative
-(v0, v1, -conj(v0)) with v1 real.  Such representatives correspond to
-real triples (r0, r1, r2) through
+Such a tuple (when full) is equivalent under U(3) to a canonical
+representative (v0, v1, -conj(v0)) with v1 real.  Such representatives
+correspond to real triples (r0, r1, r2) through
 
     v0 = (r0 + i r2)/sqrt(2),   v1 = r1,   v2 = (-r0 + i r2)/sqrt(2),
 
@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .centering import moment_map, norm2
 from .curves import SpectralMatrix, bidegree, metric_scale_residual
 from .errors import (
     BranchPoint,
@@ -61,7 +62,7 @@ from .errors import (
     NotFull,
     NotOnCurve,
 )
-from .projective import SpherePoint, chordal, hom_vector, proj_roots
+from .projective import SpherePoint, chordal, frozen, hom_vector, proj_roots
 from .ratmap import spectral_slice
 from .spheres import CoeffTuple, HoloSphere, eval_sphere, fullness_check, require_full
 
@@ -69,46 +70,6 @@ CONSTRAINT_TOL = 1e-10
 CLOSURE_TOL = 1e-8
 CURVE_TOL = 1e-9
 MASS_STARTS = (0.78 + 0.21j, -1.17j, 1.9 - 0.33j)
-
-
-@dataclass(frozen=True)
-class TwoMonopole:
-    """Charge-2 tuple (v0, v1, v2) satisfying the two centred constraints."""
-
-    v0: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-
-    def __post_init__(self):
-        vs = []
-        for name in ("v0", "v1", "v2"):
-            v = np.asarray(getattr(self, name), dtype=complex).copy()
-            if v.shape != (3,):
-                raise ConstraintViolated(f"{name} must be a 3-vector")
-            v.setflags(write=False)
-            vs.append(v)
-            object.__setattr__(self, name, v)
-        scale = max(sum(float(np.vdot(v, v).real) for v in vs), 1e-300)
-        gap, pair = self.residuals()
-        if gap > CONSTRAINT_TOL * scale or pair > CONSTRAINT_TOL * scale:
-            raise ConstraintViolated(
-                f"constraint residuals ({gap:.2e}, {pair:.2e}) exceed {CONSTRAINT_TOL:.0e} x {scale:.2e}"
-            )
-
-    def residuals(self) -> tuple[float, float]:
-        """(| |v0|^2 - |v2|^2 |, |(v0,v1) + (v1,v2)|)."""
-        gap = abs(float(np.vdot(self.v0, self.v0).real) - float(np.vdot(self.v2, self.v2).real))
-        pair = abs(np.vdot(self.v0, self.v1) + np.vdot(self.v1, self.v2))
-        return gap, float(pair)
-
-    def as_tuple(self) -> CoeffTuple:
-        return CoeffTuple(2, np.stack([self.v0, self.v1, self.v2]))
-
-    @staticmethod
-    def from_tuple(t: CoeffTuple) -> "TwoMonopole":
-        if t.k != 2:
-            raise ConstraintViolated("only charge-2 tuples carry the two-monopole structure")
-        return TwoMonopole(t.v[0], t.v[1], t.v[2])
 
 
 @dataclass(frozen=True)
@@ -121,11 +82,7 @@ class Su2Triple:
 
     def __post_init__(self):
         for name in ("r0", "r1", "r2"):
-            r = np.asarray(getattr(self, name), dtype=float).copy()
-            if r.shape != (3,):
-                raise ValueError(f"{name} must be a real 3-vector")
-            r.setflags(write=False)
-            object.__setattr__(self, name, r)
+            object.__setattr__(self, name, frozen(getattr(self, name), float, (3,), name))
 
     def stack(self) -> np.ndarray:
         return np.stack([self.r0, self.r1, self.r2])
@@ -142,24 +99,36 @@ class Su2Triple:
 _C = np.array([[1.0, 0.0, 1j], [0.0, np.sqrt(2.0), 0.0], [-1.0, 0.0, 1j]]) / np.sqrt(2.0)
 
 
-def from_su2_triple(nu: Su2Triple) -> TwoMonopole:
-    """((r0 + i r2)/sqrt(2), r1, (-r0 + i r2)/sqrt(2)); constraints exact."""
-    return TwoMonopole(*(_C @ nu.stack()))
+def from_su2_triple(nu: Su2Triple) -> CoeffTuple:
+    """The charge-2 tuple ((r0 + i r2)/sqrt(2), r1, (-r0 + i r2)/sqrt(2));
+    its moment map vanishes exactly."""
+    return CoeffTuple(2, _C @ nu.stack())
 
 
-def to_su2_triple(t: TwoMonopole) -> Su2Triple:
+def to_su2_triple(t: CoeffTuple) -> Su2Triple:
     """Reduce to the canonical slice (v0, v1, -conj(v0)), v1 real, and read off r's.
 
+    The tuple must have charge 2 and satisfy both constraints mu = 0,
+    each to CONSTRAINT_TOL times norm2(t): the gap |v0|^2 - |v2|^2 is
+    mu_r / 2 and the pair (v0, v1) + (v1, v2) is mu_c / sqrt(2).
     M = _C^T conj(V) is N W for a unitary W, so the real 3 x 6 stack
     [Re M | Im M] has Gram N N^T; the triangular factor of its QR,
     taken in row order (r1, r0, r2) with a positive diagonal, is that
     Gram's triple with r1 on the positive first axis.  QR keeps the
     conditioning of the triple, where a Cholesky of the Gram squares it.
     """
-    V = np.stack([t.v0, t.v1, t.v2])
-    if not fullness_check(V)[1]:
+    if t.k != 2:
+        raise ConstraintViolated("only charge-2 tuples carry the two-monopole structure")
+    mu = moment_map(t)
+    gap, pair = abs(mu.mu_r) / 2.0, abs(mu.mu_c) / math.sqrt(2.0)
+    scale = max(norm2(t), 1e-300)
+    if gap > CONSTRAINT_TOL * scale or pair > CONSTRAINT_TOL * scale:
+        raise ConstraintViolated(
+            f"constraint residuals ({gap:.2e}, {pair:.2e}) exceed {CONSTRAINT_TOL:.0e} x {scale:.2e}"
+        )
+    if not fullness_check(t.v)[1]:
         raise NotFull("triple does not span C^3")
-    M = (_C.T @ np.conj(V))[[1, 0, 2]]
+    M = (_C.T @ np.conj(t.v))[[1, 0, 2]]
     R = np.linalg.qr(np.hstack([M.real, M.imag]).T, mode="r")
     L = R.T * np.where(np.diag(R) < 0, -1.0, 1.0)
     return Su2Triple(L[1], L[0], L[2])

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteResult, NotHermitian, NotPositiveDefinite
-from .projective import SpherePoint, hom_vector, vander
+from .projective import SpherePoint, frozen, hom_vector, vander
 
 # Relative tolerance for Hermiticity and positive definiteness.
 HERM_TOL = 1e-10
@@ -46,18 +46,9 @@ class SpectralMatrix:
     psi: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.psi, dtype=complex)
         if self.k < 1:
             raise ValueError("charge k must be >= 1")
-        if m.shape != (self.k + 1, self.k + 1):
-            raise ValueError(f"psi must be {(self.k + 1, self.k + 1)}, got {m.shape}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "psi", m)
-
-    def scale(self) -> float:
-        """Magnitude used for relative tolerances."""
-        return float(np.max(np.abs(self.psi)))
+        object.__setattr__(self, "psi", frozen(self.psi, complex, (self.k + 1, self.k + 1), "psi"))
 
 
 def hermitian_part(psi: np.ndarray) -> np.ndarray:

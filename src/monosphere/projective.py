@@ -105,11 +105,19 @@ def chordal(p, q) -> float:
     return num / den
 
 
+def frozen(x, dtype, shape: tuple, name: str) -> np.ndarray:
+    """A read-only copy of x as an array of dtype, the one way a value
+    or a cached table holds an array; ValueError unless it has shape."""
+    a = np.array(x, dtype=dtype)
+    if a.shape != shape:
+        raise ValueError(f"{name} must be {shape}, got {a.shape}")
+    a.setflags(write=False)
+    return a
+
+
 @lru_cache(maxsize=None)
 def _exponents(k: int) -> np.ndarray:
-    e = np.arange(k + 1.0)
-    e.setflags(write=False)
-    return e
+    return frozen(np.arange(k + 1.0), float, (k + 1,), "exponents")
 
 
 def vander(z, k: int) -> np.ndarray:

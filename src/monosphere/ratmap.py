@@ -42,7 +42,7 @@ from .errors import (
     NonFiniteResult,
     RealPointFound,
 )
-from .projective import SpherePoint, proj_roots
+from .projective import SpherePoint, frozen, proj_roots
 from .spheres import HoloSphere, eval_sphere, require_full
 
 
@@ -54,19 +54,14 @@ class ProjLine:
     u2: np.ndarray
 
     def __post_init__(self):
-        u1 = np.asarray(self.u1, dtype=complex).copy()
-        u2 = np.asarray(self.u2, dtype=complex).copy()
+        u1 = frozen(self.u1, complex, (np.size(self.u1),), "u1")  # a vector of any length
+        u2 = frozen(self.u2, complex, u1.shape, "u2")
         if abs(np.linalg.norm(u1) - 1.0) > 1e-12 or abs(np.linalg.norm(u2) - 1.0) > 1e-12:
             raise ValueError("line basis vectors must be unit")
         if abs(np.vdot(u1, u2)) > 1e-12:
             raise ValueError("line basis vectors must be orthogonal")
-        for u in (u1, u2):
-            u.setflags(write=False)
         object.__setattr__(self, "u1", u1)
         object.__setattr__(self, "u2", u2)
-
-    def basis(self) -> np.ndarray:
-        return np.stack([self.u1, self.u2], axis=1)
 
 
 def _leading(c: np.ndarray) -> complex:
@@ -91,14 +86,9 @@ class RationalMap:
     scale: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        num = np.asarray(self.num, dtype=complex).copy()
-        den = np.asarray(self.den, dtype=complex).copy()
-        if num.shape != den.shape or num.ndim != 1:
-            raise ValueError("num and den must be 1-d of equal length")
-        num.setflags(write=False)
-        den.setflags(write=False)
+        num = frozen(self.num, complex, (np.size(self.num),), "num")  # a vector of any length
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "den", frozen(self.den, complex, num.shape, "den"))
 
     @property
     def degree(self) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .curves import HERM_TOL, SpectralMatrix, chart_pairing, hermitian_part, require_positive_definite
 from .errors import NotFull
-from .projective import hom_vector
+from .projective import frozen, hom_vector
 
 FULL_TOL = 1e-10
 
@@ -36,8 +36,7 @@ FULL_TOL = 1e-10
 def binom_weights(k: int) -> np.ndarray:
     """sqrt(binom(k, j)) for j = 0..k (read-only)."""
     w = np.sqrt(np.array([math.comb(k, j) for j in range(k + 1)], dtype=float))
-    w.setflags(write=False)
-    return w
+    return frozen(w, float, (k + 1,), "binomial weights")
 
 
 @dataclass(frozen=True)
@@ -49,12 +48,9 @@ class HoloSphere:
     Q: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.Q, dtype=complex)
-        if m.shape != (self.k + 1, self.k + 1):
-            raise ValueError(f"Q must be {(self.k + 1, self.k + 1)}, got {m.shape}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "Q", m)
+        if self.k < 1:
+            raise ValueError("charge k must be >= 1")
+        object.__setattr__(self, "Q", frozen(self.Q, complex, (self.k + 1, self.k + 1), "Q"))
 
 
 @dataclass(frozen=True)
@@ -65,12 +61,9 @@ class CoeffTuple:
     v: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.v, dtype=complex)
-        if m.shape != (self.k + 1, self.k + 1):
-            raise ValueError(f"v must be {(self.k + 1, self.k + 1)}, got {m.shape}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "v", m)
+        if self.k < 1:
+            raise ValueError("charge k must be >= 1")
+        object.__setattr__(self, "v", frozen(self.v, complex, (self.k + 1, self.k + 1), "v"))
 
 
 def factor_sphere(S: SpectralMatrix, tol: float = HERM_TOL) -> HoloSphere:

@@ -109,7 +109,7 @@ def test_criterion_02_factor_round_trip():
         S = _random_pd(rng, k)
         q = factor_sphere(S)
         back = spectral_from_sphere(q)
-        worst_rt = max(worst_rt, float(np.max(np.abs(back.psi - S.psi))) / S.scale())
+        worst_rt = max(worst_rt, float(np.max(np.abs(back.psi - S.psi))) / float(np.max(np.abs(S.psi))))
         w = complex(rng.standard_normal() + 1j * rng.standard_normal())
         z = complex(rng.standard_normal() + 1j * rng.standard_normal())
         val = eval_psi(S, w, z)
@@ -412,7 +412,7 @@ def test_criterion_12_boundary_reconstruction():
                 z = rho * np.exp(1j * (2 * np.pi * j / (2 * k + 3) + 0.1 * i))
                 samples.append((z, metric_h(S, z)))
         back = reconstruct_psi_from_metric(samples, k)
-        worst = max(worst, float(np.max(np.abs(back.psi - S.psi))) / S.scale())
+        worst = max(worst, float(np.max(np.abs(back.psi - S.psi))) / float(np.max(np.abs(S.psi))))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-8 and dt < 5.0
     _report(12, ok, f"recovery dev {worst:.1e} <= 1e-8 (100 cases, k <= 4, "

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from monosphere.centering import MomentValue, center_flow, moment_map, norm2
 from monosphere.charge2 import (
     CLOSURE_TOL,
+    CONSTRAINT_TOL,
     MassFlowReport,
     PonceletPolygon,
     Su2Triple,
-    TwoMonopole,
     bracket,
     diagonal_quartic,
     estimate_mass,
@@ -39,7 +40,7 @@ from monosphere.projective import (
     proj_roots,
 )
 from monosphere.ratmap import spectral_slice
-from monosphere.spheres import eval_sphere, factor_sphere, spectral_from_sphere, tuple_to_sphere
+from monosphere.spheres import CoeffTuple, eval_sphere, factor_sphere, spectral_from_sphere, tuple_to_sphere
 
 E = np.eye(3)
 ORTHONORMAL = Su2Triple(E[0], E[1], E[2])
@@ -53,36 +54,70 @@ def identity_curve():
     return SpectralMatrix(2, np.eye(3, dtype=complex))
 
 
+def _constraints(t):
+    """The gap |v0|^2 - |v2|^2 and the pair (v0, v1) + (v1, v2) of a
+    charge-2 tuple, in units of CONSTRAINT_TOL * norm2(t)."""
+    mu = moment_map(t)
+    unit = CONSTRAINT_TOL * norm2(t)
+    return abs(mu.mu_r) / 2.0 / unit, abs(mu.mu_c) / np.sqrt(2.0) / unit
+
+
+def _off_constraints(gap, pair):
+    """The orthonormal tuple with v0 stretched and v1 tilted along i e0,
+    so its constraints read (gap, pair) in the units of _constraints."""
+    v = from_su2_triple(ORTHONORMAL).v.copy()
+    n = 3.0
+    for _ in range(4):
+        s = gap * CONSTRAINT_TOL * n
+        d = pair * CONSTRAINT_TOL * n * np.sqrt(2.0) / (np.sqrt(1.0 + s) + 1.0)
+        n = 3.0 + s + d * d
+    v[0] *= np.sqrt(1.0 + s)
+    v[1, 0] = 1j * d
+    return CoeffTuple(2, v)
+
+
 class TestTwoMonopole:
     def test_orthonormal_image(self):
         t = from_su2_triple(ORTHONORMAL)
-        assert np.allclose(t.v0, [1 / np.sqrt(2), 0, 1j / np.sqrt(2)])
-        assert np.allclose(t.v1, [0, 1, 0])
-        assert np.allclose(t.v2, [-1 / np.sqrt(2), 0, 1j / np.sqrt(2)])
-        assert t.residuals() == (0.0, 0.0)
+        assert t.k == 2
+        assert np.allclose(t.v[0], [1 / np.sqrt(2), 0, 1j / np.sqrt(2)])
+        assert np.allclose(t.v[1], [0, 1, 0])
+        assert np.allclose(t.v[2], [-1 / np.sqrt(2), 0, 1j / np.sqrt(2)])
+        assert moment_map(t) == MomentValue(0.0, 0.0)
 
     def test_constraints_exact_for_any_triple(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            t = from_su2_triple(random_triple(rng))
-            gap, pair = t.residuals()
-            assert gap < 1e-13 and pair < 1e-13
+            mu = moment_map(from_su2_triple(random_triple(rng)))
+            assert abs(mu.mu_r) / 2 < 1e-13 and abs(mu.mu_c) / np.sqrt(2) < 1e-13
 
     def test_norm_violation_rejected(self):
         with pytest.raises(ConstraintViolated):
-            TwoMonopole([1, 0, 0], [0, 1, 0], [0, 0, 2])
+            to_su2_triple(CoeffTuple(2, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
 
     def test_pairing_violation_rejected(self):
         # norms match but (v0,v1) + (v1,v2) = 2
         with pytest.raises(ConstraintViolated):
-            TwoMonopole([1, 0, 0], [1, 0, 0], [0, 0, 1])
+            to_su2_triple(CoeffTuple(2, [[1, 0, 0], [1, 0, 0], [0, 0, 1]]))
 
-    def test_from_tuple_requires_charge_two(self):
-        from monosphere.spheres import CoeffTuple
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_requires_charge_two(self, k):
+        with pytest.raises(ConstraintViolated, match="only charge-2"):
+            to_su2_triple(CoeffTuple(k, np.eye(k + 1)))
 
-        t = CoeffTuple(1, np.eye(2, dtype=complex))
-        with pytest.raises(ConstraintViolated):
-            TwoMonopole.from_tuple(t)
+    @pytest.mark.parametrize("gap, pair", [(2.0, 0.0), (0.0, 2.0)])
+    def test_each_constraint_alone_is_refused_above_its_tolerance(self, gap, pair):
+        t = _off_constraints(gap, pair)
+        assert np.allclose(_constraints(t), (gap, pair), rtol=1e-3, atol=1e-3)
+        with pytest.raises(ConstraintViolated, match="constraint residuals"):
+            to_su2_triple(t)
+
+    @pytest.mark.parametrize("gap, pair", [(0.5, 0.0), (0.0, 0.5), (0.9, 0.9)])
+    def test_each_constraint_is_accepted_below_its_tolerance(self, gap, pair):
+        # (0.9, 0.9) holds |mu| at 1.27 tolerances: the two are judged apart
+        t = _off_constraints(gap, pair)
+        assert np.allclose(_constraints(t), (gap, pair), rtol=1e-3, atol=1e-3)
+        assert np.allclose(to_su2_triple(t).gram(), np.eye(3), atol=1e-8)
 
 
 class TestSu2Reduction:
@@ -108,7 +143,7 @@ class TestSu2Reduction:
         back = to_su2_triple(from_su2_triple(nu))
         t = from_su2_triple(back)
         # canonical means v2 = -conj(v0) already
-        assert np.allclose(t.v2, -np.conj(t.v0))
+        assert np.allclose(t.v[2], -np.conj(t.v[0]))
 
     def test_coplanar_rejected(self):
         nu = Su2Triple([1, 0, 0], [0, 1, 0], [1, 1, 0])
@@ -130,7 +165,7 @@ class TestSu2Reduction:
             assert np.max(np.abs(back.gram() - gram)) <= 1e-12 * np.max(np.abs(gram))
             assert back.r1[0] > 0 and back.r1[1] == 0.0 and back.r1[2] == 0.0
             t = from_su2_triple(back)
-            assert np.array_equal(t.v2, -np.conj(t.v0))
+            assert np.array_equal(t.v[2], -np.conj(t.v[0]))
 
 
 class TestBracket:
@@ -184,7 +219,7 @@ class TestDiagonalQuartic:
         for _ in range(20):
             nu = random_triple(rng)
             t = from_su2_triple(nu)
-            psi = spectral_from_sphere(tuple_to_sphere(t.as_tuple())).psi
+            psi = spectral_from_sphere(tuple_to_sphere(t)).psi
             oracle = np.zeros(5, dtype=complex)
             for n in range(5):
                 for i in range(3):
@@ -196,7 +231,7 @@ class TestDiagonalQuartic:
 
     def test_zero_set_matches_curve_diagonal(self):
         nu = Su2Triple([1, 0.2, 0], [0, 1.1, -0.3], [0.1, 0, 0.9])
-        S = spectral_from_sphere(tuple_to_sphere(from_su2_triple(nu).as_tuple()))
+        S = spectral_from_sphere(tuple_to_sphere(from_su2_triple(nu)))
         roots = proj_roots(diagonal_quartic(nu)[::-1])
         for r in roots:
             assert metric_scale_residual(S, r, r) <= 1e-8
@@ -643,23 +678,17 @@ class TestPoncelet:
 
 class TestCenteringBridge:
     def test_centred_tuples_satisfy_constraints(self):
-        from monosphere.centering import center_flow
-        from monosphere.spheres import CoeffTuple
-
         rng = np.random.default_rng(55)
         for _ in range(5):
             v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             t = CoeffTuple(2, v + 2 * np.eye(3))
             res = center_flow(t)
-            TwoMonopole.from_tuple(res.tuple_centred)
+            to_su2_triple(res.tuple_centred)
 
     def test_zero_moment_iff_constraints(self):
-        from monosphere.centering import moment_map
-        from monosphere.spheres import CoeffTuple
-
         rng = np.random.default_rng(60)
         nu = random_triple(rng)
         t = from_su2_triple(nu)
-        mu = moment_map(t.as_tuple())
+        mu = moment_map(t)
         assert abs(mu.mu_r) <= 1e-12
         assert abs(mu.mu_c) <= 1e-12

@@ -72,12 +72,21 @@ samples = st.fixed_dictionaries({
 points = st.sampled_from(["0", "1", "0.3+0.2j", "2j", "inf", "nan"])
 CSV = "<csv>"  # replaced by a path in the run's temporary directory
 
+
+def _rarely(valid, refused: str):
+    """A value drawn from valid, or about one time in 15 the out-of-range
+    value refused.  The CLI refuses that before any command runs, so a
+    frequent draw would spend the examples on the range checks, which
+    the range tests of test_cli.py cover bound by bound."""
+    return st.integers(0, 14).flatmap(lambda i: st.just(refused) if i == 14 else valid)
+
+
 # Values drawn for each flag a leaf declares; a flag missing here makes
 # the test fail, so it follows the parser.
 FLAG_VALUES = {
-    "--tol": st.sampled_from(["-1", "0", "1e-20", "1e-12", "1e-8", "1e-3", "0.5", "nan"]),
-    "--max-iter": st.integers(-3, 40).map(str),
-    "--grid": st.integers(-3, 24).map(str),
+    "--tol": _rarely(st.sampled_from(["0", "1e-20", "1e-12", "1e-8", "1e-3", "0.5"]), "nan"),
+    "--max-iter": _rarely(st.integers(0, 40).map(str), "-1"),
+    "--grid": _rarely(st.integers(1, 24).map(str), "0"),
     "--csv": st.just(CSV),
     "--w": points,
     "--z0": points,
@@ -211,6 +220,37 @@ def test_every_leaf_reports_its_pinned_keys(tmp_path, path):
     assert main(argv) == 0
     report = json.loads((tmp_path / "out.json").read_text())
     assert _key_paths(report) == set(keys.split()) | {"command", "status"}
+
+
+def _audit_document(path, k: int, case: str) -> dict:
+    """A document for the leaf at charge k: random positive definite (a
+    random map or triple for massless and involution), with its first
+    row zero, or scaled to entries near 1e300 or 1e-300."""
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((k + 1, k + 1)) + 1j * rng.standard_normal((k + 1, k + 1))
+    a = a @ a.conj().T + np.eye(k + 1)
+    a = a / np.max(np.abs(a)) * {"random": 1.0, "zero-row": 1.0, "1e300": 1e300, "1e-300": 1e-300}[case]
+    if case == "zero-row":
+        a[0] = 0.0
+    if path == ("massless",):
+        return {"num": [_cx(z) for z in a[0]], "den": [_cx(z) for z in a[1]]}
+    if path == ("charge2", "involution"):
+        return {r: a[i, :3].real.tolist() for i, r in enumerate(("r0", "r1", "r2"))}
+    kind = {("center",): "v", ("ratmap",): "Q", ("charge2", "lattice"): "Q"}.get(path, "psi")
+    return {"k": k, kind: [[_cx(z) for z in row] for row in a]}
+
+
+@pytest.mark.parametrize("k", [16, 32])
+@pytest.mark.parametrize("path", sorted(DOCUMENTS), ids=" ".join)
+def test_documents_above_charge_8_exit_0_2_or_3_with_a_json_report(tmp_path, path, k):
+    # the property test draws k <= 8; a library ValueError would end in exit 1
+    for case in ("random", "zero-row", "1e300", "1e-300"):
+        (tmp_path / "in.json").write_text(json.dumps(_audit_document(path, k, case)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([*path, *REPORT_KEYS[path][0], "--input", str(tmp_path / "in.json")])
+        assert code in (0, 2, 3), case
+        assert json.loads(out.getvalue())["status"] == ("ok" if code == 0 else "error"), case
 
 
 IDENTITY_TUPLE = {"k": 1, "v": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}

@@ -1,9 +1,11 @@
-"""Every name a module imports is used in it, and every private name a
+"""Every name a module imports is used in it, every private name a
 module defines is read somewhere in the package (no linter is a test
 dependency, so this stands in for the unused-import and dead-code
-checks)."""
+checks), arrays are made read-only in one place, and the public API is
+pinned."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -63,3 +65,61 @@ def test_no_unread_private_names():
 def test_detects_an_unread_private_name():
     sources = ["def _a():\n    return _b()\n\ndef _b():\n    pass\n\n_C = 1\n_D: int = 2\n", "import m\nm._D\n"]
     assert _unread_private_names(sources) == ["_a", "_C"]
+
+
+def _setflags_users(source: str) -> list[str]:
+    """The top-level definitions of source that reach for setflags, by
+    name, or by line for a statement."""
+    return [
+        getattr(node, "name", f"line {node.lineno}")
+        for node in ast.parse(source).body
+        if any(isinstance(n, ast.Attribute) and n.attr == "setflags" for n in ast.walk(node))
+    ]
+
+
+def test_only_frozen_sets_array_flags():
+    users = {p.name: _setflags_users(p.read_text(encoding="utf-8")) for p in PACKAGE}
+    assert {name: found for name, found in users.items() if found} == {"projective.py": ["frozen"]}
+
+
+def test_detects_a_setflags_call():
+    source = (
+        "class A:\n    def f(self, m):\n        m.setflags(write=False)\n\n"
+        "def frozen(m):\n    m.setflags(write=False)\n\nflags = m.setflags\n"
+    )
+    assert _setflags_users(source) == ["A", "frozen", "line 8"]
+
+
+# The package's public API; a name added or removed here is a decision.
+PUBLIC_NAMES = set("""
+    AxialField CoeffTuple ConvergenceError FlowResult GaugeSample H_matrix HoloSphere Mobius MomentValue
+    MonosphereError PSequence PonceletPolygon ProjLine RationalMap ResidualReport SpectralMatrix
+    SpherePoint Su2Triple ValidationError ZLattice act_sl2 antipode axial_spectral bog_residual bracket
+    center_flow centre_point chordal connection_at_infinity curvature_density degree_integral
+    diagonal_quartic estimate_mass eval_psi eval_sphere factor_sphere find_line from_su2_triple
+    fullness_check gauge_fields is_centred mass_flow_check mass_profile massless_curve metric_h
+    metric_scale_residual moment_map nondegeneracy_check norm2 normalize_reality p_sequence pairing
+    poncelet positivity_check proj_roots project_map reconstruct_psi_from_metric sech_field
+    spectral_from_sphere spectral_slice sphere_of_sech sphere_to_tuple stability_check to_su2_triple
+    triple_product tuple_to_sphere z_lattice zero_mass_field
+""".split())
+
+
+def _public_names(module) -> set[str]:
+    """The names a module exports: not private and not a submodule."""
+    return {
+        name for name, value in vars(module).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 68
+    assert _public_names(monosphere) == PUBLIC_NAMES
+
+
+def test_detects_a_new_public_name():
+    module = types.ModuleType("m")
+    vars(module).update(vars(monosphere))
+    module.extra, module._private, module.sub = 1, 2, types.ModuleType("m.sub")
+    assert _public_names(module) ^ PUBLIC_NAMES == {"extra"}

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from monosphere.curves import bidegree
+from monosphere.centering import HyperbolicPoint
+from monosphere.charge2 import Su2Triple
+from monosphere.curves import SpectralMatrix, bidegree
 from monosphere.errors import IdenticallyZero
 from monosphere.projective import (
     SpherePoint,
@@ -14,6 +18,8 @@ from monosphere.projective import (
     vander,
     vander_derivative,
 )
+from monosphere.ratmap import ProjLine, RationalMap
+from monosphere.spheres import CoeffTuple, HoloSphere
 
 
 def test_antipode_of_i():
@@ -129,3 +135,36 @@ def test_kernel_derivatives_match_falling_factorials():
         dv = vander_derivative(vander(block, k))
         for idx in np.ndindex(block.shape):
             _close(dv[(slice(None),) + idx], vander_derivative(vander(block[idx], k)))
+
+
+E3 = np.eye(3)
+
+# (constructor, the caller's arrays, arrays of a wrong shape) of every
+# value class that holds arrays; each holds them through projective.frozen.
+VALUE_CASES = {
+    "SpectralMatrix": (lambda a: SpectralMatrix(1, a), [np.eye(2)], [np.eye(3)]),
+    "HoloSphere": (lambda a: HoloSphere(1, a), [np.eye(2)], [np.eye(3)]),
+    "CoeffTuple": (lambda a: CoeffTuple(1, a), [np.eye(2)], [np.eye(3)]),
+    "Su2Triple": (Su2Triple, [E3[0], E3[1], E3[2]], [E3[0, :2], E3[1], E3[2]]),
+    "ProjLine": (ProjLine, [E3[0], E3[1]], [E3[:, :1], E3[:, 1:2]]),
+    "RationalMap": (RationalMap, [np.array([1.0, 2.0]), np.array([3.0, 4.0])], [[1.0, 2.0], [1.0, 2.0, 3.0]]),
+    "HyperbolicPoint": (HyperbolicPoint, [np.eye(2)], [np.eye(3)]),
+}
+
+
+@pytest.mark.parametrize("make, arrays, bad", VALUE_CASES.values(), ids=VALUE_CASES)
+def test_values_hold_read_only_copies_of_one_shape(make, arrays, bad):
+    arrays = [a.copy() for a in arrays]
+    value = make(*arrays)
+    names = [f.name for f in fields(value) if isinstance(getattr(value, f.name), np.ndarray)]
+    assert len(names) == len(arrays)
+    before = {name: getattr(value, name).copy() for name in names}
+    for name in names:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(value, name)[(0,) * before[name].ndim] = 7.0
+    for a in arrays:
+        a[...] = 0.5
+    for name in names:
+        assert np.array_equal(getattr(value, name), before[name])
+    with pytest.raises(ValueError, match="must be"):
+        make(*bad)

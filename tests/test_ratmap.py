@@ -431,6 +431,7 @@ def test_zero_span_sweep_keeps_the_line(make):
     for w in (0.2 + 0.1j, 1.0, 1.5, -2j, "inf"):
         line, _ = find_line(q, w)
         swept = _sweep(q, w, line)
-        angle = np.max(linalg.subspace_angles(line.basis(), swept.basis()))
+        basis, swept_basis = (np.stack([u.u1, u.u2], axis=1) for u in (line, swept))
+        angle = np.max(linalg.subspace_angles(basis, swept_basis))
         assert angle < 1e-9, (w, angle)
 

@@ -154,3 +154,17 @@ def test_binom_weights_match_exact_binomials():
         got = binom_weights(k)
         assert got.shape == (k + 1,)
         assert np.all(np.abs(got**2 - exact) <= 4e-16 * exact)
+
+
+@pytest.mark.parametrize("k, Q", [(0, [[1.0]]), (-1, np.zeros((0, 0)))])
+def test_sphere_refuses_charge_below_one(k, Q):
+    # k = 0 reached find_line and ended in a misleading NonFiniteResult
+    with pytest.raises(ValueError, match="charge k must be >= 1"):
+        HoloSphere(k, Q)
+
+
+@pytest.mark.parametrize("k, v", [(0, [[1.0]]), (-1, np.zeros((0, 0)))])
+def test_tuple_refuses_charge_below_one(k, v):
+    # k = 0 was "centred" by center_flow
+    with pytest.raises(ValueError, match="charge k must be >= 1"):
+        CoeffTuple(k, v)
