@@ -170,8 +170,12 @@ def reconstruct_psi_from_metric(samples, k: int) -> SpectralMatrix:
     Each sample contributes one real equation
     h = sum_i Psi[i,i] |z|^(2i) + sum_{i<j} 2 Re(Psi[i,j] conj(z)^i z^j)
     in the (k+1)^2 real unknowns.  Needs at least (k+1)^2 independent
-    samples (Underdetermined otherwise).  The recovered matrix must pass
-    require_positive_definite (NotPositiveDefinite flags inconsistent data).
+    samples (Underdetermined otherwise): the rank counts the singular
+    values of the design that lstsq returns above 1e-10 max(1, max|A|).
+    A design or metric sample that is not finite (|z|^(2k) or h
+    overflows) is a NonFiniteResult, raised before LAPACK sees it.  The
+    recovered matrix must pass require_positive_definite
+    (NotPositiveDefinite flags inconsistent data).
     """
     pts = [(complex(z), float(h)) for z, h in samples]
     n_unknown = (k + 1) ** 2
@@ -181,10 +185,12 @@ def reconstruct_psi_from_metric(samples, k: int) -> SpectralMatrix:
         )
     A = _design_matrix(np.array([z for z, _ in pts], dtype=complex), k)
     b = np.array([h for _, h in pts])
-    rank = np.linalg.matrix_rank(A, tol=1e-10 * max(1.0, float(np.max(np.abs(A)))))
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise NonFiniteResult("least-squares system is not finite: |z|^(2k) or h overflows at a sample")
+    coeffs, _, _, svals = np.linalg.lstsq(A, b, rcond=None)
+    rank = int(np.count_nonzero(svals > 1e-10 * max(1.0, float(np.max(np.abs(A))))))
     if rank < n_unknown:
         raise Underdetermined(f"design rank {rank} < {n_unknown}; samples not generic")
-    coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
     S = SpectralMatrix(k, _assemble(coeffs, k))
     require_positive_definite(S)
     return S

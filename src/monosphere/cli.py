@@ -54,7 +54,6 @@ from .charge2 import (
 )
 from .curves import (
     SpectralMatrix,
-    hermitian_part,
     nondegeneracy_check,
     normalize_reality,
     require_positive_definite,
@@ -143,16 +142,9 @@ def cmd_normalize(args) -> SpectralMatrix:
     return normalize_reality(S, **_opt(tol=args.tol))
 
 
-def _gated_curve(args) -> tuple[np.ndarray, SpectralMatrix]:
-    """Eigenvalues and Hermitian part of the input curve, which must pass
-    the positive-definite gate; a rotated curve goes through normalize."""
-    S = ser.curve_from_json(ser.read_document(args.input))
-    vals = require_positive_definite(S, **_opt(tol=args.tol))
-    return vals, SpectralMatrix(S.k, hermitian_part(S.psi))
-
-
 def cmd_check(args) -> dict:
-    vals, S = _gated_curve(args)
+    S = ser.curve_from_json(ser.read_document(args.input))
+    vals, S = require_positive_definite(S, **_opt(tol=args.tol))
     deg = nondegeneracy_check(S, **_opt(tol=args.tol))
     return {
         **vars(deg),
@@ -168,8 +160,9 @@ def cmd_factor(args) -> HoloSphere:
 
 
 def _boundary_rings(k: int, angles: int):
-    """Points on max(3, k + 1) rings symmetric under r -> 1/r: on a ring
-    h has frequencies |m| <= k, and the m-th fixes k + 1 - |m| unknowns."""
+    """angles equispaced points on each of max(3, k + 1) rings symmetric
+    under r -> 1/r: on a ring h has frequencies |m| <= k, which 2k + 2
+    angles separate, and the m-th fixes k + 1 - |m| unknowns."""
     for radius in np.geomspace(0.5, 2.0, max(3, k + 1)):
         for j in range(angles):
             yield radius * np.exp(2j * np.pi * j / angles)
@@ -198,17 +191,14 @@ def cmd_boundary(args) -> dict:
 def cmd_reconstruct(args) -> SpectralMatrix | dict:
     doc = ser.read_document(args.input)
     if "samples" in doc:
-        if args.grid is not None:
-            raise SchemaError("--grid is not read on a samples document")
         k, pairs = ser.samples_from_json(doc)
         return reconstruct_psi_from_metric(pairs, k)
-    # Curve input: gate it, sample its own boundary metric, then recover.
+    # Curve input: gate it, sample its own boundary metric on the 2k + 2
+    # angles per ring that separate the frequencies of h, then recover.
     S = ser.curve_from_json(doc)
     require_positive_definite(S)
-    angles = _grid(args, max(6, (S.k + 1) ** 2))
-    pts = list(_boundary_rings(S.k, angles))
-    pairs = list(zip(pts, metric_h(S, np.array(pts))))
-    out = reconstruct_psi_from_metric(pairs, S.k)
+    z = np.array(list(_boundary_rings(S.k, 2 * S.k + 2)))
+    out = reconstruct_psi_from_metric(zip(z, metric_h(S, z)), S.k)
     return {**vars(out), "max_abs_deviation": np.max(np.abs(out.psi - S.psi))}
 
 
@@ -347,7 +337,8 @@ def cmd_field_sample(args) -> dict:
 
 
 def cmd_pipeline(args) -> dict:
-    vals, S = _gated_curve(args)
+    S = ser.curve_from_json(ser.read_document(args.input))
+    vals, S = require_positive_definite(S, **_opt(tol=args.tol))
     q = factor_sphere(S)
     t = sphere_to_tuple(q)
     mu0 = moment_map(t)
@@ -402,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     _leaf(sub, "factor", cmd_factor, "--tol")
     boundary = _leaf(sub, "boundary", cmd_boundary, "--tol", "--grid")
     boundary.add_argument("--csv", help="boundary sample CSV path")
-    _leaf(sub, "reconstruct", cmd_reconstruct, "--grid")
+    _leaf(sub, "reconstruct", cmd_reconstruct)
     center = _leaf(sub, "center", cmd_center, "--tol", "--max-iter")
     center.add_argument("--csv", help="flow trace CSV path")
     ratmap = _leaf(sub, "ratmap", cmd_ratmap)

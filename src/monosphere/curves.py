@@ -129,11 +129,10 @@ def normalize_reality(S: SpectralMatrix, tol: float = HERM_TOL) -> SpectralMatri
         raise NotPositiveDefinite("zero matrix")
     i, j = np.unravel_index(np.argmax(np.abs(psi)), psi.shape)
     c = np.conj(psi[j, i]) / psi[i, j]
-    theta = np.angle(c) / 2.0
-    herm = require_hermitian(np.exp(1j * theta) * psi, tol)
-    out = SpectralMatrix(S.k, -herm if herm[-1, -1].real < 0 else herm)
-    require_positive_definite(out, tol)
-    return out
+    phase = np.exp(1j * np.angle(c) / 2.0)
+    if (phase * psi[-1, -1]).real < 0:
+        phase = -phase
+    return require_positive_definite(SpectralMatrix(S.k, phase * psi), tol)[1]
 
 
 def require_hermitian(psi: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
@@ -143,30 +142,38 @@ def require_hermitian(psi: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     return hermitian_part(psi)
 
 
+def _spectrum(S: SpectralMatrix, tol: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Hermitian part, its eigenvalues (ascending) and whether the
+    smallest exceeds tol times the largest magnitude; NotHermitian when
+    Psi is not Hermitian within tol."""
+    herm = require_hermitian(S.psi, tol)
+    vals = np.linalg.eigvalsh(herm)
+    ref = max(np.max(np.abs(vals)), 1e-300)
+    return herm, vals, bool(vals[0] > tol * ref)
+
+
 def positivity_check(S: SpectralMatrix, tol: float = HERM_TOL):
     """Eigenvalues (ascending) and a positive-definiteness verdict.
 
     Requires Hermitian input.  Positive definite means the smallest
     eigenvalue exceeds tol times the largest magnitude.
     """
-    herm = require_hermitian(S.psi, tol)
-    vals = np.linalg.eigvalsh(herm)
-    ref = max(np.max(np.abs(vals)), 1e-300)
-    return vals, bool(vals[0] > tol * ref)
+    return _spectrum(S, tol)[1:]
 
 
-def require_positive_definite(S: SpectralMatrix, tol: float = HERM_TOL) -> np.ndarray:
-    """Eigenvalues (ascending) of a curve that positivity_check finds
-    positive definite, the condition for Psi = conj(Q)^T Q to have a
-    factor Q.  NotPositiveDefinite otherwise, and NonFiniteResult when
-    the eigenvalues are not finite (an overflowed matrix has no verdict).
+def require_positive_definite(S: SpectralMatrix, tol: float = HERM_TOL) -> tuple[np.ndarray, SpectralMatrix]:
+    """Eigenvalues (ascending) and Hermitian part of a curve that
+    positivity_check finds positive definite, the condition for
+    Psi = conj(Q)^T Q to have a factor Q.  NotPositiveDefinite otherwise,
+    and NonFiniteResult when the eigenvalues are not finite (an
+    overflowed matrix has no verdict).
     """
-    vals, ok = positivity_check(S, tol)
+    herm, vals, ok = _spectrum(S, tol)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteResult("eigenvalues of the curve matrix are not finite")
     if not ok:
         raise NotPositiveDefinite(f"smallest eigenvalue {vals[0]:.6e} of {vals[-1]:.6e}")
-    return vals
+    return vals, SpectralMatrix(S.k, herm)
 
 
 @dataclass(frozen=True)

@@ -123,9 +123,6 @@ class RationalMap:
             m[n + i, i : i + n + 1] = self.den[::-1]
         return m
 
-    def resultant(self) -> complex:
-        return complex(np.linalg.det(self.sylvester()))
-
 
 def spectral_slice(q: HoloSphere, w) -> list[SpherePoint]:
     """Roots in z of <q(w), q(z)> = 0, the poles of every f_w.

@@ -8,10 +8,10 @@ lists and any dataclass as the object of its fields, so the curve is
 
 and spheres are {"k", "Q"}, coefficient tuples {"k", "v"}, real
 triples {"r0", "r1", "r2"} and rational maps {"num", "den", "scale"}.
-The decoders read the same forms back.  They are strict about
-structure (SchemaError on anything malformed) but tolerate extra keys,
-so command reports that extend a payload with diagnostics still
-re-parse as the payload type.
+The decoders read the same forms back, except points of P^1, which no
+document holds.  They are strict about structure (SchemaError on
+anything malformed) but tolerate extra keys, so command reports that
+extend a payload with diagnostics still re-parse as the payload type.
 """
 
 from __future__ import annotations
@@ -84,13 +84,6 @@ def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
     width = {row.size for row in rows}
     _require(len(width) == 1, f"{name} rows must have equal length")
     return np.stack(rows)
-
-
-def point_from_json(obj, name: str = "point") -> SpherePoint:
-    if isinstance(obj, str):
-        _require(obj.strip().lower() in ("inf", "infinity"), f"{name}: unknown token {obj!r}")
-        return SpherePoint.of("inf")
-    return SpherePoint.of(complex_from_json(obj, name))
 
 
 def _read_charge(d: dict) -> int:

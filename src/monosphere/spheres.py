@@ -72,10 +72,10 @@ def factor_sphere(S: SpectralMatrix, tol: float = HERM_TOL) -> HoloSphere:
     Cholesky in the upper-triangular convention.  Requires Hermitian
     positive definite input (require_positive_definite).
     """
-    require_positive_definite(S, tol)
+    _, herm = require_positive_definite(S, tol)
     # numpy returns lower L with Psi = L conj(L)^T; the canonical upper
     # factor is Q = conj(L)^T, and conj(Q)^T Q = L conj(L)^T = Psi.
-    L = np.linalg.cholesky(hermitian_part(S.psi))
+    L = np.linalg.cholesky(herm.psi)
     return HoloSphere(S.k, np.conj(L).T)
 
 

@@ -12,12 +12,11 @@ from monosphere.boundary import metric_h, reconstruct_psi_from_metric
 from monosphere.centering import Mobius, act_sl2
 from monosphere.cli import GRID_MAX, _boundary_rings, main
 from monosphere.curves import SpectralMatrix, axial_spectral
-from monosphere.projective import hom_vector
+from monosphere.projective import SpherePoint, hom_vector
 from monosphere.serialize import (
     curve_from_json,
     dumps_report,
     encode,
-    point_from_json,
     sphere_from_json,
 )
 from monosphere.charge2 import Su2Triple
@@ -189,7 +188,9 @@ class TestValidationAndExitCodes:
         if command == "boundary":
             assert report["degree"] == pytest.approx(1.0, abs=1e-7)
 
-    def test_lapack_failure_exits_3(self, tmp_path):
+    def test_overflowing_design_exits_3_before_lapack(self, tmp_path):
+        # |z|^4 overflows at the last two points; the SVD of that design
+        # did not converge (LinAlgError)
         samples = [
             [[1e-09, -5.960464477539063e-08], 1e-300],
             [[-2.037049791317448, 0.0], 3.345402395167215e277],
@@ -198,7 +199,23 @@ class TestValidationAndExitCodes:
         ]
         code, report = run_cli(tmp_path, ["reconstruct"], {"k": 2, "samples": samples * 3})
         assert code == 3
-        assert report["error"]["code"] == "LinAlgError"
+        assert report["error"]["code"] == "NonFiniteResult"
+
+    @pytest.mark.parametrize("radius", [1e60, 1e200])
+    def test_overflowing_design_leaves_stdout_a_json_report(self, radius):
+        # LAPACK printed "** On entry to DLASCL parameter number 4 had an
+        # illegal value" on stdout ahead of the report at 1e60, where
+        # |z|^6 overflows, and the SVD failed at 1e200
+        z = radius * np.exp(2j * np.pi * np.arange(20) / 20)
+        doc = {"k": 3, "samples": [[[w.real, w.imag], 1.0] for w in z.tolist()]}
+        proc = subprocess.run(
+            [sys.executable, "-m", "monosphere.cli", "reconstruct"],
+            input=dumps_report(doc),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout)["error"]["code"] == "NonFiniteResult"
 
     @pytest.mark.parametrize(
         "argv, doc",
@@ -206,7 +223,6 @@ class TestValidationAndExitCodes:
             (["field", "residual", "--grid", "-3"], None),
             (["field", "mass", "--grid", "-1"], None),
             (["field", "mass", "--grid", "0"], None),
-            (["reconstruct", "--grid", "0"], random_pd_curve()),
         ],
     )
     def test_grid_below_one_is_schema_error(self, tmp_path, argv, doc):
@@ -221,11 +237,10 @@ class TestValidationAndExitCodes:
         "argv, doc",
         [
             (["boundary", "--csv", "rings.csv"], random_pd_curve()),
-            (["reconstruct"], random_pd_curve()),
             (["field", "residual"], None),
             (["field", "mass"], None),
         ],
-        ids=["boundary", "reconstruct", "field-residual", "field-mass"],
+        ids=["boundary", "field-residual", "field-mass"],
     )
     def test_grid_above_the_cap_is_refused_before_any_grid_is_built(self, tmp_path, monkeypatch, argv, doc, grid):
         # 1e20 ended in a numpy traceback from linspace, and the boundary rings
@@ -282,27 +297,20 @@ class TestValidationAndExitCodes:
         assert main(["center", "--max-iter", "-1", "--output", str(out)]) == 2
         assert json.loads(out.read_text())["error"]["message"] == "--max-iter must be at least 0, got -1"
 
-    @pytest.mark.parametrize(
-        "argv, doc, reason",
-        [
-            (["boundary", "--grid", "99999999"], random_pd_curve(), "without --csv"),
-            (["boundary", "--grid", "8"], random_pd_curve(), "without --csv"),
-            (["reconstruct", "--grid", "0"], samples_doc(), "on a samples document"),
-            (["reconstruct", "--grid", "8"], samples_doc(), "on a samples document"),
-        ],
-    )
-    def test_grid_the_command_will_not_read_is_refused(self, tmp_path, argv, doc, reason):
-        # both commands exited 0 with the grid, in range or not, ignored
-        code, report = run_cli(tmp_path, argv, doc)
+    @pytest.mark.parametrize("grid", ["99999999", "8"])
+    def test_grid_boundary_will_not_read_is_refused(self, tmp_path, grid):
+        # boundary exited 0 with the grid, in range or not, ignored
+        code, report = run_cli(tmp_path, ["boundary", "--grid", grid], random_pd_curve())
         assert code == 2
         assert report["error"]["code"] == "SchemaError"
-        assert report["error"]["message"].endswith(f"not read {reason}")
+        assert report["error"]["message"].endswith("not read without --csv")
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["ratmap", "--w", "1", "--tol", "1e-3"],
             ["reconstruct", "--tol", "1e-3"],
+            ["reconstruct", "--grid", "8"],
             ["field", "sample", "--grid", "4"],
             ["field", "mass", "--input", "in.json"],
             ["charge2", "involution", "--max-iter", "3"],
@@ -396,6 +404,32 @@ class TestTransformChain:
         assert code == 0
         assert report["max_abs_deviation"] < bound
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_reconstruct_samples_2k_plus_2_angles_on_each_of_k_plus_1_rings(self, tmp_path, monkeypatch, k):
+        # the rings held max(6, (k + 1)^2) angles each, (k + 1)^3 samples
+        counts = []
+
+        def counted(samples, charge):
+            samples = list(samples)
+            counts.append(len(samples))
+            return reconstruct_psi_from_metric(samples, charge)
+
+        monkeypatch.setattr(cli, "reconstruct_psi_from_metric", counted)
+        code, _ = run_cli(tmp_path, ["reconstruct"], random_pd_curve(k=k))
+        assert code == 0
+        assert counts == [(k + 1) * (2 * k + 2)]
+
+    @pytest.mark.parametrize("doc", [random_pd_curve(k=3), samples_doc()], ids=["curve", "samples"])
+    def test_reconstruct_takes_its_rank_from_the_least_squares_svd(self, tmp_path, monkeypatch, doc):
+        # a second SVD of the design, np.linalg.matrix_rank, counted the rank
+        def second_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.matrix_rank called")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", second_svd)
+        code, report = run_cli(tmp_path, ["reconstruct"], doc)
+        assert code == 0
+        assert report["k"] == doc["k"]
+
     def test_reconstruct_from_curve_charge10_underdetermined(self, tmp_path):
         code, report = run_cli(tmp_path, ["reconstruct"], random_pd_curve(k=10))
         assert code == 2
@@ -456,7 +490,7 @@ class TestRatmapAndMassless:
         vw = hom_vector(0.3 + 0.2j, 24)
         scale = np.linalg.norm(S.psi, 2) * np.linalg.norm(vw)
         for p in report["poles"]:
-            vp = hom_vector(point_from_json(p), 24)
+            vp = hom_vector(SpherePoint.of(p if p == "inf" else complex(*p)), 24)
             assert abs(vw.conj() @ S.psi @ vp) <= 1e-8 * scale * np.linalg.norm(vp)
 
     def test_massless_consumes_ratmap_output(self, tmp_path):

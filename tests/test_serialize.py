@@ -16,7 +16,6 @@ from monosphere.serialize import (
     encode,
     loads_document,
     parse_payload,
-    point_from_json,
     ratmap_from_json,
     sphere_from_json,
     triple_from_json,
@@ -49,19 +48,6 @@ class TestComplexAndPoints:
                 complex_from_json(bad)
         with pytest.raises(SchemaError):
             triple_from_json({"r0": [1, 0, nan], "r1": [0, 1, 0], "r2": [0, 0, 1]})
-
-    def test_point_infinity_token(self):
-        p = point_from_json("inf")
-        assert p.is_infinity
-        assert encode(p) == "inf"
-
-    def test_point_finite_round_trip(self):
-        p = point_from_json([0.5, -2.0])
-        assert encode(p) == [0.5, -2.0]
-
-    def test_point_unknown_token(self):
-        with pytest.raises(SchemaError):
-            point_from_json("nan")
 
 
 ROUND_TRIPS = {
