@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import SpectralMatrix, hermitian_form, require_hermitian, require_positive_definite
+from .curves import SpectralMatrix, hermitian_form, hermitian_part
+from .curves import require_hermitian, require_positive_definite
 from .errors import NonFiniteResult, QuadratureNotConverged, Underdetermined
 from .projective import vander, vander_derivative
 
@@ -142,40 +143,24 @@ def degree_integral(S: SpectralMatrix, tol: float = DEGREE_TOL) -> tuple[float, 
 
 
 def _design_matrix(z: np.ndarray, k: int) -> np.ndarray:
-    """Real rows expressing h(z) linearly in the (k+1)^2 Hermitian unknowns.
-
-    Unknowns ordered: diagonal Psi[i,i] (i = 0..k), then for i < j the
-    pair (Re Psi[i,j], Im Psi[i,j]).
-    """
+    """The row Re((1 + i) conj(v_i) v_j) over all (i, j) of each sample,
+    in the order of X.ravel(): h = Re((1 + i) v* X v) is linear in the
+    real matrix X of Psi = hermitian_part((1 + i) X)."""
     v = vander(z, k).T
-    upper = np.triu_indices(k + 1, 1)
-    cross = np.conj(v[:, upper[0]]) * v[:, upper[1]]
-    pairs = np.stack([2.0 * cross.real, -2.0 * cross.imag], axis=-1)
-    return np.hstack([np.abs(v) ** 2, pairs.reshape(z.size, -1)])
-
-
-def _assemble(coeffs: np.ndarray, k: int) -> np.ndarray:
-    """Hermitian Psi from the unknowns in the order of _design_matrix."""
-    upper = np.triu_indices(k + 1, 1)
-    pairs = coeffs[k + 1 :].reshape(-1, 2)
-    psi = np.diag(coeffs[: k + 1]).astype(complex)
-    psi[upper] = pairs[:, 0] + 1j * pairs[:, 1]
-    psi[upper[::-1]] = pairs[:, 0] - 1j * pairs[:, 1]
-    return psi
+    return ((1 + 1j) * np.conj(v)[:, :, None] * v[:, None, :]).real.reshape(z.size, -1)
 
 
 def reconstruct_psi_from_metric(samples, k: int) -> SpectralMatrix:
     """Recover Psi from (z, h) samples by Hermitian least squares.
 
-    Each sample contributes one real equation
-    h = sum_i Psi[i,i] |z|^(2i) + sum_{i<j} 2 Re(Psi[i,j] conj(z)^i z^j)
-    in the (k+1)^2 real unknowns.  Needs at least (k+1)^2 independent
-    samples (Underdetermined otherwise): the rank counts the singular
-    values of the design that lstsq returns above 1e-10 max(1, max|A|).
-    A design or metric sample that is not finite (|z|^(2k) or h
-    overflows) is a NonFiniteResult, raised before LAPACK sees it.  The
-    recovered matrix must pass require_positive_definite
-    (NotPositiveDefinite flags inconsistent data).
+    The unknowns are one real matrix X with Psi = hermitian_part((1 + i) X),
+    so each sample is one real equation h = Re((1 + i) v(z)* X v(z)).
+    Needs at least (k+1)^2 independent samples (Underdetermined
+    otherwise): the rank counts the singular values of the design that
+    lstsq returns above 1e-10 max(1, max|A|).  A design or metric sample
+    that is not finite (|z|^(2k) or h overflows) is a NonFiniteResult,
+    raised before LAPACK sees it.  The recovered matrix must pass
+    require_positive_definite (NotPositiveDefinite: inconsistent data).
     """
     pts = [(complex(z), float(h)) for z, h in samples]
     n_unknown = (k + 1) ** 2
@@ -187,10 +172,10 @@ def reconstruct_psi_from_metric(samples, k: int) -> SpectralMatrix:
     b = np.array([h for _, h in pts])
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise NonFiniteResult("least-squares system is not finite: |z|^(2k) or h overflows at a sample")
-    coeffs, _, _, svals = np.linalg.lstsq(A, b, rcond=None)
+    x, _, _, svals = np.linalg.lstsq(A, b, rcond=None)
     rank = int(np.count_nonzero(svals > 1e-10 * max(1.0, float(np.max(np.abs(A))))))
     if rank < n_unknown:
         raise Underdetermined(f"design rank {rank} < {n_unknown}; samples not generic")
-    S = SpectralMatrix(k, _assemble(coeffs, k))
+    S = SpectralMatrix(k, hermitian_part((1 + 1j) * x.reshape(k + 1, k + 1)))
     require_positive_definite(S)
     return S

@@ -150,6 +150,7 @@ def cmd_check(args) -> dict:
         **vars(deg),
         "k": S.k,
         "eigenvalues": vals,
+        "determinant": _finite(deg.determinant),
         "condition_estimate": _finite(deg.condition_estimate),
     }
 
@@ -339,7 +340,7 @@ def cmd_field_sample(args) -> dict:
 def cmd_pipeline(args) -> dict:
     S = ser.curve_from_json(ser.read_document(args.input))
     vals, S = require_positive_definite(S, **_opt(tol=args.tol))
-    q = factor_sphere(S)
+    q = factor_sphere(S, **_opt(tol=args.tol))
     t = sphere_to_tuple(q)
     mu0 = moment_map(t)
     flow = center_flow(t, **_opt(max_iter=args.max_iter))

@@ -178,27 +178,23 @@ def require_positive_definite(S: SpectralMatrix, tol: float = HERM_TOL) -> tuple
 
 @dataclass(frozen=True)
 class DegeneracyReport:
-    determinant: complex
+    determinant: float
     condition_estimate: float
     degenerate: bool
 
 
 def nondegeneracy_check(S: SpectralMatrix, tol: float = HERM_TOL) -> DegeneracyReport:
-    """Determinant and 2-norm condition estimate.
-
-    Degenerate when |det(Psi / sigma_max)| falls below tol: the
-    determinant at unit norm, which is of order one for a
-    well-conditioned matrix and stays finite where det Psi overflows.
-    """
-    # Overflows to a non-finite determinant, which the report refuses.
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = complex(np.linalg.det(S.psi))
-    svals = np.linalg.svd(S.psi, compute_uv=False)
-    smax = float(svals[0])
-    smin = float(svals[-1])
-    cond = np.inf if smin == 0.0 else smax / smin
-    unit = S.psi / smax if smax > 0.0 else S.psi
-    return DegeneracyReport(det, float(cond), bool(abs(np.linalg.det(unit)) <= tol))
+    """Determinant (real, inf on overflow), 2-norm condition and verdict,
+    read off the eigenvalues of the Hermitian part (NotHermitian
+    otherwise).  Degenerate when the determinant at unit norm, the
+    product of |lambda| / max|lambda|, falls below tol."""
+    vals = _spectrum(S, tol)[1]
+    mags = np.abs(vals)
+    smax, smin = mags.max(), mags.min()
+    with np.errstate(over="ignore"):
+        det = float(np.prod(vals))
+        cond = np.inf if smin == 0.0 else float(smax / smin)
+    return DegeneracyReport(det, cond, bool(smin == 0.0 or np.prod(mags / smax) <= tol))
 
 
 def axial_spectral(k: int, m: float, alpha: float = 1.0) -> SpectralMatrix:

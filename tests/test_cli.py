@@ -169,14 +169,14 @@ class TestValidationAndExitCodes:
 
     @pytest.mark.parametrize(
         "command, code",
-        [("normalize", 0), ("factor", 0), ("boundary", 0), ("check", 3), ("reconstruct", 3), ("pipeline", 3)],
+        [("normalize", 0), ("factor", 0), ("boundary", 0), ("check", 0), ("reconstruct", 3), ("pipeline", 3)],
     )
     def test_positive_curve_near_the_largest_double(self, tmp_path, command, code):
         # Psi^* is added at half scale, so the Hermitian part stays finite;
-        # check then reports det = 1e616, which no double holds, reconstruct
-        # samples h = 2e308 and pipeline a tuple with norm2 = 2e308, while
-        # the degree integral is scale-free.  The overflow shows in the
-        # report, not as a warning.
+        # check reports det = 1e616, which no double holds, as "inf",
+        # reconstruct samples h = 2e308 and pipeline a tuple with
+        # norm2 = 2e308, while the degree integral is scale-free.  The
+        # overflow shows in the report, not as a warning.
         doc = encode(SpectralMatrix(1, np.diag([1e308, 1e308])))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -187,6 +187,10 @@ class TestValidationAndExitCodes:
             assert report["error"]["code"] == "NonFiniteResult"
         if command == "boundary":
             assert report["degree"] == pytest.approx(1.0, abs=1e-7)
+        if command == "check":
+            assert report["determinant"] == "inf"
+            assert report["eigenvalues"] == [1e308, 1e308]
+            assert report["degenerate"] is False
 
     def test_overflowing_design_exits_3_before_lapack(self, tmp_path):
         # |z|^4 overflows at the last two points; the SVD of that design

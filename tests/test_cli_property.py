@@ -286,3 +286,28 @@ def test_any_document_exits_0_2_or_3_with_a_json_report(job):
     assert code in (0, 2, 3)
     report = json.loads(out.getvalue())
     assert report["status"] == ("ok" if code == 0 else "error")
+
+
+_CURVE_COMMANDS = ("check", "factor", "normalize", "pipeline")
+# diag(1, 1e-15, 1) is positive definite at --tol 1e-20 and at no default
+_THIN_CURVE = {"k": 2, "psi": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1e-15, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]}
+_AGREEMENT_CASES = {
+    f"{case}-k{k}": (_audit_document(("check",), k, case), [])
+    for k in (16, 32)
+    for case in ("random", "zero-row", "1e300", "1e-300")
+}
+_AGREEMENT_CASES["thin-tol-1e-20"] = (_THIN_CURVE, ["--tol", "1e-20"])
+
+
+@pytest.mark.parametrize("doc, extra", list(_AGREEMENT_CASES.values()), ids=list(_AGREEMENT_CASES))
+def test_curve_commands_reach_one_verdict(tmp_path, doc, extra):
+    # check exited 3 on the 1e300 documents, which the others accept, when
+    # its determinant was an LU determinant of Psi; pipeline exited 2 on
+    # the thin curve when its factor gated at the default tolerance
+    (tmp_path / "in.json").write_text(json.dumps(doc))
+    verdicts = {}
+    for command in _CURVE_COMMANDS:
+        code = main([command, *extra, "--input", str(tmp_path / "in.json"), "--output", str(tmp_path / "out.json")])
+        report = json.loads((tmp_path / "out.json").read_text())
+        verdicts[command] = (code, report.get("error", {}).get("code"))
+    assert len(set(verdicts.values())) == 1, verdicts

@@ -7,7 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from monosphere import charge2
+import test_acceptance as acceptance
+
+from monosphere import boundary, charge2
 from monosphere.charge2 import Su2Triple
 from monosphere.cli import main
 from monosphere.curves import SpectralMatrix, axial_spectral
@@ -87,3 +89,26 @@ def test_involution_first_order_invariant_reads_both_ways(tmp_path, monkeypatch,
     code, report = _run(tmp_path, ["charge2", "involution"], encode(nu))
     assert code == 0
     assert report["first_order_invariant"] is not moves_gram
+
+
+# Acceptance criteria: a monkeypatch under which the PASS line reads FAIL.
+
+
+def test_criterion_03_fails_on_a_shifted_flux(monkeypatch, capsys):
+    patch = boundary._patch
+    monkeypatch.setattr(boundary, "_patch", lambda psi: (patch(psi)[0] + 1e-3, patch(psi)[1]))
+    with pytest.raises(AssertionError, match="criterion  3 FAIL"):
+        acceptance.test_criterion_03_degree_integral()
+    assert "criterion  3 FAIL" in capsys.readouterr().out
+
+
+def test_criterion_12_fails_on_a_conjugated_design(monkeypatch, capsys):
+    # rows Re((1 - i) conj(v_i) v_j) solve for the X of conj(Psi)
+    def conjugated(z, k):
+        v = boundary.vander(z, k).T
+        return ((1 - 1j) * np.conj(v)[:, :, None] * v[:, None, :]).real.reshape(z.size, -1)
+
+    monkeypatch.setattr(boundary, "_design_matrix", conjugated)
+    with pytest.raises(AssertionError, match="criterion 12 FAIL"):
+        acceptance.test_criterion_12_boundary_reconstruction()
+    assert "criterion 12 FAIL" in capsys.readouterr().out

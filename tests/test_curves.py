@@ -177,6 +177,18 @@ def test_nondegeneracy_report():
     assert rep2.condition_estimate < 1.0 + 1e-12
 
 
+def test_nondegeneracy_reads_the_eigenvalues_of_a_hermitian_curve():
+    # the determinant is the real product of the eigenvalues and the
+    # condition their magnitude ratio, as for an indefinite diagonal
+    rep = nondegeneracy_check(SpectralMatrix(2, np.diag([-2.0, 1.0, 3.0])))
+    assert type(rep.determinant) is float
+    assert rep.determinant == pytest.approx(-6.0, rel=1e-14)
+    assert rep.condition_estimate == pytest.approx(3.0, rel=1e-14)
+    assert not rep.degenerate
+    with pytest.raises(NotHermitian):
+        nondegeneracy_check(SpectralMatrix(1, np.array([[1.0, 1.0], [0.0, 1.0]])))
+
+
 # -- axial family -------------------------------------------------------------
 
 def test_axial_mass_half_charge2():
