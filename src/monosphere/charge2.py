@@ -30,10 +30,16 @@ axis of its orbit, with N/|W| = 4m + 4, so the mass is read off every
 closed walk.  A walk starts at start_point, the same rule for the CLI
 and estimate_mass.  Each step leaves a point that is one root of the
 next line's binary quadratic, so the other root follows from Vieta's
-sum of the roots (_vieta_step) with no root solve; the z-lattice and
-the P-sequence differ only in their line rows (the P-sequence reads
-its rows off C = bidegree(Psi)) and share one walk loop (_walk), which
-stops at the chordal return to the start.
+sum of the roots (_vieta_step) with no root solve.  The walks run on
+normalized homogeneous pairs (z0, z1) of Python complex numbers, and
+every line is the quadratic form of (z0^2, z0 z1, z1^2) against one
+3 x 3 matrix read once as nested lists (_line): C = bidegree(Psi) for
+the P-sequence's vertical lines, its transpose for the horizontal
+ones, and Psi itself, against the conjugate pair, for the z-lattice,
+whose slice <q(z), q(.)> is the vertical line of the curve at
+antipode(z).  Both share one walk loop (_walk), which stops at the
+chordal return to the start; SpherePoints are built only for the
+points a public function returns and for metric_scale_residual.
 
 The map pi(w, z) = (wz, w + z) is the quotient by the factor swap: it
 takes a centred curve onto a conic read off C, and the line w = s
@@ -62,9 +68,8 @@ from .errors import (
     NotFull,
     NotOnCurve,
 )
-from .projective import SpherePoint, chordal, frozen, hom_vector, proj_roots
-from .ratmap import spectral_slice
-from .spheres import CoeffTuple, HoloSphere, eval_sphere, fullness_check, require_full
+from .projective import SpherePoint, chordal, frozen, hom_vector, normalized, pair_chordal, proj_roots
+from .spheres import CoeffTuple, HoloSphere, fullness_check, require_full, spectral_from_sphere
 
 CONSTRAINT_TOL = 1e-10
 CLOSURE_TOL = 1e-8
@@ -199,8 +204,22 @@ class ZLattice:
     initial_roots: tuple
 
 
-def _vieta_step(c: np.ndarray, r: SpherePoint, tol: float) -> SpherePoint:
-    """The root other than r of the line c0 z0^2 + c1 z0 z1 + c2 z1^2 through r.
+def _line(rows: list, z0: complex, z1: complex) -> tuple[complex, complex, complex]:
+    """(c0, c1, c2) with c_j = (z0^2, z0 z1, z1^2) . rows[j]: the binary
+    quadratic c0 x0^2 + c1 x0 x1 + c2 x1^2 of the line through (z0 : z1).
+
+    rows is C^T (as nested lists) for the vertical line at w = (z0 : z1)
+    of C = bidegree(Psi), C for its horizontal line at z, and Psi^T with
+    the conjugate pair for the slice <q(z), q(.)> of the sphere of Psi.
+    """
+    h0, h1, h2 = z0 * z0, z0 * z1, z1 * z1
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    return h0 * a0 + h1 * a1 + h2 * a2, h0 * b0 + h1 * b1 + h2 * b2, h0 * c0 + h1 * c1 + h2 * c2
+
+
+def _vieta_step(c: tuple, r: tuple, tol: float) -> tuple[complex, complex]:
+    """The root other than r = (r0, r1) of the line c0 z0^2 + c1 z0 z1 + c2 z1^2
+    through r, as a normalized pair.
 
     The line is lambda (r1 z0 - r0 z1)(s1 z0 - s0 z1), so Vieta's sum of
     the roots gives the other root s with no root solve:
@@ -214,22 +233,23 @@ def _vieta_step(c: np.ndarray, r: SpherePoint, tol: float) -> SpherePoint:
     finite, as for proj_roots; BranchPoint when s is within tol of r, or
     when the line is a double root away from r.
     """
-    c0, c1, c2 = c.tolist()
+    c0, c1, c2 = c
     scale = abs(c0) + abs(c1) + abs(c2)
     if not 0.0 < scale < math.inf:
         raise IdenticallyZero("polynomial vanishes identically")
-    r0, r1 = r.z0, r.z1
+    r0, r1 = r
     if (abs(r1) ** 2 * abs(c2), abs(r1)) <= (abs(c0) * abs(r0) ** 2, abs(r0)):
         s0, s1 = c2 * r0, -c1 * r0 - c2 * r1
     else:
         s0, s1 = -c1 * r1 - c0 * r0, c0 * r1
-    if not (s0 or s1) or chordal(s := SpherePoint.from_pair(s0, s1), r) <= tol:
-        raise BranchPoint(f"double root at {r}; step undefined")
+    if not (s0 or s1) or pair_chordal(*(s := normalized(s0, s1)), r0, r1) <= tol:
+        raise BranchPoint(f"double root at {SpherePoint(r0, r1)}; step undefined")
     return s
 
 
 def _walk(points: list, step, max_steps: int, tol: float) -> tuple[list, int | None]:
-    """Extend the walk points, a list of tuples of points, by step(points).
+    """Extend the walk points, a list of tuples of homogeneous pairs, by
+    step(points).
 
     The walk stops when its newest point returns to points[0] within tol
     in the chordal metric of every coordinate, or when it has taken
@@ -240,11 +260,15 @@ def _walk(points: list, step, max_steps: int, tol: float) -> tuple[list, int | N
     start = points[0]
     while True:
         n = len(points) - 1
-        if n and all(chordal(a, b) <= tol for a, b in zip(points[-1], start)):
+        if n and all(pair_chordal(*a, *b) <= tol for a, b in zip(points[-1], start)):
             return points, n
         if n >= max_steps:
             return points, None
         points.append(step(points))
+
+
+def _pair(p: SpherePoint) -> tuple[complex, complex]:
+    return complex(p.z0), complex(p.z1)
 
 
 def z_lattice(
@@ -255,18 +279,26 @@ def z_lattice(
 ) -> ZLattice:
     """Orbit z_{i+1} = the root of <q(z_i), q(.)> = 0 other than z_{i-1}.
 
-    First step (no previous point): solve the slice at z0 and pick the
+    The slice row conj(q(z_i)) Q is conj(hom_vector(z_i)) Psi with
+    Psi = spectral_from_sphere(q).psi, the vertical line of the curve at
+    antipode(z_i), and each row is read off Psi (_line).  First step (no
+    previous point): solve the slice at z0 with proj_roots and pick the
     root with the smaller principal argument of z1/z0.  Every later step
-    is _vieta_step on the slice row conj(q(z_i)) Q, which holds z_{i-1}
-    because orthogonality is symmetric.  Closure when a point returns to
-    z0 within tol in the chordal metric; period = number of steps taken.
+    is _vieta_step on the slice at z_i, which holds z_{i-1} because
+    orthogonality is symmetric.  Closure when a point returns to z0
+    within tol in the chordal metric; period = number of steps taken.
     No closure inside max_steps is reported, not raised.
     """
     require_full(q)
     if q.k != 2:
         raise DomainViolation("the lattice is a charge-2 construction")
     z0 = SpherePoint.of(z0)
-    roots0 = spectral_slice(q, z0)
+    rows = spectral_from_sphere(q).psi.T.tolist()
+
+    def slice_at(z):
+        return _line(rows, z[0].conjugate(), z[1].conjugate())
+
+    roots0 = proj_roots(slice_at(_pair(z0)))
     if chordal(roots0[0], roots0[1]) <= tol:
         raise BranchPoint("double root at the start point")
 
@@ -277,10 +309,11 @@ def z_lattice(
 
     def step(points):
         (prev,), (cur,) = points[-2:]
-        return (_vieta_step(np.conj(eval_sphere(q, cur)) @ q.Q, prev, tol),)
+        return (_vieta_step(slice_at(cur), prev, tol),)
 
-    visited, period = _walk([(z0,), (min(roots0, key=arg_ratio),)], step, max_steps, tol)
-    return ZLattice([z for (z,) in visited[:period]], period is not None, period, tuple(roots0))
+    first = min(roots0, key=arg_ratio)
+    visited, period = _walk([(_pair(z0),), (_pair(first),)], step, max_steps, tol)
+    return ZLattice([SpherePoint(*z) for (z,) in visited[:period]], period is not None, period, tuple(roots0))
 
 
 @dataclass(frozen=True)
@@ -305,7 +338,8 @@ def start_point(S: SpectralMatrix, w) -> tuple[SpherePoint, SpherePoint]:
 
 
 def _p_walk(S: SpectralMatrix, p0, max_steps: int, tol: float) -> tuple[list, int | None]:
-    """The visited points and period of the P-sequence walk from p0; see p_sequence."""
+    """The visited points, as pairs ((w0, w1), (z0, z1)), and the period
+    of the P-sequence walk from p0; see p_sequence."""
     if S.k != 2:
         raise DomainViolation("P-sequences are a charge-2 construction")
     p0 = (SpherePoint.of(p0[0]), SpherePoint.of(p0[1]))
@@ -313,14 +347,15 @@ def _p_walk(S: SpectralMatrix, p0, max_steps: int, tol: float) -> tuple[list, in
     if res0 > CURVE_TOL:
         raise NotOnCurve(f"start point residual {res0:.2e} exceeds {CURVE_TOL:.0e}")
     C = bidegree(S.psi)
+    vertical, horizontal = C.T.tolist(), C.tolist()
 
     def step(points):
         w, z = points[-1]
         if len(points) % 2:  # an even number of half-steps taken
-            return w, _vieta_step(hom_vector(w, 2) @ C, z, tol)
-        return _vieta_step(C @ hom_vector(z, 2), w, tol), z
+            return w, _vieta_step(_line(vertical, *w), z, tol)
+        return _vieta_step(_line(horizontal, *z), w, tol), z
 
-    return _walk([p0], step, max_steps, tol)
+    return _walk([(_pair(p0[0]), _pair(p0[1]))], step, max_steps, tol)
 
 
 def p_sequence(
@@ -340,34 +375,36 @@ def p_sequence(
     included, in one array pass.
     """
     visited, period = _p_walk(S, p0, max_steps, tol)
-    worst = metric_scale_residual(S, *zip(*visited))
-    return PSequence(visited[:period], period is not None, period, worst)
+    points = [(SpherePoint(*w), SpherePoint(*z)) for w, z in visited]
+    worst = metric_scale_residual(S, *zip(*points))
+    return PSequence(points[:period], period is not None, period, worst)
 
 
 def _winding(points: list) -> int:
     """Turns of w about the axis of its orbit over one period of a closed
-    walk, given as the walk's points before its return.
+    walk, given as the walk's points (pairs) before its return.
 
     The w of a walk on a centred curve are the orbit of a rotation of
     the sphere: on the unit sphere they circle their mean, about the
     axis of the orbit's vector area.  On an axial curve this is the
-    winding of arg w about 0.
+    winding of arg w about 0.  Each row of the (3, n) arrays below is one
+    coordinate, so cross and dot products are sums of row products.
     """
-    z0 = np.array([w.z0 for w, _ in points])
-    z1 = np.array([w.z1 for w, _ in points])
-    p = 2.0 * np.conj(z0) * z1
-    x = np.stack([p.real, p.imag, abs(z1) ** 2 - abs(z0) ** 2], axis=1)
-    x /= (abs(z0) ** 2 + abs(z1) ** 2)[:, None]  # w on the unit sphere
-    d = x - x.mean(axis=0)
-    nxt = np.roll(d, -1, axis=0)
-    turns = np.cross(d, nxt)
-    axis = turns.sum(axis=0)
-    if not np.any(axis):
+    z0, z1 = np.array([w for w, _ in points]).T
+    p = 2.0 * z0.conj() * z1
+    n0, n1 = z0.real**2 + z0.imag**2, z1.real**2 + z1.imag**2
+    x = np.array([p.real, p.imag, n1 - n0]) / (n0 + n1)  # w on the unit sphere
+    d = x - x.sum(axis=1, keepdims=True) / len(points)
+    nxt = np.concatenate((d[:, 1:], d[:, :1]), axis=1)
+    (a0, a1, a2), (b0, b1, b2) = d, nxt
+    turns = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    axis = turns.sum(axis=1)
+    if not axis.any():
         raise NoEstimate("the walk's w does not turn")
-    steps = np.arctan2(turns @ axis / np.linalg.norm(axis), np.sum(d * nxt, axis=1))
-    if np.any(np.abs(np.abs(steps) - np.pi) <= 1e-9):
+    steps = np.arctan2(axis @ turns / math.hypot(*axis), (d * nxt).sum(axis=0))
+    if (abs(abs(steps) - math.pi) <= 1e-9).any():
         raise NoEstimate("a step of w turns by pi")
-    return round(float(np.sum(steps)) / (2.0 * np.pi))
+    return round(float(steps.sum()) / (2.0 * math.pi))
 
 
 def estimate_mass(S: SpectralMatrix, max_steps: int = 60) -> float:
@@ -449,10 +486,11 @@ def poncelet(S: SpectralMatrix, p0, steps: int = 40, tol: float = CLOSURE_TOL) -
         raise NotCentred("curve is not swap-invariant")
     visited, period = _p_walk(S, p0, steps, tol)
     verts = []
-    for w, z in visited[:period]:
-        if w.is_infinity or z.is_infinity:
+    for (w0, w1), (z0, z1) in visited[:period]:
+        if w0 == 0.0 or z0 == 0.0:
             raise DomainViolation("vertex at infinity has no affine image")
-        verts.append((w.chart * z.chart, w.chart + z.chart))
+        w, z = w1 / w0, z1 / z0
+        verts.append((w * z, w + z))
     conic = _conic(S)
     rows = _conic_rows(verts)
     vres = np.abs(rows @ conic) / (np.linalg.norm(rows, axis=1) * np.linalg.norm(conic))

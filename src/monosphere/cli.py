@@ -54,7 +54,7 @@ from .charge2 import (
 )
 from .curves import (
     SpectralMatrix,
-    nondegeneracy_check,
+    _degeneracy,
     normalize_reality,
     require_positive_definite,
 )
@@ -145,7 +145,7 @@ def cmd_normalize(args) -> SpectralMatrix:
 def cmd_check(args) -> dict:
     S = ser.curve_from_json(ser.read_document(args.input))
     vals, S = require_positive_definite(S, **_opt(tol=args.tol))
-    deg = nondegeneracy_check(S, **_opt(tol=args.tol))
+    deg = _degeneracy(vals, **_opt(tol=args.tol))
     return {
         **vars(deg),
         "k": S.k,

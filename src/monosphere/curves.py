@@ -186,9 +186,14 @@ class DegeneracyReport:
 def nondegeneracy_check(S: SpectralMatrix, tol: float = HERM_TOL) -> DegeneracyReport:
     """Determinant (real, inf on overflow), 2-norm condition and verdict,
     read off the eigenvalues of the Hermitian part (NotHermitian
-    otherwise).  Degenerate when the determinant at unit norm, the
-    product of |lambda| / max|lambda|, falls below tol."""
-    vals = _spectrum(S, tol)[1]
+    otherwise); see _degeneracy."""
+    return _degeneracy(_spectrum(S, tol)[1], tol)
+
+
+def _degeneracy(vals: np.ndarray, tol: float = HERM_TOL) -> DegeneracyReport:
+    """The DegeneracyReport of the eigenvalues vals of a Hermitian Psi.
+    Degenerate when the determinant at unit norm, the product of
+    |lambda| / max|lambda|, falls below tol."""
     mags = np.abs(vals)
     smax, smin = mags.max(), mags.min()
     with np.errstate(over="ignore"):

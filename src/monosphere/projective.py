@@ -17,10 +17,17 @@ for its homogeneous form at a point (curves.metric_scale_residual
 takes the same form over arrays of points as products of vander rows).
 A curve is paired against hom_vector on both sides through its
 bidegree coefficients, curves.bidegree(Psi).
+
+The pair formulas, normalized for the representative and pair_chordal
+for the chordal distance, are what SpherePoint.from_pair and chordal
+call after coercion; scalar loops (the charge-2 walks) call them on
+pairs of Python complex numbers directly.  proj_roots solves degrees 1
+and 2 in closed form and higher degrees by numpy's companion matrix.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -61,15 +68,7 @@ class SpherePoint:
 
     @staticmethod
     def from_pair(z0, z1) -> "SpherePoint":
-        z0 = complex(z0)
-        z1 = complex(z1)
-        n0, n1 = abs(z0), abs(z1)
-        if n0 == 0.0 and n1 == 0.0:
-            raise ValueError("(0, 0) is not a point of P^1")
-        # Normalize on the larger component to dodge overflow.
-        if n0 >= n1 * 1e-14 and n0 != 0.0:
-            return SpherePoint(1.0 + 0.0j, z1 / z0)
-        return SpherePoint(0.0 + 0.0j, 1.0 + 0.0j)
+        return SpherePoint(*normalized(complex(z0), complex(z1)))
 
     @property
     def is_infinity(self) -> bool:
@@ -96,13 +95,27 @@ def antipode(p) -> SpherePoint:
     return SpherePoint.of(p).antipode()
 
 
+def normalized(z0: complex, z1: complex) -> tuple[complex, complex]:
+    """The normalized representative of the pair (z0 : z1) of complex
+    numbers: (1, z1/z0), or (0, 1) once |z0| falls below 1e-14 |z1|."""
+    n0, n1 = abs(z0), abs(z1)
+    if n0 == 0.0 and n1 == 0.0:
+        raise ValueError("(0, 0) is not a point of P^1")
+    if n0 >= n1 * 1e-14 and n0 != 0.0:
+        return 1.0 + 0.0j, z1 / z0
+    return 0.0 + 0.0j, 1.0 + 0.0j
+
+
+def pair_chordal(p0: complex, p1: complex, q0: complex, q1: complex) -> float:
+    """Chordal distance |p0 q1 - p1 q0| / (|p| |q|) of the pairs (p0 : p1) and (q0 : q1)."""
+    return abs(p0 * q1 - p1 * q0) / (math.hypot(abs(p0), abs(p1)) * math.hypot(abs(q0), abs(q1)))
+
+
 def chordal(p, q) -> float:
     """Spherical chordal distance |p0 q1 - p1 q0| / (|p| |q|), range [0, 1]."""
     p = SpherePoint.of(p)
     q = SpherePoint.of(q)
-    num = abs(p.z0 * q.z1 - p.z1 * q.z0)
-    den = math.hypot(abs(p.z0), abs(p.z1)) * math.hypot(abs(q.z0), abs(q.z1))
-    return num / den
+    return pair_chordal(p.z0, p.z1, q.z0, q.z1)
 
 
 def frozen(x, dtype, shape: tuple, name: str) -> np.ndarray:
@@ -157,20 +170,37 @@ def hom_vector(p, k: int) -> np.ndarray:
     return v if p.z0 == 1.0 else p.z0**k * v
 
 
+def _quadratic_roots(c0: complex, c1: complex, c2: complex) -> tuple[complex, complex]:
+    """Roots of c0 + c1 z + c2 z^2, c2 != 0, by the quadratic formula
+    without cancellation: q = -(c1 + s sqrt(c1^2 - 4 c2 c0))/2 with the
+    sign s that makes |c1 + s sqrt(...)| largest, roots q/c2 and c0/q
+    (q = 0 only for the double root 0).  Real coefficients with complex
+    roots give an exact conjugate pair, so its order is not rounding's."""
+    r = cmath.sqrt(c1 * c1 - 4.0 * c2 * c0)
+    q = -0.5 * (c1 + r if (c1.conjugate() * r).real >= 0.0 else c1 - r)
+    first = q / c2
+    if first.imag and not (c0.imag or c1.imag or c2.imag):
+        return first, first.conjugate()
+    return first, c0 / q if q else 0j
+
+
 def proj_roots(coeffs) -> list[SpherePoint]:
     """Roots on P^1 of sum_j coeffs[j] z^j, infinity included.
 
     Degree deficiency d (the top d coefficients vanish relative to the
     largest one) contributes a root at infinity with multiplicity d.
-    Finite roots come from the companion matrix via numpy.  Roots are
-    returned sorted (finite lexicographically by real then imaginary
-    part, infinities last) so callers see a deterministic order.
+    Finite roots of degree 1 and 2 are solved in closed form
+    (_quadratic_roots, on the coefficients scaled by the power of two
+    that brings the largest below 1, so nothing overflows); higher
+    degrees take the companion matrix via numpy.  Roots are returned
+    sorted (finite lexicographically by real then imaginary part,
+    infinities last) so callers see a deterministic order.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficient vector must be 1-d and nonempty")
-    scale = np.max(np.abs(c))
-    if scale == 0.0 or not np.isfinite(scale):
+    scale = np.abs(c).max()
+    if scale == 0.0 or not math.isfinite(scale):
         raise IdenticallyZero("polynomial vanishes identically")
     n = c.size - 1
     deg = n
@@ -178,8 +208,15 @@ def proj_roots(coeffs) -> list[SpherePoint]:
         deg -= 1
     if deg == 0 and abs(c[0]) <= COEFF_TOL * scale:
         raise IdenticallyZero("polynomial vanishes identically")
-    finite = np.roots(c[deg::-1]) if deg > 0 else np.array([], dtype=complex)
-    order = np.lexsort((finite.imag, finite.real))
-    pts = [SpherePoint.of(z) for z in finite[order]]
+    if deg <= 2:
+        e = math.frexp(scale)[1]
+        low = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in c[: deg + 1].tolist()]
+        finite = [] if deg == 0 else [-low[0] / low[1]] if deg == 1 else _quadratic_roots(*low)
+        # + 0.0 clears the sign of a zero part, as the companion solve does
+        finite = sorted((z + 0.0 for z in finite), key=lambda z: (z.real, z.imag))
+    else:
+        finite = np.roots(c[deg::-1])
+        finite = finite[np.lexsort((finite.imag, finite.real))]
+    pts = [SpherePoint.of(z) for z in finite]
     pts.extend(SpherePoint(0.0 + 0.0j, 1.0 + 0.0j) for _ in range(n - deg))
     return pts

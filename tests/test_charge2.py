@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -293,7 +295,8 @@ class TestMassFlow:
 def _step(c, r, tol=CLOSURE_TOL):
     from monosphere.charge2 import _vieta_step
 
-    return _vieta_step(np.asarray(c, dtype=complex), SpherePoint.of(r), tol)
+    r = SpherePoint.of(r)
+    return SpherePoint(*_vieta_step(tuple(map(complex, c)), (r.z0, r.z1), tol))
 
 
 class TestVietaStep:
@@ -350,9 +353,20 @@ class TestVietaStep:
             _step(c, 1.0)
 
 
+def _companion_roots(row):
+    """Roots on P^1 of sum_j row[j] z^j from numpy's companion solve, with
+    a root at infinity for each top coefficient below 1e-10 of the largest:
+    a reference independent of proj_roots."""
+    c = np.asarray(row, dtype=complex)
+    deg = c.size - 1
+    while deg and abs(c[deg]) <= 1e-10 * np.max(np.abs(c)):
+        deg -= 1
+    return [SpherePoint.of(z) for z in np.roots(c[deg::-1])] + [SpherePoint.of("inf")] * (c.size - 1 - deg)
+
+
 def _root_solve_walk(points, line, max_steps, tol=CLOSURE_TOL):
     """Reference walk: solve the line through the newest point with
-    proj_roots and take the root farther from the point it replaces."""
+    np.roots and take the root farther from the point it replaces."""
     start = points[0]
     while True:
         n = len(points) - 1
@@ -363,7 +377,7 @@ def _root_solve_walk(points, line, max_steps, tol=CLOSURE_TOL):
         row, i = line(points)
         # a lattice avoids z_{i-1}; a P-sequence the coordinate it moves
         old = points[-2 if len(points[-1]) == 1 else -1][i]
-        new = max(proj_roots(row), key=lambda r: chordal(r, old))
+        new = max(_companion_roots(row), key=lambda r: chordal(r, old))
         points.append(tuple(new if j == i else p for j, p in enumerate(points[-1])))
 
 
@@ -389,17 +403,18 @@ def _reference_z_lattice(q, z0, max_steps=48):
 
 
 def _walk_curves():
-    """The criterion-08 axial curves and three random k = 2 curves A A* + 3 I."""
+    """The criterion-08 axial curves, three random k = 2 curves A A* + 3 I,
+    and the axial curves of mass 1, 3/2, 3 and 0.37 (which never closes)."""
     curves = [axial_spectral(2, 0.5), axial_spectral(2, 0.01)]
     rng = np.random.default_rng(808)
     for _ in range(3):
         A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         curves.append(SpectralMatrix(2, A @ np.conj(A).T + 3.0 * np.eye(3)))
-    return curves
+    return curves + [axial_spectral(2, m) for m in (1.0, 1.5, 3.0, 0.37)]
 
 
 class TestWalksMatchTheRootSolve:
-    @pytest.mark.parametrize("i", range(5))
+    @pytest.mark.parametrize("i", range(9))
     @pytest.mark.parametrize("w", [0.9 + 0.1j, -1.17j, 1.9 - 0.33j])
     def test_p_sequence(self, i, w):
         S = _walk_curves()[i]
@@ -411,7 +426,7 @@ class TestWalksMatchTheRootSolve:
         for (w1, z1), (w2, z2) in zip(seq.points, points):
             assert chordal(w1, w2) <= 1e-12 and chordal(z1, z2) <= 1e-12
 
-    @pytest.mark.parametrize("i", range(5))
+    @pytest.mark.parametrize("i", range(9))
     @pytest.mark.parametrize("z0", [1.0, 0.4 + 0.2j, -2.1 + 0.7j])
     def test_z_lattice(self, i, z0):
         q = factor_sphere(_walk_curves()[i])
@@ -420,6 +435,26 @@ class TestWalksMatchTheRootSolve:
         assert lat.period == period and lat.closed == (period is not None)
         assert len(lat.points) == len(points)
         assert max(chordal(a, b) for a, b in zip(lat.points, points)) <= 1e-12
+
+
+@pytest.mark.parametrize("i", [0, 2, 6])
+def test_walks_make_no_companion_solve(monkeypatch, i):
+    # every line of a charge-2 walk is a quadratic: the start roots are
+    # solved in closed form and every later root is a Vieta step
+    calls = []
+    roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda p: calls.append(len(p)) or roots(p))
+    S = _walk_curves()[i]
+    with contextlib.suppress(NoEstimate):  # a random curve's walk does not close
+        estimate_mass(S)
+    p0 = start_point(S, 0.9 + 0.1j)
+    p_sequence(S, p0)
+    if is_centred(S):
+        poncelet(S, p0)
+    z_lattice(factor_sphere(S), 0.4 + 0.2j, max_steps=12)
+    assert calls == []
+    proj_roots([1.0, 2.0, 3.0, 4.0])  # the counter sees a cubic's companion solve
+    assert calls == [4]
 
 
 class TestZLattice:
@@ -649,8 +684,8 @@ class TestPoncelet:
 
         def moved(*args, **kwargs):
             points, period = walk(*args, **kwargs)
-            w, z = points[2]
-            points[2] = (w, SpherePoint.of(z.chart + 1e-9))
+            w, (z0, z1) = points[2]
+            points[2] = (w, (z0, z1 + 1e-9))
             return points, period
 
         monkeypatch.setattr(charge2, "_p_walk", moved)

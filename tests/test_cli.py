@@ -353,6 +353,22 @@ class TestValidationAndExitCodes:
         assert "positive_definite" not in report  # the only other verdict is exit 2
         assert np.allclose(report["eigenvalues"], [1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("tol", [None, "1e-6"])
+    def test_check_makes_one_eigvalsh_call(self, tmp_path, monkeypatch, tol):
+        # the determinant, condition and verdict come from the gate's eigenvalues
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        argv = ["check"] + ([] if tol is None else ["--tol", tol])
+        code, report = run_cli(tmp_path, argv, random_pd_curve())
+        assert code == 0 and report["degenerate"] is False
+        assert calls == [(3, 3)]
+
 
 class TestTransformChain:
     def test_normalize_then_factor(self, tmp_path):

@@ -13,8 +13,9 @@ from monosphere import boundary, charge2
 from monosphere.charge2 import Su2Triple
 from monosphere.cli import main
 from monosphere.curves import SpectralMatrix, axial_spectral
+from monosphere.projective import antipode
 from monosphere.serialize import dumps_report, encode
-from monosphere.spheres import factor_sphere
+from monosphere.spheres import eval_sphere, factor_sphere
 
 
 def _run(tmp_path, argv, doc):
@@ -94,12 +95,76 @@ def test_involution_first_order_invariant_reads_both_ways(tmp_path, monkeypatch,
 # Acceptance criteria: a monkeypatch under which the PASS line reads FAIL.
 
 
+def test_criterion_02_fails_on_an_unconjugated_pairing(monkeypatch, capsys):
+    # without the conjugate, q(antipode(w)) . q(z) is not psi(w, z)
+    monkeypatch.setattr(
+        acceptance, "_paper_pairing", lambda q, w, z: np.dot(eval_sphere(q, antipode(w)), eval_sphere(q, z))
+    )
+    with pytest.raises(AssertionError, match="criterion  2 FAIL"):
+        acceptance.test_criterion_02_factor_round_trip()
+    assert "criterion  2 FAIL" in capsys.readouterr().out
+
+
 def test_criterion_03_fails_on_a_shifted_flux(monkeypatch, capsys):
     patch = boundary._patch
     monkeypatch.setattr(boundary, "_patch", lambda psi: (patch(psi)[0] + 1e-3, patch(psi)[1]))
     with pytest.raises(AssertionError, match="criterion  3 FAIL"):
         acceptance.test_criterion_03_degree_integral()
     assert "criterion  3 FAIL" in capsys.readouterr().out
+
+
+def _nudged_vieta_step(c, r, tol, step=charge2._vieta_step):
+    s0, s1 = step(c, r, tol)
+    return s0, s1 * (1.0 + 1e-6)
+
+
+def _doubled_winding(points, winding=charge2._winding):
+    return 2 * winding(points)
+
+
+@pytest.mark.parametrize(
+    "name, nudged",
+    [("_vieta_step", _nudged_vieta_step), ("_winding", _doubled_winding)],
+    ids=["vieta-step", "winding"],
+)
+def test_criterion_07_fails_on_a_nudged_walk(monkeypatch, capsys, name, nudged):
+    # a step moved off its line leaves the curve and does not close; a
+    # doubled winding halves N/|W| = 4m + 4 and so moves every mass
+    monkeypatch.setattr(charge2, name, nudged)
+    with pytest.raises(AssertionError, match="criterion  7 FAIL"):
+        acceptance.test_criterion_07_p_sequence_closure()
+    assert "criterion  7 FAIL" in capsys.readouterr().out
+
+
+def test_criterion_08_fails_on_a_nudged_lattice_step(monkeypatch, capsys):
+    # the constant term of every slice read off Psi moves by 1e-6: the
+    # lattice leaves the cube roots of unity and does not close
+    line = charge2._line
+
+    def nudged(rows, z0, z1):
+        c0, c1, c2 = line(rows, z0, z1)
+        return c0 * (1.0 + 1e-6), c1, c2
+
+    monkeypatch.setattr(charge2, "_line", nudged)
+    with pytest.raises(AssertionError, match="criterion  8 FAIL"):
+        acceptance.test_criterion_08_z_lattice()
+    assert "criterion  8 FAIL" in capsys.readouterr().out
+
+
+def test_criterion_09_fails_on_a_moved_vertex(monkeypatch, capsys):
+    # the z of the third vertex moved by 1e-6 puts its image off the conic
+    walk = charge2._p_walk
+
+    def moved(*args):
+        points, period = walk(*args)
+        w, (z0, z1) = points[2]
+        points[2] = (w, (z0, z1 + 1e-6))
+        return points, period
+
+    monkeypatch.setattr(charge2, "_p_walk", moved)
+    with pytest.raises(AssertionError, match="criterion  9 FAIL"):
+        acceptance.test_criterion_09_poncelet()
+    assert "criterion  9 FAIL" in capsys.readouterr().out
 
 
 def test_criterion_12_fails_on_a_conjugated_design(monkeypatch, capsys):

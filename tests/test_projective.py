@@ -70,6 +70,95 @@ def test_proj_roots_zero_polynomial():
         proj_roots([0.0, 0.0])
 
 
+def _chart_roots(c):
+    return [p.chart for p in proj_roots(c)]
+
+
+def _matched_gap(got, want):
+    """Largest |got - want| / max(1, |want|) under greedy nearest matching."""
+    free, worst = list(got), 0.0
+    for z in want:
+        i = min(range(len(free)), key=lambda i: abs(free[i] - z))
+        worst = max(worst, abs(free.pop(i) - z) / max(1.0, abs(z)))
+    return worst
+
+
+class TestClosedFormRoots:
+    """Degrees 1 and 2 are solved in closed form; numpy's companion solve
+    of the same coefficients is the reference."""
+
+    @pytest.mark.parametrize("deg", [1, 2])
+    def test_random_polynomials_match_np_roots(self, deg):
+        rng = np.random.default_rng(90 + deg)
+        for _ in range(300):
+            c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+            c *= 10.0 ** rng.uniform(-3, 3, deg + 1)  # six decades of coefficient scale
+            got = _chart_roots(c)
+            assert got == sorted(got, key=lambda z: (z.real, z.imag))
+            assert _matched_gap(got, np.roots(c[::-1])) <= 1e-12
+
+    @pytest.mark.parametrize("small, large", [(1e-8, 1e8), (1e-8 + 2e-9j, -3e8j)])
+    def test_widely_spread_roots_keep_every_digit(self, small, large):
+        # (z - small)(z - large): the plain formula gives small as the
+        # difference of two numbers near large, which cancels to 0
+        got = sorted(_chart_roots([small * large, -(small + large), 1.0]), key=abs)
+        assert abs(got[0] - small) <= 4e-16 * abs(small)
+        assert abs(got[1] - large) <= 4e-16 * abs(large)
+        assert _matched_gap(got, np.roots([1.0, -(small + large), small * large])) <= 1e-15
+
+    @pytest.mark.parametrize("r", [1.0, 1.5 - 0.5j, 0.0])
+    def test_double_root(self, r):
+        c = [r * r, -2.0 * r, 1.0]
+        got = _chart_roots(c)
+        assert all(abs(z - r) <= 1e-15 for z in got)
+        # the companion solve splits a double root by about sqrt(eps)
+        assert _matched_gap(got, np.roots(c[::-1])) <= 1e-7
+
+    @pytest.mark.parametrize(
+        "c, finite",
+        [([2.0, 3.0, 0.0], [-2 / 3]), ([1j, 0.0, 0.0], []), ([2.0, 3.0, 1e-11], [-2 / 3])],
+        ids=["c2-zero", "constant", "c2-below-tolerance"],
+    )
+    def test_vanishing_top_coefficient_is_a_root_at_infinity(self, c, finite):
+        roots = proj_roots(c)
+        assert [p.is_infinity for p in roots] == [False] * len(finite) + [True] * (2 - len(finite))
+        got = [p.chart for p in roots if not p.is_infinity]
+        assert _matched_gap(got, finite) <= 1e-15
+
+    def test_vanishing_constant_is_a_root_at_zero(self):
+        got = _chart_roots([0.0, 3.0, 2.0])
+        assert got == [-1.5, 0.0] and all(np.signbit(z.imag) == np.signbit(0.0) for z in got)
+        assert _matched_gap(got, np.roots([2.0, 3.0, 0.0])) == 0.0
+
+    def test_real_coefficients_give_an_exact_conjugate_pair(self):
+        rng = np.random.default_rng(94)
+        for _ in range(100):
+            a, b = rng.standard_normal(2)
+            c = [a * a + b * b, -2.0 * a, 1.0]  # roots a +- i |b|
+            lo, hi = _chart_roots(c)
+            assert lo == hi.conjugate() and lo.imag < 0.0
+            assert _matched_gap([lo, hi], np.roots(c[::-1])) <= 1e-14
+
+    @pytest.mark.parametrize("scale", [2.0**-1000, 2.0**-600, 2.0**600, 2.0**1000])
+    def test_power_of_two_scale_leaves_the_roots_unchanged(self, scale):
+        # c1^2 would overflow or underflow at these scales unscaled
+        c = np.array([0.3 - 1j, 2.0 + 0.5j, -0.7 + 0.1j])
+        assert _chart_roots(c * scale) == _chart_roots(c)
+
+    @pytest.mark.parametrize("c", [[0.0, 0.0, 0.0], [0.0], [np.nan, 1.0, 1.0], [1.0, np.inf, 0.0]])
+    def test_zero_or_non_finite_polynomial_is_identically_zero(self, c):
+        with pytest.raises(IdenticallyZero):
+            proj_roots(c)
+
+    @pytest.mark.parametrize("deg, calls", [(1, 0), (2, 0), (3, 1), (8, 1)])
+    def test_companion_solve_only_from_degree_three(self, monkeypatch, deg, calls):
+        counted = []
+        roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda p: counted.append(len(p)) or roots(p))
+        c = np.random.default_rng(deg).standard_normal(deg + 1)
+        assert len(proj_roots(c)) == deg and len(counted) == calls
+
+
 def test_sphere_point_parsing():
     assert SpherePoint.of("inf").is_infinity
     assert SpherePoint.of(SpherePoint.of(2.0)).chart == 2.0

@@ -5,6 +5,7 @@ import pytest
 
 from monosphere.curves import SpectralMatrix, eval_psi
 from monosphere.errors import NotPositiveDefinite
+from monosphere.projective import antipode
 from monosphere.spheres import (
     CoeffTuple,
     HoloSphere,
@@ -75,18 +76,35 @@ def test_eval_sech_sphere_at_one():
     assert np.allclose(got, [np.sqrt(2.0), 0.0, 1.0], atol=1e-14)
 
 
-def test_pairing_matches_eval_psi():
-    rng = np.random.default_rng(31)
+def _pairing_samples(seed):
+    """(S, q, w, z): random positive definite curves at k = 1, 2, 3, their
+    factors, and 34 random w, z each."""
+    rng = np.random.default_rng(seed)
     for k in (1, 2, 3):
-        psi = _rand_hermitian_pd(rng, k + 1)
-        q = factor_sphere(SpectralMatrix(k, psi))
-        S = spectral_from_sphere(q)
+        S = SpectralMatrix(k, _rand_hermitian_pd(rng, k + 1))
+        q = factor_sphere(S)
         for _ in range(34):
             w = complex(rng.standard_normal(), rng.standard_normal())
-            z = complex(rng.standard_normal(), rng.standard_normal())
-            a = pairing(q, w, z)
-            b = eval_psi(S, w, z)
-            assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+            yield S, q, w, complex(rng.standard_normal(), rng.standard_normal())
+
+
+def test_pairing_matches_eval_psi():
+    # the paper's pairing <q(antipode(w)), q(z)> conjugates its first slot:
+    # psi(w, z) in the chart for w != 0 and finite z, because
+    # conj v(-1/conj w) = v(-1/w); pairing folds that conjugate through the antipode
+    for S, q, w, z in _pairing_samples(31):
+        b = eval_psi(S, w, z)
+        a = np.vdot(eval_sphere(q, antipode(w)), eval_sphere(q, z))
+        assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+        assert abs(pairing(q, w, z) - b) <= 1e-10 * max(1.0, abs(b))
+
+
+def test_pairing_without_the_conjugate_misses_eval_psi():
+    # control: q(antipode(w)) . q(z) unconjugated is a different function of w
+    for S, q, w, z in _pairing_samples(31):
+        b = eval_psi(S, w, z)
+        a = np.dot(eval_sphere(q, antipode(w)), eval_sphere(q, z))
+        assert abs(a - b) > 1e-3 * max(1.0, abs(b))
 
 
 def test_pairing_holomorphic_at_degenerate_charts():
