@@ -58,9 +58,9 @@ from .charge2 import (
 from .curves import (
     SpectralMatrix,
     axial_spectral,
+    curve_spectrum,
     eval_psi,
     metric_scale_residual,
-    nondegeneracy_check,
     normalize_reality,
     positivity_check,
 )

@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import SpectralMatrix, hermitian_form, hermitian_part
-from .curves import require_hermitian, require_positive_definite
+from .curves import SpectralMatrix, hermitian_form, hermitian_part, require_hermitian, require_positive_definite
 from .errors import NonFiniteResult, QuadratureNotConverged, Underdetermined
 from .projective import vander, vander_derivative
 
@@ -130,7 +129,7 @@ def degree_integral(S: SpectralMatrix, tol: float = DEGREE_TOL) -> tuple[float, 
     and QuadratureNotConverged, carrying the bound as best, when the
     bound exceeds tol.
     """
-    require_hermitian(S.psi)
+    require_hermitian(S)
     exponent = np.frexp(np.max(np.abs(S.psi)))[1]
     unit = np.ldexp(S.psi.view(float), -exponent).view(complex)
     (flux_z, bound_z), (flux_inv, bound_inv) = _patch(unit), _patch(unit[::-1, ::-1])

@@ -308,7 +308,7 @@ def center_flow(
     v = t.v / m if m > 0.0 else t.v
     if not _ends_nonzero(v):
         raise NotStable("tuple is not stable (v_0 or v_k vanishes)")
-    ratio = fullness_check(v)[0]
+    ratio, full = fullness_check(v)
     if not ratio > (k + 1) * EPS:
         raise NotStable(f"tuple is singular to rounding (sv ratio {ratio:.2e})")
     lam = _generators(k)[0]
@@ -322,7 +322,7 @@ def center_flow(
         if mu < best[0]:
             best, best_it = (mu, g_total, v), it
         if mu <= tol * n2:
-            ratio, full = fullness_check(v)
+            ratio, full = fullness_check(v) if it else (ratio, full)  # at it = 0, v is the entry tuple
             if not full:
                 raise NotStable(f"centred tuple is not full (sv ratio {ratio:.2e})")
             return FlowResult(Mobius.from_matrix(g_total), CoeffTuple(k, m * v), it, tuple(trace))

@@ -52,12 +52,7 @@ from .charge2 import (
     triple_product,
     z_lattice,
 )
-from .curves import (
-    SpectralMatrix,
-    _degeneracy,
-    normalize_reality,
-    require_positive_definite,
-)
+from .curves import SpectralMatrix, normalize_reality, require_positive_definite
 from .errors import ConvergenceError, NonFiniteResult, SchemaError, ValidationError
 from .projective import SpherePoint
 from .ratmap import find_line, massless_curve, project_map
@@ -144,14 +139,13 @@ def cmd_normalize(args) -> SpectralMatrix:
 
 def cmd_check(args) -> dict:
     S = ser.curve_from_json(ser.read_document(args.input))
-    vals, S = require_positive_definite(S, **_opt(tol=args.tol))
-    deg = _degeneracy(vals, **_opt(tol=args.tol))
+    spectrum = require_positive_definite(S, **_opt(tol=args.tol))
     return {
-        **vars(deg),
         "k": S.k,
-        "eigenvalues": vals,
-        "determinant": _finite(deg.determinant),
-        "condition_estimate": _finite(deg.condition_estimate),
+        "eigenvalues": spectrum.eigenvalues,
+        "determinant": _finite(spectrum.determinant),
+        "condition_estimate": _finite(spectrum.condition_estimate),
+        "degenerate": spectrum.degenerate,
     }
 
 
@@ -200,7 +194,7 @@ def cmd_reconstruct(args) -> SpectralMatrix | dict:
     require_positive_definite(S)
     z = np.array(list(_boundary_rings(S.k, 2 * S.k + 2)))
     out = reconstruct_psi_from_metric(zip(z, metric_h(S, z)), S.k)
-    return {**vars(out), "max_abs_deviation": np.max(np.abs(out.psi - S.psi))}
+    return {"k": out.k, "psi": out.psi, "max_abs_deviation": np.max(np.abs(out.psi - S.psi))}
 
 
 def cmd_center(args) -> dict:
@@ -339,16 +333,16 @@ def cmd_field_sample(args) -> dict:
 
 def cmd_pipeline(args) -> dict:
     S = ser.curve_from_json(ser.read_document(args.input))
-    vals, S = require_positive_definite(S, **_opt(tol=args.tol))
-    q = factor_sphere(S, **_opt(tol=args.tol))
+    spectrum = require_positive_definite(S, **_opt(tol=args.tol))
+    q = factor_sphere(spectrum.hermitian, **_opt(tol=args.tol))
     t = sphere_to_tuple(q)
     mu0 = moment_map(t)
     flow = center_flow(t, **_opt(max_iter=args.max_iter))
     mu1 = moment_map(flow.tuple_centred)
-    degree, bound = degree_integral(S)
+    degree, bound = degree_integral(spectrum.hermitian)
     return {
         "k": S.k,
-        "eigenvalues": vals,
+        "eigenvalues": spectrum.eigenvalues,
         "mu_initial": _mu_json(mu0),
         "mu_centred": _mu_json(mu1),
         "norm2_centred": norm2(flow.tuple_centred),

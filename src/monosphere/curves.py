@@ -28,6 +28,7 @@ C hom_vector(z), and the factor swap (w, z) -> (z, w) transposes C.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,7 @@ HERM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SpectralMatrix:
-    """Bidegree-(k, k) curve coefficients."""
+    """Bidegree-(k, k) curve coefficients; their spectrum is kept, outside the fields, once read."""
 
     k: int
     psi: np.ndarray
@@ -49,6 +50,21 @@ class SpectralMatrix:
         if self.k < 1:
             raise ValueError("charge k must be >= 1")
         object.__setattr__(self, "psi", frozen(self.psi, complex, (self.k + 1, self.k + 1), "psi"))
+
+    @cached_property
+    def _hermitian_gap(self) -> tuple[float, float]:
+        """max|Psi - Psi^*| and the scale max(max|Psi|, 1e-300)."""
+        psi = self.psi
+        return float(np.max(np.abs(psi - np.conj(psi).T))), max(float(np.max(np.abs(psi))), 1e-300)
+
+    @cached_property
+    def _eigh(self) -> tuple[SpectralMatrix | None, np.ndarray]:
+        """The Hermitian part and its eigenvalues, which the part keeps too:
+        outside the subnormal range it is its own Hermitian part (None)."""
+        herm = SpectralMatrix(self.k, hermitian_part(self.psi))
+        vals = frozen(np.linalg.eigvalsh(herm.psi), float, (self.k + 1,), "eigenvalues")
+        herm.__dict__["_eigh"] = (None, vals)  # None, not herm: no reference cycle
+        return herm, vals
 
 
 def hermitian_part(psi: np.ndarray) -> np.ndarray:
@@ -119,87 +135,76 @@ def normalize_reality(S: SpectralMatrix, tol: float = HERM_TOL) -> SpectralMatri
     largest entry, exp(i theta) Psi is Hermitian; its sign is that of
     Psi[k, k], which every definite matrix shares, and the result must
     pass require_positive_definite, so this accepts exactly what check
-    accepts up to a unit factor.  Idempotent with exact equality.
+    accepts up to a unit factor (S itself, and any spectrum it carries,
+    when the factor leaves it bit for bit).  Idempotent with exact equality.
 
     NotHermitian when no unit phase works; NotPositiveDefinite for the
     zero matrix and when the result is not positive definite.
     """
-    psi = np.asarray(S.psi, dtype=complex)
-    if np.max(np.abs(psi)) == 0.0:
+    psi = S.psi
+    mags = np.abs(psi)
+    if mags.max() == 0.0:
         raise NotPositiveDefinite("zero matrix")
-    i, j = np.unravel_index(np.argmax(np.abs(psi)), psi.shape)
+    i, j = np.unravel_index(np.argmax(mags), psi.shape)
     c = np.conj(psi[j, i]) / psi[i, j]
     phase = np.exp(1j * np.angle(c) / 2.0)
     if (phase * psi[-1, -1]).real < 0:
         phase = -phase
-    return require_positive_definite(SpectralMatrix(S.k, phase * psi), tol)[1]
+    rotated = phase * psi
+    R = S if rotated.tobytes() == psi.tobytes() else SpectralMatrix(S.k, rotated)
+    return require_positive_definite(R, tol).hermitian
 
 
-def require_hermitian(psi: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
-    scale = max(np.max(np.abs(psi)), 1e-300)
-    if np.max(np.abs(psi - np.conj(psi).T)) > tol * scale:
+def require_hermitian(S: SpectralMatrix, tol: float = HERM_TOL) -> None:
+    """NotHermitian unless max|Psi - Psi^*| <= tol max|Psi|."""
+    gap, scale = S._hermitian_gap
+    if gap > tol * scale:
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    return hermitian_part(psi)
-
-
-def _spectrum(S: SpectralMatrix, tol: float) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Hermitian part, its eigenvalues (ascending) and whether the
-    smallest exceeds tol times the largest magnitude; NotHermitian when
-    Psi is not Hermitian within tol."""
-    herm = require_hermitian(S.psi, tol)
-    vals = np.linalg.eigvalsh(herm)
-    ref = max(np.max(np.abs(vals)), 1e-300)
-    return herm, vals, bool(vals[0] > tol * ref)
-
-
-def positivity_check(S: SpectralMatrix, tol: float = HERM_TOL):
-    """Eigenvalues (ascending) and a positive-definiteness verdict.
-
-    Requires Hermitian input.  Positive definite means the smallest
-    eigenvalue exceeds tol times the largest magnitude.
-    """
-    return _spectrum(S, tol)[1:]
-
-
-def require_positive_definite(S: SpectralMatrix, tol: float = HERM_TOL) -> tuple[np.ndarray, SpectralMatrix]:
-    """Eigenvalues (ascending) and Hermitian part of a curve that
-    positivity_check finds positive definite, the condition for
-    Psi = conj(Q)^T Q to have a factor Q.  NotPositiveDefinite otherwise,
-    and NonFiniteResult when the eigenvalues are not finite (an
-    overflowed matrix has no verdict).
-    """
-    herm, vals, ok = _spectrum(S, tol)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteResult("eigenvalues of the curve matrix are not finite")
-    if not ok:
-        raise NotPositiveDefinite(f"smallest eigenvalue {vals[0]:.6e} of {vals[-1]:.6e}")
-    return vals, SpectralMatrix(S.k, herm)
 
 
 @dataclass(frozen=True)
-class DegeneracyReport:
-    determinant: float
-    condition_estimate: float
-    degenerate: bool
+class CurveSpectrum:
+    """The Hermitian part of Psi (a value carrying this spectrum), its
+    ascending eigenvalues, and the verdicts read off them at one tol."""
+
+    hermitian: SpectralMatrix
+    eigenvalues: np.ndarray
+    positive: bool  # the smallest eigenvalue exceeds tol times the largest magnitude
+    determinant: float  # the product of the eigenvalues, inf on overflow
+    condition_estimate: float  # max|lambda| / min|lambda|, inf when singular
+    degenerate: bool  # the product of |lambda| / max|lambda| is at most tol
 
 
-def nondegeneracy_check(S: SpectralMatrix, tol: float = HERM_TOL) -> DegeneracyReport:
-    """Determinant (real, inf on overflow), 2-norm condition and verdict,
-    read off the eigenvalues of the Hermitian part (NotHermitian
-    otherwise); see _degeneracy."""
-    return _degeneracy(_spectrum(S, tol)[1], tol)
-
-
-def _degeneracy(vals: np.ndarray, tol: float = HERM_TOL) -> DegeneracyReport:
-    """The DegeneracyReport of the eigenvalues vals of a Hermitian Psi.
-    Degenerate when the determinant at unit norm, the product of
-    |lambda| / max|lambda|, falls below tol."""
+def curve_spectrum(S: SpectralMatrix, tol: float = HERM_TOL) -> CurveSpectrum:
+    """The CurveSpectrum of S; NotHermitian when Psi is not Hermitian within tol."""
+    require_hermitian(S, tol)
+    herm, vals = S._eigh
+    herm = S if herm is None else herm
     mags = np.abs(vals)
     smax, smin = mags.max(), mags.min()
     with np.errstate(over="ignore"):
-        det = float(np.prod(vals))
-        cond = np.inf if smin == 0.0 else float(smax / smin)
-    return DegeneracyReport(det, cond, bool(smin == 0.0 or np.prod(mags / smax) <= tol))
+        det, cond = float(np.prod(vals)), np.inf if smin == 0.0 else float(smax / smin)
+    positive = bool(vals[0] > tol * max(smax, 1e-300))
+    return CurveSpectrum(herm, vals, positive, det, cond, bool(smin == 0.0 or np.prod(mags / smax) <= tol))
+
+
+def positivity_check(S: SpectralMatrix, tol: float = HERM_TOL) -> tuple[np.ndarray, bool]:
+    """Eigenvalues and verdict of curve_spectrum, as bench/workloads.py reads them."""
+    spectrum = curve_spectrum(S, tol)
+    return spectrum.eigenvalues, spectrum.positive
+
+
+def require_positive_definite(S: SpectralMatrix, tol: float = HERM_TOL) -> CurveSpectrum:
+    """The CurveSpectrum of a positive definite curve, the condition for
+    Psi = conj(Q)^T Q to have a factor Q; NotPositiveDefinite otherwise,
+    NonFiniteResult when the eigenvalues are not finite (no verdict)."""
+    spectrum = curve_spectrum(S, tol)
+    vals = spectrum.eigenvalues
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteResult("eigenvalues of the curve matrix are not finite")
+    if not spectrum.positive:
+        raise NotPositiveDefinite(f"smallest eigenvalue {vals[0]:.6e} of {vals[-1]:.6e}")
+    return spectrum
 
 
 def axial_spectral(k: int, m: float, alpha: float = 1.0) -> SpectralMatrix:

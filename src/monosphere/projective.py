@@ -192,9 +192,10 @@ def proj_roots(coeffs) -> list[SpherePoint]:
     Finite roots of degree 1 and 2 are solved in closed form
     (_quadratic_roots, on the coefficients scaled by the power of two
     that brings the largest below 1, so nothing overflows); higher
-    degrees take the companion matrix via numpy.  Roots are returned
-    sorted (finite lexicographically by real then imaginary part,
-    infinities last) so callers see a deterministic order.
+    degrees take the companion matrix via numpy, a real one for real
+    coefficients.  Roots are returned sorted (finite lexicographically
+    by real then imaginary part, infinities last) so callers see a
+    deterministic order, a conjugate pair -imag first.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or c.size == 0:
@@ -215,7 +216,7 @@ def proj_roots(coeffs) -> list[SpherePoint]:
         # + 0.0 clears the sign of a zero part, as the companion solve does
         finite = sorted((z + 0.0 for z in finite), key=lambda z: (z.real, z.imag))
     else:
-        finite = np.roots(c[deg::-1])
+        finite = np.roots(c[deg::-1] if c.imag.any() else c.real[deg::-1])
         finite = finite[np.lexsort((finite.imag, finite.real))]
     pts = [SpherePoint.of(z) for z in finite]
     pts.extend(SpherePoint(0.0 + 0.0j, 1.0 + 0.0j) for _ in range(n - deg))

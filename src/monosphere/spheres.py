@@ -72,7 +72,7 @@ def factor_sphere(S: SpectralMatrix, tol: float = HERM_TOL) -> HoloSphere:
     Cholesky in the upper-triangular convention.  Requires Hermitian
     positive definite input (require_positive_definite).
     """
-    _, herm = require_positive_definite(S, tol)
+    herm = require_positive_definite(S, tol).hermitian
     # numpy returns lower L with Psi = L conj(L)^T; the canonical upper
     # factor is Q = conj(L)^T, and conj(Q)^T Q = L conj(L)^T = Psi.
     L = np.linalg.cholesky(herm.psi)

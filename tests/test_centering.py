@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from monosphere.axial import sphere_of_sech
 from monosphere.centering import (
     Mobius,
     _jets,
@@ -290,6 +291,31 @@ def test_flow_sech_tuple_already_centred():
     assert abs(mu.mu_r) < 1e-12 and abs(mu.mu_c) < 1e-12
     res = center_flow(t)
     assert res.iterations == 0
+
+
+def _axial_tuple():
+    return sphere_to_tuple(factor_sphere(axial_spectral(8, 0.5)))
+
+
+@pytest.mark.parametrize(
+    "tuple_of, svds",
+    [
+        (lambda: sphere_to_tuple(sphere_of_sech()), 1),
+        (_axial_tuple, 1),
+        (lambda: act_sl2(Mobius.from_matrix(np.array([[1.5, 0.3], [0.1, 0.8]])), _axial_tuple()), 2),
+    ],
+    ids=["sech", "axial", "moved"],
+)
+def test_flow_tests_fullness_once_per_distinct_tuple(monkeypatch, tuple_of, svds):
+    # a tuple centred on entry leaves at iteration 0 and reuses the entry
+    # SVD; a moved one is tested again once the flow has moved it
+    t = tuple_of()
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    res = center_flow(t)
+    assert (res.iterations == 0) == (svds == 1)
+    assert len(calls) == svds
 
 
 # -- centre point -------------------------------------------------------------

@@ -8,10 +8,10 @@ import pytest
 
 from monosphere import cli
 from monosphere.axial import mass_profile, sech_field, sphere_of_sech
-from monosphere.boundary import metric_h, reconstruct_psi_from_metric
+from monosphere.boundary import degree_integral, metric_h, reconstruct_psi_from_metric
 from monosphere.centering import Mobius, act_sl2
 from monosphere.cli import GRID_MAX, _boundary_rings, main
-from monosphere.curves import SpectralMatrix, axial_spectral
+from monosphere.curves import SpectralMatrix, axial_spectral, normalize_reality, positivity_check
 from monosphere.projective import SpherePoint, hom_vector
 from monosphere.serialize import (
     curve_from_json,
@@ -353,21 +353,52 @@ class TestValidationAndExitCodes:
         assert "positive_definite" not in report  # the only other verdict is exit 2
         assert np.allclose(report["eigenvalues"], [1.0, 1.0, 1.0])
 
-    @pytest.mark.parametrize("tol", [None, "1e-6"])
-    def test_check_makes_one_eigvalsh_call(self, tmp_path, monkeypatch, tol):
-        # the determinant, condition and verdict come from the gate's eigenvalues
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
 
-        def counted(a):
-            calls.append(a.shape)
-            return eigvalsh(a)
+def _library_chain():
+    # the benchmark's chain: the phase of a Hermitian curve is 1, so
+    # normalize_reality gates the curve itself, and the Hermitian part it
+    # returns carries the spectrum into factor_sphere and degree_integral
+    S = axial_spectral(8, 0.5)
+    positivity_check(S)
+    N = normalize_reality(S)
+    factor_sphere(N)
+    degree_integral(N)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        argv = ["check"] + ([] if tol is None else ["--tol", tol])
-        code, report = run_cli(tmp_path, argv, random_pd_curve())
-        assert code == 0 and report["degenerate"] is False
-        assert calls == [(3, 3)]
+
+# One job per path through the curve gate and the eigvalsh calls it
+# makes: one per curve, two for curve-input reconstruct (the input's
+# gate and the recovered curve's), and none for a degree integral,
+# which tests Hermiticity alone.
+EIGVALSH_JOBS = {
+    "check": (["check"], 1),
+    "check-tol": (["check", "--tol", "1e-6"], 1),
+    "normalize": (["normalize"], 1),
+    "factor": (["factor"], 1),
+    "boundary": (["boundary"], 1),
+    "pipeline": (["pipeline"], 1),
+    "pipeline-tol": (["pipeline", "--tol", "1e-6"], 1),
+    "reconstruct": (["reconstruct"], 2),
+    "library-chain": (_library_chain, 1),
+    "degree-of-a-fresh-curve": (lambda: degree_integral(axial_spectral(8, 0.5)), 0),
+}
+
+
+@pytest.mark.parametrize("job", list(EIGVALSH_JOBS))
+def test_each_curve_path_counts_its_eigvalsh_calls(tmp_path, monkeypatch, job):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    run, want = EIGVALSH_JOBS[job]
+    if callable(run):
+        run()
+    else:
+        assert run_cli(tmp_path, run, random_pd_curve())[0] == 0
+    assert len(calls) == want
 
 
 class TestTransformChain:

@@ -3,6 +3,7 @@ false (or true where the usual reading is false), so that no verdict is
 an identity that passes on every input."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from monosphere import boundary, charge2
 from monosphere.charge2 import Su2Triple
 from monosphere.cli import main
 from monosphere.curves import SpectralMatrix, axial_spectral
-from monosphere.projective import antipode
+from monosphere.projective import SpherePoint, antipode
+from monosphere.ratmap import RationalMap
 from monosphere.serialize import dumps_report, encode
-from monosphere.spheres import eval_sphere, factor_sphere
+from monosphere.spheres import CoeffTuple, eval_sphere, factor_sphere
 
 
 def _run(tmp_path, argv, doc):
@@ -111,6 +113,33 @@ def test_criterion_03_fails_on_a_shifted_flux(monkeypatch, capsys):
     with pytest.raises(AssertionError, match="criterion  3 FAIL"):
         acceptance.test_criterion_03_degree_integral()
     assert "criterion  3 FAIL" in capsys.readouterr().out
+
+
+def test_criterion_04_fails_on_a_nudged_centred_tuple(monkeypatch, capsys):
+    # every centred tuple scaled by 1 + 1e-5: |mu| stays 0 relative to
+    # norm2, and the Gram spectrum moves by about 2e-5, past the 1e-6 bound
+    flow = acceptance.center_flow
+
+    def nudged(t):
+        res = flow(t)
+        return replace(res, tuple_centred=CoeffTuple(t.k, res.tuple_centred.v * (1.0 + 1e-5)))
+
+    monkeypatch.setattr(acceptance, "center_flow", nudged)
+    with pytest.raises(AssertionError, match="criterion  4 FAIL"):
+        acceptance.test_criterion_04_centering_flow()
+    assert "criterion  4 FAIL" in capsys.readouterr().out
+
+
+def test_criterion_06_fails_on_nudged_poles(monkeypatch, capsys):
+    # every finite pole moved by 1e-7 in the chart lies off the slice
+    # roots by more than the 1e-8 chordal gap
+    poles = RationalMap.poles
+    monkeypatch.setattr(
+        RationalMap, "poles", lambda f: [p if p.is_infinity else SpherePoint.of(p.chart + 1e-7) for p in poles(f)]
+    )
+    with pytest.raises(AssertionError, match="criterion  6 FAIL"):
+        acceptance.test_criterion_06_pole_invariance()
+    assert "criterion  6 FAIL" in capsys.readouterr().out
 
 
 def _nudged_vieta_step(c, r, tol, step=charge2._vieta_step):

@@ -6,11 +6,12 @@ import pytest
 from monosphere.curves import (
     SpectralMatrix,
     axial_spectral,
+    curve_spectrum,
     eval_psi,
     metric_scale_residual,
-    nondegeneracy_check,
     normalize_reality,
     positivity_check,
+    require_positive_definite,
 )
 from monosphere.boundary import metric_h
 from monosphere.errors import NotHermitian, NotPositiveDefinite
@@ -167,26 +168,53 @@ def test_positivity_requires_hermitian():
         positivity_check(SpectralMatrix(1, np.array([[1.0, 1.0], [0.0, 1.0]])))
 
 
-def test_nondegeneracy_report():
-    rep = nondegeneracy_check(SpectralMatrix(2, np.diag([1.0, 0.0, 1.0])))
-    assert rep.degenerate
+def test_curve_spectrum_report():
+    rep = curve_spectrum(SpectralMatrix(2, np.diag([1.0, 0.0, 1.0])))
+    assert rep.degenerate and not rep.positive
     assert abs(rep.determinant) < 1e-14
-    rep2 = nondegeneracy_check(SpectralMatrix(2, np.eye(3)))
-    assert not rep2.degenerate
+    rep2 = curve_spectrum(SpectralMatrix(2, np.eye(3)))
+    assert not rep2.degenerate and rep2.positive
     assert abs(rep2.determinant - 1.0) < 1e-12
     assert rep2.condition_estimate < 1.0 + 1e-12
 
 
-def test_nondegeneracy_reads_the_eigenvalues_of_a_hermitian_curve():
+def test_curve_spectrum_reads_the_eigenvalues_of_a_hermitian_curve():
     # the determinant is the real product of the eigenvalues and the
     # condition their magnitude ratio, as for an indefinite diagonal
-    rep = nondegeneracy_check(SpectralMatrix(2, np.diag([-2.0, 1.0, 3.0])))
+    rep = curve_spectrum(SpectralMatrix(2, np.diag([-2.0, 1.0, 3.0])))
     assert type(rep.determinant) is float
     assert rep.determinant == pytest.approx(-6.0, rel=1e-14)
     assert rep.condition_estimate == pytest.approx(3.0, rel=1e-14)
     assert not rep.degenerate
     with pytest.raises(NotHermitian):
-        nondegeneracy_check(SpectralMatrix(1, np.array([[1.0, 1.0], [0.0, 1.0]])))
+        curve_spectrum(SpectralMatrix(1, np.array([[1.0, 1.0], [0.0, 1.0]])))
+
+
+def test_curve_spectrum_verdicts_read_its_tolerance():
+    # one eigendecomposition serves both tolerances: the ratio 1e-9 is
+    # positive definite at 1e-10 and not at 1e-8
+    S = SpectralMatrix(1, np.diag([1.0, 1e-9]))
+    loose, strict = curve_spectrum(S), curve_spectrum(S, 1e-8)
+    assert loose.eigenvalues is strict.eigenvalues
+    assert (loose.positive, strict.positive) == (True, False)
+    assert (loose.degenerate, strict.degenerate) == (False, True)
+
+
+def test_the_hermitian_part_carries_its_spectrum():
+    # the gate's Hermitian part is its own Hermitian part, bit for bit,
+    # so reading its spectrum again returns the same arrays
+    rng = np.random.default_rng(3)
+    psi = _rand_hermitian_pd(rng, 5)
+    S = SpectralMatrix(4, psi + 1e-13 * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))))
+    spectrum = require_positive_definite(S)
+    herm = spectrum.hermitian
+    assert np.array_equal(herm.psi, np.conj(herm.psi).T)
+    again = curve_spectrum(herm)
+    assert again.hermitian is herm and again.eigenvalues is spectrum.eigenvalues
+    fresh = SpectralMatrix(4, herm.psi)
+    assert np.array_equal(curve_spectrum(fresh).hermitian.psi, herm.psi)
+    assert np.array_equal(curve_spectrum(fresh).eigenvalues, spectrum.eigenvalues)
+    assert not spectrum.eigenvalues.flags.writeable
 
 
 # -- axial family -------------------------------------------------------------

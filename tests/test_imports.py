@@ -1,10 +1,11 @@
 """Every name a module imports is used in it, every private name a
 module defines is read somewhere in the package (no linter is a test
 dependency, so this stands in for the unused-import and dead-code
-checks), arrays are made read-only in one place, and the public API is
-pinned."""
+checks), arrays are made read-only in one place, the public API is
+pinned, and every package name the benchmark imports exists."""
 
 import ast
+import importlib
 import types
 from pathlib import Path
 
@@ -95,10 +96,10 @@ PUBLIC_NAMES = set("""
     AxialField CoeffTuple ConvergenceError FlowResult GaugeSample H_matrix HoloSphere Mobius MomentValue
     MonosphereError PSequence PonceletPolygon ProjLine RationalMap ResidualReport SpectralMatrix
     SpherePoint Su2Triple ValidationError ZLattice act_sl2 antipode axial_spectral bog_residual bracket
-    center_flow centre_point chordal connection_at_infinity curvature_density degree_integral
-    diagonal_quartic estimate_mass eval_psi eval_sphere factor_sphere find_line from_su2_triple
-    fullness_check gauge_fields is_centred mass_flow_check mass_profile massless_curve metric_h
-    metric_scale_residual moment_map nondegeneracy_check norm2 normalize_reality p_sequence pairing
+    center_flow centre_point chordal connection_at_infinity curvature_density curve_spectrum
+    degree_integral diagonal_quartic estimate_mass eval_psi eval_sphere factor_sphere find_line
+    from_su2_triple fullness_check gauge_fields is_centred mass_flow_check mass_profile massless_curve
+    metric_h metric_scale_residual moment_map norm2 normalize_reality p_sequence pairing
     poncelet positivity_check proj_roots project_map reconstruct_psi_from_metric sech_field
     spectral_from_sphere spectral_slice sphere_of_sech sphere_to_tuple stability_check to_su2_triple
     triple_product tuple_to_sphere z_lattice zero_mass_field
@@ -123,3 +124,47 @@ def test_detects_a_new_public_name():
     vars(module).update(vars(monosphere))
     module.extra, module._private, module.sub = 1, 2, types.ModuleType("m.sub")
     assert _public_names(module) ^ PUBLIC_NAMES == {"extra"}
+
+
+BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+
+
+def _missing_package_names(source: str) -> list[str]:
+    """The names that source takes from the package, by `from monosphere...
+    import` anywhere (function-local imports included) or as an attribute
+    of a package module so imported, that do not resolve."""
+    tree = ast.parse(source)
+    missing, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "monosphere":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                try:
+                    value = getattr(module, alias.name) if hasattr(module, alias.name) else importlib.import_module(name)
+                except ImportError:
+                    missing.append(name)
+                    continue
+                if isinstance(value, types.ModuleType):
+                    modules[alias.asname or alias.name] = value
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if not hasattr(modules[node.value.id], node.attr):
+                missing.append(f"{modules[node.value.id].__name__}.{node.attr}")
+    return missing
+
+
+@pytest.mark.parametrize("path", BENCH, ids=lambda p: p.name)
+def test_every_package_name_the_benchmark_imports_resolves(path):
+    assert _missing_package_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_missing_package_name():
+    source = (
+        "from monosphere import curve_spectrum, no_such_name\n"
+        "def f():\n    from monosphere.curves import gone\n    from monosphere import cli\n"
+        "    return cli.main, cli.no_such_helper\n"
+    )
+    assert _missing_package_names(source) == [
+        "monosphere.no_such_name", "monosphere.curves.gone", "monosphere.cli.no_such_helper"
+    ]

@@ -159,6 +159,22 @@ class TestClosedFormRoots:
         assert len(proj_roots(c)) == deg and len(counted) == calls
 
 
+def test_real_cubics_list_each_conjugate_pair_exactly_minus_imag_first():
+    # the companion solve of the real coefficients returns exact pairs and
+    # exact real roots; the complex solve left real parts a few ulps apart,
+    # so rounding chose the order of a pair (61 of these 152 listed +imag
+    # first) and real roots carried imaginary dust
+    rng = np.random.default_rng(0)
+    paired = 0
+    for _ in range(200):
+        non_real = [z for z in _chart_roots(rng.standard_normal(4)) if z.imag]
+        if non_real:
+            lo, hi = non_real
+            assert lo == hi.conjugate() and lo.imag < 0.0
+            paired += 1
+    assert paired == 152
+
+
 def test_sphere_point_parsing():
     assert SpherePoint.of("inf").is_infinity
     assert SpherePoint.of(SpherePoint.of(2.0)).chart == 2.0
