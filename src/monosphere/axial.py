@@ -250,12 +250,14 @@ def H_matrix(field: AxialField, z: complex, r: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaugeSample:
-    """Gauge fields at a point, in the gauge with A_zbar = 0.
+    """Gauge fields at a point, in the gauge with A_zbar = 0, and the
+    metric H they are read from.
 
     Phi = -i A_r exactly (shared definition through dH/dr).  The
     gauge-invariant scalar tr Phi^2 is recorded alongside.
     """
 
+    H: np.ndarray
     A_z: np.ndarray
     A_r: np.ndarray
     Phi: np.ndarray
@@ -272,9 +274,9 @@ def _higgs(Hinv: np.ndarray, H_r: np.ndarray):
 def gauge_fields(field: AxialField, z: complex, r: float) -> GaugeSample:
     """Gauge fields from the exact derivatives of H (NonFiniteResult
     where H is too ill-conditioned to invert, see H_ROUNDING)."""
-    _, H_r, _, H_z, _, Hinv = _metric(field, z, r)
+    H, H_r, _, H_z, _, Hinv = _metric(field, z, r)
     A_r, Phi, trace = _higgs(Hinv, H_r)
-    return GaugeSample(A_z=(Hinv @ H_z)[0], A_r=A_r[0], Phi=Phi[0], trace_phi_sq=complex(trace[0]))
+    return GaugeSample(H=H[0], A_z=(Hinv @ H_z)[0], A_r=A_r[0], Phi=Phi[0], trace_phi_sq=complex(trace[0]))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ a metric on O(k)):
 metric_h, connection_at_infinity and curvature_density take a point
 or an array of points and use the jets v(z), v'(z) of module
 projective: d_z h = v* Psi v' and d_z d_zbar h = v'* Psi v'.
+fields_at_infinity gives all three on an array from one evaluation of
+the jets.
 
 The degree integral is split across two charts at |z| = 1: the 1/z
 chart carries the same formulas with the index-reversed matrix
@@ -46,14 +48,6 @@ DEGREE_TOL = 1e-7
 EPS = np.finfo(float).eps
 
 
-def _h_jets(psi: np.ndarray, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """h, d_z h and d_z d_zbar h at every point of the array z."""
-    v = vander(z, psi.shape[0] - 1)
-    dv = vander_derivative(v)
-    psi_dv = np.tensordot(psi, dv, 1)
-    return hermitian_form(psi, v), np.vecdot(v, psi_dv, axis=0), np.vecdot(dv, psi_dv, axis=0).real
-
-
 def _scalar_or_array(out: np.ndarray, z, kind: type):
     return kind(out) if np.ndim(z) == 0 else out
 
@@ -65,18 +59,27 @@ def metric_h(S: SpectralMatrix, z):
     return _scalar_or_array(h, z, float)
 
 
+def fields_at_infinity(S: SpectralMatrix, z):
+    """h, A_z and F_density at z, or at every point of the array z, from
+    one evaluation of the jets v, v' and of h, d_z h and d_z d_zbar h:
+    what metric_h, connection_at_infinity and curvature_density give."""
+    v = vander(z, S.k)
+    dv = vander_derivative(v)
+    psi_dv = np.tensordot(S.psi, dv, 1)
+    h, hz, hzz = hermitian_form(S.psi, v), np.vecdot(v, psi_dv, axis=0), np.vecdot(dv, psi_dv, axis=0).real
+    return h, hz / (2.0 * h), (hzz * h - np.abs(hz) ** 2) / h**2
+
+
 def connection_at_infinity(S: SpectralMatrix, z):
     """A_z = (d_z h) / (2 h) in the unitary gauge; A_zbar = -conj(A_z).
     A complex at a point, an array on an array."""
-    h, hz, _ = _h_jets(S.psi, z)
-    return _scalar_or_array(hz / (2.0 * h), z, complex)
+    return _scalar_or_array(fields_at_infinity(S, z)[1], z, complex)
 
 
 def curvature_density(S: SpectralMatrix, z):
     """F = d_z d_zbar log h = (h_zzbar h - |h_z|^2) / h^2, >= 0 when Psi
     is positive definite.  A float at a point, an array on an array."""
-    h, hz, hzz = _h_jets(S.psi, z)
-    return _scalar_or_array((hzz * h - np.abs(hz) ** 2) / h**2, z, float)
+    return _scalar_or_array(fields_at_infinity(S, z)[2], z, float)
 
 
 def _patch(psi: np.ndarray) -> tuple[float, float]:

@@ -472,7 +472,7 @@ def _conic(S: SpectralMatrix) -> np.ndarray:
     return coef / coef[np.argmax(np.abs(coef))]
 
 
-def poncelet(S: SpectralMatrix, p0, steps: int = 40, tol: float = CLOSURE_TOL) -> PonceletPolygon:
+def poncelet(S: SpectralMatrix, p0, max_steps: int = 40, tol: float = CLOSURE_TOL) -> PonceletPolygon:
     """Polygon pi(P-sequence) inscribed in the conic pi(curve), edges tangent to v^2 = 4u.
 
     Requires a centred curve, whose image under pi(w, z) = (wz, w + z)
@@ -484,7 +484,7 @@ def poncelet(S: SpectralMatrix, p0, steps: int = 40, tol: float = CLOSURE_TOL) -
     """
     if not is_centred(S):
         raise NotCentred("curve is not swap-invariant")
-    visited, period = _p_walk(S, p0, steps, tol)
+    visited, period = _p_walk(S, p0, max_steps, tol)
     verts = []
     for (w0, w1), (z0, z1) in visited[:period]:
         if w0 == 0.0 or z0 == 0.0:

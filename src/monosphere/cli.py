@@ -1,11 +1,13 @@
 """Command-line entry point.
 
 One binary, subcommand style; each command takes only the flags it
-reads.  Input documents are JSON in the formats of the serialize
-module, read from --input or stdin (the field commands take none); the
-report JSON goes to --output or stdout with sorted keys and a fixed
-layout, so a repeated job produces identical bytes.  A command returns
-library values, which serialize.encode writes once.  Transform commands
+reads.  main makes one pass: it checks every flag (_check_flags), reads
+the input document from --input or stdin and decodes it with the
+decoder its leaf declares (the field commands read none), runs the
+command on the decoded value, and writes the report JSON to --output or
+stdout with sorted keys and a fixed layout, so a repeated job produces
+identical bytes.  A command returns library values, which
+serialize.encode writes once.  Transform commands
 (normalize, factor, center, massless, reconstruct) emit the payload
 type itself extended with diagnostic keys, so their output feeds the
 next command directly.  Exit status: 0 success, 2 validation failure,
@@ -22,25 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize as ser
-from .axial import (
-    AxialField,
-    H_matrix,
-    bog_residual,
-    gauge_fields,
-    mass_profile,
-    sech_field,
-    zero_mass_field,
-)
-from .boundary import (
-    connection_at_infinity,
-    curvature_density,
-    degree_integral,
-    metric_h,
-    reconstruct_psi_from_metric,
-)
+from .axial import bog_residual, gauge_fields, mass_profile, sech_field, zero_mass_field
+from .boundary import degree_integral, fields_at_infinity, metric_h, reconstruct_psi_from_metric
 from .centering import center_flow, moment_map, norm2
 from .charge2 import (
     PonceletPolygon,
+    Su2Triple,
     ZLattice,
     bracket,
     diagonal_quartic,
@@ -55,8 +44,8 @@ from .charge2 import (
 from .curves import SpectralMatrix, normalize_reality, require_positive_definite
 from .errors import ConvergenceError, NonFiniteResult, SchemaError, ValidationError
 from .projective import SpherePoint
-from .ratmap import find_line, massless_curve, project_map
-from .spheres import HoloSphere, factor_sphere, sphere_to_tuple
+from .ratmap import RationalMap, find_line, massless_curve, project_map
+from .spheres import CoeffTuple, HoloSphere, factor_sphere, sphere_to_tuple
 
 
 # Largest --grid: the grids are evaluated as whole arrays, so memory
@@ -72,30 +61,6 @@ def _opt(**pairs) -> dict:
 def _finite(x: float):
     x = float(x)
     return x if math.isfinite(x) else repr(x)
-
-
-def _grid(args, default: int) -> int:
-    """--grid, or default when it is not given; below 1 or above GRID_MAX
-    is a SchemaError, raised before any grid is built."""
-    if args.grid is None:
-        return default
-    if args.grid < 1:
-        raise SchemaError(f"--grid must be at least 1, got {args.grid}")
-    if args.grid > GRID_MAX:
-        raise SchemaError(f"--grid must be at most {GRID_MAX}, got {args.grid}")
-    return args.grid
-
-
-def _check_ranges(args) -> None:
-    """Refuse a --tol that is negative or not finite and a --max-iter
-    below 0 (SchemaError), before any document is read; 0 is legal for
-    both."""
-    tol = getattr(args, "tol", None)
-    if tol is not None and not 0.0 <= tol < math.inf:
-        raise SchemaError(f"--tol must be finite and at least 0, got {tol}")
-    max_iter = getattr(args, "max_iter", None)
-    if max_iter is not None and max_iter < 0:
-        raise SchemaError(f"--max-iter must be at least 0, got {max_iter}")
 
 
 def _parse_point(text: str, name: str) -> SpherePoint:
@@ -117,6 +82,34 @@ def _parse_complex(text: str, name: str) -> complex:
         raise SchemaError(f"{name}: not a complex literal: {text!r}") from exc
 
 
+def _check_flags(args) -> None:
+    """Refuse a bad flag value (SchemaError) before any document is read,
+    in this order: a --tol that is negative or not finite and a
+    --max-iter below 0 (0 is legal for both), a boundary --grid without
+    --csv, a --grid below 1 or above GRID_MAX, a --w or --z0 that is
+    not a point of P^1 and a --z that is not a complex literal; the
+    three points are replaced by their parsed values."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise SchemaError(f"--tol must be finite and at least 0, got {tol}")
+    max_iter = getattr(args, "max_iter", None)
+    if max_iter is not None and max_iter < 0:
+        raise SchemaError(f"--max-iter must be at least 0, got {max_iter}")
+    grid = getattr(args, "grid", None)
+    if grid is not None:
+        if args.command == "boundary" and not args.csv:
+            raise SchemaError("--grid sets the --csv samples and is not read without --csv")
+        if grid < 1:
+            raise SchemaError(f"--grid must be at least 1, got {grid}")
+        if grid > GRID_MAX:
+            raise SchemaError(f"--grid must be at most {GRID_MAX}, got {grid}")
+    for name in ("w", "z0"):
+        if hasattr(args, name):
+            setattr(args, name, _parse_point(getattr(args, name), f"--{name}"))
+    if hasattr(args, "z"):
+        args.z = _parse_complex(args.z, "--z")
+
+
 def _mu_json(mu) -> dict:
     return {"r": mu.mu_r, "c": mu.mu_c, "magnitude": mu.magnitude}
 
@@ -130,15 +123,18 @@ def _write_csv_file(path: str, header, rows) -> None:
 
 
 # ---------------------------------------------------------------- commands
+#
+# A handler takes (value, args): value is the document its leaf's decoder
+# read (None for the field commands, which read none), and args holds
+# the flags _check_flags has passed.  A leaf's own default stands in for
+# an absent --grid (args.grid or default); the check refuses 0.
 
 
-def cmd_normalize(args) -> SpectralMatrix:
-    S = ser.curve_from_json(ser.read_document(args.input))
+def cmd_normalize(S: SpectralMatrix, args) -> SpectralMatrix:
     return normalize_reality(S, **_opt(tol=args.tol))
 
 
-def cmd_check(args) -> dict:
-    S = ser.curve_from_json(ser.read_document(args.input))
+def cmd_check(S: SpectralMatrix, args) -> dict:
     spectrum = require_positive_definite(S, **_opt(tol=args.tol))
     return {
         "k": S.k,
@@ -149,8 +145,7 @@ def cmd_check(args) -> dict:
     }
 
 
-def cmd_factor(args) -> HoloSphere:
-    S = ser.curve_from_json(ser.read_document(args.input))
+def cmd_factor(S: SpectralMatrix, args) -> HoloSphere:
     return factor_sphere(S, **_opt(tol=args.tol))
 
 
@@ -163,42 +158,42 @@ def _boundary_rings(k: int, angles: int):
             yield radius * np.exp(2j * np.pi * j / angles)
 
 
-def cmd_boundary(args) -> dict:
-    if args.grid is not None and not args.csv:
-        raise SchemaError("--grid sets the --csv samples and is not read without --csv")
-    S = ser.curve_from_json(ser.read_document(args.input))
+def cmd_boundary(S: SpectralMatrix, args) -> dict:
     require_positive_definite(S)  # --tol is the degree tolerance
     value, bound = degree_integral(S, **_opt(tol=args.tol))
     report = {"k": S.k, "degree": value, "error_bound": bound}
     if args.csv:
-        z = np.array(list(_boundary_rings(S.k, _grid(args, 16))))
-        a_z = connection_at_infinity(S, z)
+        z = np.array(list(_boundary_rings(S.k, args.grid or 16)))
+        h, a_z, density = fields_at_infinity(S, z)
         _write_csv_file(
             args.csv,
             ["re_z", "im_z", "h", "re_A_z", "im_A_z", "F_density"],
-            zip(z.real, z.imag, metric_h(S, z), a_z.real, a_z.imag, curvature_density(S, z)),
+            zip(z.real, z.imag, h, a_z.real, a_z.imag, density),
         )
         report["csv"] = args.csv
         report["samples"] = z.size
     return report
 
 
-def cmd_reconstruct(args) -> SpectralMatrix | dict:
-    doc = ser.read_document(args.input)
-    if "samples" in doc:
-        k, pairs = ser.samples_from_json(doc)
+def _reconstruct_input(doc: dict):
+    """The charge and (z, h) samples of a samples document, else the curve."""
+    return ser.samples_from_json(doc) if "samples" in doc else ser.curve_from_json(doc)
+
+
+def cmd_reconstruct(data, args) -> SpectralMatrix | dict:
+    if not isinstance(data, SpectralMatrix):
+        k, pairs = data
         return reconstruct_psi_from_metric(pairs, k)
     # Curve input: gate it, sample its own boundary metric on the 2k + 2
     # angles per ring that separate the frequencies of h, then recover.
-    S = ser.curve_from_json(doc)
+    S = data
     require_positive_definite(S)
     z = np.array(list(_boundary_rings(S.k, 2 * S.k + 2)))
     out = reconstruct_psi_from_metric(zip(z, metric_h(S, z)), S.k)
     return {"k": out.k, "psi": out.psi, "max_abs_deviation": np.max(np.abs(out.psi - S.psi))}
 
 
-def cmd_center(args) -> dict:
-    t = ser.tuple_from_json(ser.read_document(args.input))
+def cmd_center(t: CoeffTuple, args) -> dict:
     flow = center_flow(t, **_opt(tol=args.tol, max_iter=args.max_iter))
     centred = flow.tuple_centred
     if args.csv:
@@ -211,36 +206,29 @@ def cmd_center(args) -> dict:
     }
 
 
-def cmd_ratmap(args) -> dict:
-    q = ser.sphere_from_json(ser.read_document(args.input))
-    w = _parse_point(args.w, "--w")
-    line, _ = find_line(q, w)
-    f = project_map(q, w, line)
-    return {**vars(f), "w": w, "poles": f.poles(), "zeros": f.zeros(), "line": line}
+def cmd_ratmap(q: HoloSphere, args) -> dict:
+    line, _ = find_line(q, args.w)
+    f = project_map(q, args.w, line)
+    return {**vars(f), "w": args.w, "poles": f.poles(), "zeros": f.zeros(), "line": line}
 
 
-def cmd_massless(args) -> SpectralMatrix:
-    f = ser.ratmap_from_json(ser.read_document(args.input))
+def cmd_massless(f: RationalMap, args) -> SpectralMatrix:
     return massless_curve(f, **_opt(tol=args.tol))
 
 
-def cmd_charge2_lattice(args) -> ZLattice:
-    q = ser.sphere_from_json(ser.read_document(args.input))
-    z0 = _parse_point(args.z0, "--z0")
-    return z_lattice(q, z0, **_opt(max_steps=args.max_iter, tol=args.tol))
+def cmd_charge2_lattice(q: HoloSphere, args) -> ZLattice:
+    return z_lattice(q, args.z0, **_opt(max_steps=args.max_iter, tol=args.tol))
 
 
-def cmd_charge2_pseq(args) -> dict:
-    S = ser.curve_from_json(ser.read_document(args.input))
-    p0 = start_point(S, _parse_point(args.w, "--w"))
+def cmd_charge2_pseq(S: SpectralMatrix, args) -> dict:
+    p0 = start_point(S, args.w)
     seq = p_sequence(S, p0, **_opt(max_steps=args.max_iter, tol=args.tol))
     return {**vars(seq), "start": p0}
 
 
-def cmd_charge2_poncelet(args) -> PonceletPolygon:
-    S = ser.curve_from_json(ser.read_document(args.input))
-    p0 = start_point(S, _parse_point(args.w, "--w"))
-    poly = poncelet(S, p0, **_opt(steps=args.max_iter, tol=args.tol))
+def cmd_charge2_poncelet(S: SpectralMatrix, args) -> PonceletPolygon:
+    p0 = start_point(S, args.w)
+    poly = poncelet(S, p0, **_opt(max_steps=args.max_iter, tol=args.tol))
     if args.csv:
         _write_csv_file(
             args.csv,
@@ -250,18 +238,14 @@ def cmd_charge2_poncelet(args) -> PonceletPolygon:
     return poly
 
 
-def cmd_charge2_mass(args) -> dict:
-    S = ser.curve_from_json(ser.read_document(args.input))
-    mass = estimate_mass(S, **_opt(max_steps=args.max_iter))
-    return {"mass": mass}
+def cmd_charge2_mass(S: SpectralMatrix, args) -> dict:
+    return {"mass": estimate_mass(S, **_opt(max_steps=args.max_iter))}
 
 
-def cmd_charge2_involution(args) -> dict:
-    nu = ser.triple_from_json(ser.read_document(args.input))
-    br = bracket(nu)
+def cmd_charge2_involution(nu: Su2Triple, args) -> dict:
     flow = mass_flow_check(nu)
     return {
-        "bracket": br,
+        "bracket": bracket(nu),
         "triple_product": triple_product(nu),
         "quartic": diagonal_quartic(nu),
         "first_order_invariant": flow.first_order_invariant,
@@ -271,10 +255,6 @@ def cmd_charge2_involution(args) -> dict:
 
 
 _PROFILES = {"sech": sech_field, "zero-mass": zero_mass_field}
-
-
-def _field_for(args) -> AxialField:
-    return _PROFILES[args.profile]()
 
 
 def _write_field_csv(path: str, report, masses: dict) -> None:
@@ -287,11 +267,11 @@ def _write_field_csv(path: str, report, masses: dict) -> None:
     )
 
 
-def cmd_field_residual(args) -> dict:
-    field = _field_for(args)
+def cmd_field_residual(_, args) -> dict:
+    field = _PROFILES[args.profile]()
     grid = [
         (radius * np.exp(2j * np.pi * j / 4) if radius else 0j, r)
-        for r in np.linspace(0.2, 4.0, _grid(args, 8))
+        for r in np.linspace(0.2, 4.0, args.grid or 8)
         for radius in (0.0, 1.0, 2.0)
         for j in range(4 if radius else 1)
     ]
@@ -306,9 +286,9 @@ def cmd_field_residual(args) -> dict:
     }
 
 
-def cmd_field_mass(args) -> dict:
-    field = _field_for(args)
-    rs = np.linspace(0.5, 6.0, _grid(args, 12)).tolist()
+def cmd_field_mass(_, args) -> dict:
+    field = _PROFILES[args.profile]()
+    rs = np.linspace(0.5, 6.0, args.grid or 12).tolist()
     masses = mass_profile(field, rs)
     if args.csv:
         report = bog_residual(field, [(0j, r) for r in rs])
@@ -316,23 +296,18 @@ def cmd_field_mass(args) -> dict:
     return {"profile": args.profile, "r": rs, "m": masses, "limit_estimate": masses[-1]}
 
 
-def cmd_field_sample(args) -> dict:
-    field = _field_for(args)
-    z = _parse_complex(args.z, "--z")
-    sample = gauge_fields(field, z, args.r)
-    H = H_matrix(field, z, args.r)
+def cmd_field_sample(_, args) -> dict:
+    sample = gauge_fields(_PROFILES[args.profile](), args.z, args.r)
     return {
         **vars(sample),
         "profile": args.profile,
-        "z": z,
+        "z": args.z,
         "r": args.r,
-        "H": H,
-        "det_H": np.linalg.det(H),
+        "det_H": np.linalg.det(sample.H),
     }
 
 
-def cmd_pipeline(args) -> dict:
-    S = ser.curve_from_json(ser.read_document(args.input))
+def cmd_pipeline(S: SpectralMatrix, args) -> dict:
     spectrum = require_positive_definite(S, **_opt(tol=args.tol))
     q = factor_sphere(spectrum.hermitian, **_opt(tol=args.tol))
     t = sphere_to_tuple(q)
@@ -362,17 +337,17 @@ _FLAGS = {
 }
 
 
-def _leaf(sub, name: str, handler, *flags: str, document: bool = True) -> argparse.ArgumentParser:
-    """Subcommand running handler with --output, --input when it reads a
-    document, and exactly the shared flags named; any other flag is a
-    usage error."""
+def _leaf(sub, name: str, handler, decode, *flags: str) -> argparse.ArgumentParser:
+    """Subcommand running handler on the document that decode reads from
+    --input (no --input when decode is None), with --output and exactly
+    the shared flags named; any other flag is a usage error."""
     leaf = sub.add_parser(name)
-    if document:
+    if decode is not None:
         leaf.add_argument("--input", help="input JSON path (default: stdin)")
     leaf.add_argument("--output", help="report path (default: stdout)")
     for flag in flags:
         leaf.add_argument(flag, **_FLAGS[flag])
-    leaf.set_defaults(handler=handler)
+    leaf.set_defaults(handler=handler, decode=decode)
     return leaf
 
 
@@ -382,34 +357,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral curves, holomorphic spheres and fields of SU(2) hyperbolic monopoles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    curve = ser.curve_from_json
 
-    _leaf(sub, "normalize", cmd_normalize, "--tol")
-    _leaf(sub, "check", cmd_check, "--tol")
-    _leaf(sub, "factor", cmd_factor, "--tol")
-    boundary = _leaf(sub, "boundary", cmd_boundary, "--tol", "--grid")
+    _leaf(sub, "normalize", cmd_normalize, curve, "--tol")
+    _leaf(sub, "check", cmd_check, curve, "--tol")
+    _leaf(sub, "factor", cmd_factor, curve, "--tol")
+    boundary = _leaf(sub, "boundary", cmd_boundary, curve, "--tol", "--grid")
     boundary.add_argument("--csv", help="boundary sample CSV path")
-    _leaf(sub, "reconstruct", cmd_reconstruct)
-    center = _leaf(sub, "center", cmd_center, "--tol", "--max-iter")
+    _leaf(sub, "reconstruct", cmd_reconstruct, _reconstruct_input)
+    center = _leaf(sub, "center", cmd_center, ser.tuple_from_json, "--tol", "--max-iter")
     center.add_argument("--csv", help="flow trace CSV path")
-    ratmap = _leaf(sub, "ratmap", cmd_ratmap)
+    ratmap = _leaf(sub, "ratmap", cmd_ratmap, ser.sphere_from_json)
     ratmap.add_argument("--w", required=True, help="boundary point (complex literal or 'inf')")
-    _leaf(sub, "massless", cmd_massless, "--tol")
+    _leaf(sub, "massless", cmd_massless, ser.ratmap_from_json, "--tol")
 
     charge2 = sub.add_parser("charge2").add_subparsers(dest="subcommand", required=True)
-    lattice = _leaf(charge2, "lattice", cmd_charge2_lattice, "--tol", "--max-iter")
+    lattice = _leaf(charge2, "lattice", cmd_charge2_lattice, ser.sphere_from_json, "--tol", "--max-iter")
     lattice.add_argument("--z0", default="1", help="lattice start (complex literal or 'inf')")
-    pseq = _leaf(charge2, "pseq", cmd_charge2_pseq, "--tol", "--max-iter")
+    pseq = _leaf(charge2, "pseq", cmd_charge2_pseq, curve, "--tol", "--max-iter")
     pseq.add_argument("--w", default="1", help="starting vertical line")
-    ponc = _leaf(charge2, "poncelet", cmd_charge2_poncelet, "--tol", "--max-iter")
+    ponc = _leaf(charge2, "poncelet", cmd_charge2_poncelet, curve, "--tol", "--max-iter")
     ponc.add_argument("--w", default="1", help="starting vertical line")
     ponc.add_argument("--csv", help="polygon vertex CSV path")
-    _leaf(charge2, "mass", cmd_charge2_mass, "--max-iter")
-    _leaf(charge2, "involution", cmd_charge2_involution)
+    _leaf(charge2, "mass", cmd_charge2_mass, curve, "--max-iter")
+    _leaf(charge2, "involution", cmd_charge2_involution, ser.triple_from_json)
 
     field = sub.add_parser("field").add_subparsers(dest="subcommand", required=True)
-    residual = _leaf(field, "residual", cmd_field_residual, "--grid", document=False)
-    mass = _leaf(field, "mass", cmd_field_mass, "--grid", document=False)
-    sample = _leaf(field, "sample", cmd_field_sample, document=False)
+    residual = _leaf(field, "residual", cmd_field_residual, None, "--grid")
+    mass = _leaf(field, "mass", cmd_field_mass, None, "--grid")
+    sample = _leaf(field, "sample", cmd_field_sample, None)
     for leaf in (residual, mass, sample):
         leaf.add_argument("--profile", choices=sorted(_PROFILES), default="sech")
     for leaf in (residual, mass):
@@ -417,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--z", default="0", help="chart point (complex literal)")
     sample.add_argument("--r", type=float, default=1.0, help="hyperbolic radius")
 
-    _leaf(sub, "pipeline", cmd_pipeline, "--tol", "--max-iter")
+    _leaf(sub, "pipeline", cmd_pipeline, curve, "--tol", "--max-iter")
     return parser
 
 
@@ -451,13 +427,13 @@ def _command_name(args) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # An overflow ends in exit 3, so numpy's warnings would only repeat it.
         with np.errstate(all="ignore"):
-            _check_ranges(args)
-            report = ser.encode(args.handler(args))
+            _check_flags(args)
+            value = None if args.decode is None else args.decode(ser.read_document(args.input))
+            report = ser.encode(args.handler(value, args))
     except ValidationError as exc:
         return _emit(args, _error_report(args, exc), 2)
     except (ConvergenceError, np.linalg.LinAlgError, OverflowError) as exc:

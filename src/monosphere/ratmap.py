@@ -161,8 +161,11 @@ def project_map(q: HoloSphere, w, L: ProjLine) -> RationalMap:
 def find_line(q: HoloSphere, w) -> tuple[ProjLine, int]:
     """Self-consistent projection line at w, the span of q(w) and q(antipode(w)).
 
-    u1 is q(w) and u2 the part of q(antipode(w)) orthogonal to it (any
-    orthonormal completion when that degenerates).  The line is already
+    u1 is q(w) and u2 the part of q(antipode(w)) orthogonal to it.  That
+    part never degenerates: its norm, the sine of the angle between the
+    two values, is at least sigma_min/sigma_max of Q times that between
+    v(w) and v(antipode(w)), which is at least sqrt(3)/2, and
+    require_full keeps the ratio above FULL_TOL.  The line is already
     self-consistent (module docstring), so no sweep is run: the second
     entry of the returned (line, sweeps) is always 0.
     """
@@ -173,11 +176,6 @@ def find_line(q: HoloSphere, w) -> tuple[ProjLine, int]:
         u1 = _unit(eval_sphere(q, w))
         cand = _unit(eval_sphere(q, w.antipode()))
     cand = cand - (np.conj(u1) @ cand) * u1
-    if np.linalg.norm(cand) < 1e-12:
-        basis = np.eye(q.k + 1, dtype=complex)
-        overlaps = np.abs(np.conj(basis) @ u1)
-        cand = basis[int(np.argmin(overlaps))]
-        cand = cand - (np.conj(u1) @ cand) * u1
     # project again: the first projection leaves an error of eps / |cand|
     u2 = _unit(cand - (np.conj(u1) @ cand) * u1)
     return ProjLine(u1, u2), 0

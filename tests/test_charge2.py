@@ -457,6 +457,11 @@ def test_walks_make_no_companion_solve(monkeypatch, i):
     assert calls == [4]
 
 
+def triple_sphere():
+    """The centred charge-2 sphere of a random real triple."""
+    return tuple_to_sphere(from_su2_triple(Su2Triple(*np.random.default_rng(3).standard_normal((3, 3)))))
+
+
 class TestZLattice:
     def test_double_root_start_is_branch_point(self):
         # <q(0), q(z)> = Psi[0, 0] for a diagonal Psi: both roots at infinity
@@ -495,6 +500,16 @@ class TestZLattice:
         lat = z_lattice(q, 1.0, max_steps=12)
         assert not lat.closed
         assert lat.period is None
+
+    @pytest.mark.parametrize("z0", [0.0, "inf"])
+    def test_start_at_zero_or_infinity_takes_the_first_root(self, z0):
+        # at z0 = 0 and infinity the ratio z1/z0 has no argument: every
+        # root ties and the first in proj_roots order starts the walk
+        q = triple_sphere()
+        lat = z_lattice(q, z0)
+        assert lat.points[1] == lat.initial_roots[0]
+        assert not lat.closed and lat.period is None
+        assert len(lat.points) == 49
 
     def test_neighbours_are_orthogonal(self):
         from monosphere.spheres import eval_sphere
@@ -549,6 +564,15 @@ class TestPSequence:
         w0, z0 = start_point(S, w)
         assert w0.chart == w and metric_scale_residual(S, w0, z0) <= 1e-15
         assert z0.chart.imag < 0 and abs(z0.chart - min(roots, key=lambda c: c.imag)) <= 1e-12
+
+    def test_start_point_takes_the_finite_root_over_infinity(self):
+        # at a root w of the z^k coefficient the vertical line loses its
+        # degree: one root sits at infinity, ordered after the finite one
+        S = spectral_from_sphere(triple_sphere())
+        for w in proj_roots(bidegree(S.psi)[:, S.k]):
+            roots = proj_roots(hom_vector(w, S.k) @ bidegree(S.psi))
+            assert [r.is_infinity for r in roots] == [False, True]
+            assert start_point(S, w) == (w, roots[0])
 
     def test_irrational_mass_no_closure(self):
         S = axial_spectral(2, 0.37)
@@ -694,9 +718,15 @@ class TestPoncelet:
 
     def test_short_walk_is_an_open_polygon(self):
         # three half-steps are too few to fit a conic, none to read it off
-        poly = poncelet(identity_curve(), (np.exp(1j * np.pi / 3), 1.0), steps=3)
+        poly = poncelet(identity_curve(), (np.exp(1j * np.pi / 3), 1.0), max_steps=3)
         assert not poly.closed and len(poly.vertices) == 4
         assert np.max(poly.vertex_residuals) < 1e-15
+
+    def test_vertex_at_infinity_has_no_affine_image(self):
+        S = spectral_from_sphere(triple_sphere())
+        assert is_centred(S)
+        with pytest.raises(DomainViolation, match="vertex at infinity has no affine image"):
+            poncelet(S, start_point(S, "inf"))
 
     def test_not_centred_rejected(self):
         with pytest.raises(NotCentred):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from monosphere import cli
+from monosphere import axial, boundary, cli
 from monosphere.axial import mass_profile, sech_field, sphere_of_sech
 from monosphere.boundary import degree_integral, metric_h, reconstruct_psi_from_metric
 from monosphere.centering import Mobius, act_sl2
@@ -19,7 +19,7 @@ from monosphere.serialize import (
     encode,
     sphere_from_json,
 )
-from monosphere.charge2 import Su2Triple
+from monosphere.charge2 import Su2Triple, from_su2_triple
 from monosphere.errors import NotPositiveDefinite
 from monosphere.spheres import (
     CoeffTuple,
@@ -301,6 +301,35 @@ class TestValidationAndExitCodes:
         assert main(["center", "--max-iter", "-1", "--output", str(out)]) == 2
         assert json.loads(out.read_text())["error"]["message"] == "--max-iter must be at least 0, got -1"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "--tol", "nan"], "--tol must be finite and at least 0, got nan"),
+            (["charge2", "mass", "--max-iter", "-1"], "--max-iter must be at least 0, got -1"),
+            (["boundary", "--grid", "8"], "--grid sets the --csv samples and is not read without --csv"),
+            (["boundary", "--csv", "b.csv", "--grid", "0"], "--grid must be at least 1, got 0"),
+            (["boundary", "--csv", "b.csv", "--grid", "5000"], f"--grid must be at most {GRID_MAX}, got 5000"),
+            (["ratmap", "--w", "nan"], "--w: not a number: 'nan'"),
+            (["charge2", "pseq", "--w", "x"], "--w: complex() arg is a malformed string"),
+            (["charge2", "poncelet", "--w", "nan"], "--w: not a number: 'nan'"),
+            (["charge2", "lattice", "--z0", "nope"], "--z0: complex() arg is a malformed string"),
+            (["field", "sample", "--z", "nope"], "--z: not a complex literal: 'nope'"),
+        ],
+        ids=["tol", "max-iter", "grid-without-csv", "grid-below-1", "grid-above-cap", "ratmap-w", "pseq-w",
+             "poncelet-w", "lattice-z0", "sample-z"],
+    )
+    def test_every_flag_is_refused_before_the_document_is_read(self, tmp_path, monkeypatch, argv, message):
+        # the point flags and --grid were read after the document, so a
+        # malformed document hid them
+        def read(path):
+            raise AssertionError("the document was read")
+
+        monkeypatch.setattr(cli.ser, "read_document", read)
+        monkeypatch.chdir(tmp_path)
+        code, report = run_cli(tmp_path, argv)
+        assert (code, report["error"]) == (2, {"code": "SchemaError", "message": message})
+        assert not (tmp_path / "b.csv").exists()
+
     @pytest.mark.parametrize("grid", ["99999999", "8"])
     def test_grid_boundary_will_not_read_is_refused(self, tmp_path, grid):
         # boundary exited 0 with the grid, in range or not, ignored
@@ -516,6 +545,33 @@ class TestTransformChain:
         assert lines[0] == "re_z,im_z,h,re_A_z,im_A_z,F_density"
         assert len(lines) == 1 + 3 * 8
 
+    def test_boundary_csv_evaluates_its_samples_once(self, tmp_path, monkeypatch):
+        # metric_h, connection_at_infinity and curvature_density built
+        # vander three times and its derivative, the jets of h, twice
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("vander", "vander_derivative"):
+            monkeypatch.setattr(boundary, name, counted(name, getattr(boundary, name)))
+        csv_path = tmp_path / "b.csv"
+        code, report = run_cli(tmp_path, ["boundary", "--csv", str(csv_path), "--grid", "5"], random_pd_curve())
+        assert code == 0
+        assert calls == ["vander", "vander_derivative"]
+        monkeypatch.undo()
+        rows = np.array([[float(x) for x in line.split(",")] for line in csv_path.read_text().splitlines()[1:]])
+        S = curve_from_json(random_pd_curve())
+        z = rows[:, 0] + 1j * rows[:, 1]
+        a_z = boundary.connection_at_infinity(S, z)
+        assert rows[:, 2].tolist() == metric_h(S, z).tolist()
+        assert rows[:, 3].tolist() == a_z.real.tolist() and rows[:, 4].tolist() == a_z.imag.tolist()
+        assert rows[:, 5].tolist() == boundary.curvature_density(S, z).tolist()
+
 
 class TestRatmapAndMassless:
     def test_ratmap_report(self, tmp_path):
@@ -604,6 +660,14 @@ class TestCharge2Commands:
         assert report["max_derivative"] < 1e-12
         assert report["full"] is True
 
+    def test_poncelet_vertex_at_infinity_exits_2(self, tmp_path):
+        # a centred curve; the walk starts at w = inf, a vertex with no affine image
+        nu = Su2Triple(*np.random.default_rng(3).standard_normal((3, 3)))
+        doc = encode(spectral_from_sphere(tuple_to_sphere(from_su2_triple(nu))))
+        code, report = run_cli(tmp_path, ["charge2", "poncelet", "--w", "inf"], doc)
+        assert code == 2
+        assert report["error"] == {"code": "DomainViolation", "message": "vertex at infinity has no affine image"}
+
     def test_mass_off_charge_two_exits_2(self, tmp_path):
         code, report = run_cli(tmp_path, ["charge2", "mass"], encode(SpectralMatrix(3, np.eye(4))))
         assert code == 2
@@ -686,6 +750,23 @@ class TestFieldCommands:
         code, report = run_cli(tmp_path, ["field", "sample", "--r", r, "--z", "0.5"])
         assert code == 3
         assert report["error"]["code"] == "NonFiniteResult"
+
+    def test_sample_makes_one_metric_call(self, tmp_path, monkeypatch):
+        # H_matrix evaluated the metric a second time for H and det H
+        calls = []
+        metric = axial._metric
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("invert", True))
+            return metric(*args, **kwargs)
+
+        monkeypatch.setattr(axial, "_metric", counted)
+        code, report = run_cli(tmp_path, ["field", "sample", "--z", "0.5+0.2j", "--r", "1.5"])
+        assert code == 0
+        assert calls == [True]
+        monkeypatch.undo()
+        H = axial.H_matrix(sech_field(), 0.5 + 0.2j, 1.5)
+        assert report["H"] == [[[x.real, x.imag] for x in row] for row in H.tolist()]
 
     def test_sample_report(self, tmp_path):
         code, report = run_cli(

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monosphere.axial import sphere_of_sech
-from monosphere.cli import build_parser, main
+from monosphere import serialize as ser
+from monosphere.cli import _reconstruct_input, build_parser, main
 from monosphere.curves import axial_spectral
 from monosphere.serialize import encode
 from monosphere.spheres import factor_sphere, sphere_to_tuple
@@ -94,35 +95,35 @@ FLAG_VALUES = {
     "--r": st.sampled_from(["1", "0.1", "2.5", "-1", "nan", "1000"]),
     "--profile": st.sampled_from(["sech", "zero-mass"]),
 }
+# Documents drawn for each decoder a leaf declares.
 DOCUMENTS = {
-    ("normalize",): curves,
-    ("check",): curves,
-    ("factor",): curves,
-    ("boundary",): curves,
-    ("reconstruct",): st.one_of(curves, samples),
-    ("center",): tuples,
-    ("ratmap",): spheres,
-    ("massless",): ratmaps,
-    ("charge2", "lattice"): spheres,
-    ("charge2", "pseq"): curves,
-    ("charge2", "poncelet"): curves,
-    ("charge2", "mass"): curves,
-    ("charge2", "involution"): triples,
-    ("pipeline",): curves,
+    ser.curve_from_json: curves,
+    ser.sphere_from_json: spheres,
+    ser.tuple_from_json: tuples,
+    ser.ratmap_from_json: ratmaps,
+    ser.triple_from_json: triples,
+    _reconstruct_input: st.one_of(curves, samples),
 }
 
 
 def _leaves(parser, path=()):
-    """(command path, {option: required}) for every leaf of the parser."""
+    """(command path, leaf parser) for every leaf of the parser."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subs:
-        yield path, {a.option_strings[-1]: a.required for a in parser._actions if a.option_strings}
+        yield path, parser
     for sub in subs:
         for name, leaf in sub.choices.items():
             yield from _leaves(leaf, path + (name,))
 
 
-LEAVES = dict(_leaves(build_parser()))
+PARSERS = dict(_leaves(build_parser()))
+# {option: required} and the document decoder (None: no document) of each leaf
+LEAVES = {
+    path: {a.option_strings[-1]: a.required for a in leaf._actions if a.option_strings}
+    for path, leaf in PARSERS.items()
+}
+DECODERS = {path: leaf.get_default("decode") for path, leaf in PARSERS.items()}
+DOCUMENT_LEAVES = sorted(path for path, decode in DECODERS.items() if decode)
 
 
 @st.composite
@@ -135,7 +136,7 @@ def jobs(draw):
             continue
         if required or draw(st.booleans()):
             argv += [flag, draw(FLAG_VALUES[flag])]
-    return argv, draw(DOCUMENTS[path]) if path in DOCUMENTS else None
+    return argv, draw(DOCUMENTS[DECODERS[path]]) if DECODERS[path] else None
 
 
 def _readme_table() -> dict:
@@ -158,7 +159,9 @@ def test_readme_command_table_matches_the_parser():
 
 
 def test_document_strategies_cover_exactly_the_commands_with_input():
-    assert set(DOCUMENTS) == {path for path, options in LEAVES.items() if "--input" in options}
+    with_input = {path for path, options in LEAVES.items() if "--input" in options}
+    assert set(DOCUMENT_LEAVES) == with_input
+    assert set(DOCUMENTS) == {DECODERS[path] for path in with_input}
 
 
 _CURVE = encode(axial_spectral(2, 0.5))
@@ -241,7 +244,7 @@ def _audit_document(path, k: int, case: str) -> dict:
 
 
 @pytest.mark.parametrize("k", [16, 32])
-@pytest.mark.parametrize("path", sorted(DOCUMENTS), ids=" ".join)
+@pytest.mark.parametrize("path", DOCUMENT_LEAVES, ids=" ".join)
 def test_documents_above_charge_8_exit_0_2_or_3_with_a_json_report(tmp_path, capfd, path, k):
     # the property test draws k <= 8; a library ValueError would end in
     # exit 1.  The report goes to --output, so anything on the file

@@ -1,8 +1,9 @@
 """Every name a module imports is used in it, every private name a
 module defines is read somewhere in the package (no linter is a test
 dependency, so this stands in for the unused-import and dead-code
-checks), arrays are made read-only in one place, the public API is
-pinned, and every package name the benchmark imports exists."""
+checks), arrays are made read-only in one place, the CLI reads its
+input in one place, the public API is pinned, and every package name
+the benchmark imports exists."""
 
 import ast
 import importlib
@@ -89,6 +90,47 @@ def test_detects_a_setflags_call():
         "def frozen(m):\n    m.setflags(write=False)\n\nflags = m.setflags\n"
     )
     assert _setflags_users(source) == ["A", "frozen", "line 8"]
+
+
+def _cli_input_faults(source: str) -> list[str]:
+    """Where source departs from one input pass: a read_document call
+    count other than 1, and each cmd_* handler that reads args.input or
+    raises SchemaError (the decoder and the flag check raise it before
+    any handler runs)."""
+    tree = ast.parse(source)
+    reads = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "read_document"
+    ]
+    faults = [] if len(reads) == 1 else [f"{len(reads)} read_document calls"]
+    for handler in tree.body:
+        if not (isinstance(handler, ast.FunctionDef) and handler.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(handler):
+            if isinstance(node, ast.Attribute) and node.attr == "input" and getattr(node.value, "id", None) == "args":
+                faults.append(f"{handler.name} reads args.input")
+            if isinstance(node, ast.Raise) and any(
+                isinstance(n, ast.Name) and n.id == "SchemaError" for n in ast.walk(node)
+            ):
+                faults.append(f"{handler.name} raises SchemaError")
+    return faults
+
+
+def test_cli_reads_its_input_once_before_any_handler():
+    cli = Path(monosphere.__file__).parent / "cli.py"
+    assert _cli_input_faults(cli.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_handler_that_reads_its_own_input():
+    source = (
+        "def main(args):\n    return ser.read_document(args.input)\n\n"
+        "def cmd_a(_, args):\n    return read_document(args.input)\n\n"
+        "def cmd_b(_, args):\n    if args.grid < 1:\n        raise SchemaError('--grid')\n\n"
+        "def _helper(args):\n    raise SchemaError(args.input)\n"
+    )
+    assert _cli_input_faults(source) == [
+        "2 read_document calls", "cmd_a reads args.input", "cmd_b raises SchemaError"
+    ]
 
 
 # The package's public API; a name added or removed here is a decision.

@@ -70,6 +70,12 @@ def test_proj_roots_zero_polynomial():
         proj_roots([0.0, 0.0])
 
 
+@pytest.mark.parametrize("coeffs", [[[1.0, 2.0], [3.0, 4.0]], []], ids=["2-d", "empty"])
+def test_proj_roots_refuses_what_is_not_a_coefficient_vector(coeffs):
+    with pytest.raises(ValueError, match="1-d and nonempty"):
+        proj_roots(coeffs)
+
+
 def _chart_roots(c):
     return [p.chart for p in proj_roots(c)]
 
@@ -177,9 +183,22 @@ def test_real_cubics_list_each_conjugate_pair_exactly_minus_imag_first():
 
 def test_sphere_point_parsing():
     assert SpherePoint.of("inf").is_infinity
+    assert SpherePoint.of(float("inf")).is_infinity
+    assert SpherePoint.of(complex(1.0, float("-inf"))).is_infinity
     assert SpherePoint.of(SpherePoint.of(2.0)).chart == 2.0
     with pytest.raises(ValueError):
         SpherePoint.from_pair(0.0, 0.0)
+
+
+@pytest.mark.parametrize("value", [None, object(), [1.0, 2.0]], ids=["None", "object", "list"])
+def test_sphere_point_refuses_what_is_not_a_point(value):
+    with pytest.raises(ValueError, match="not a sphere point"):
+        SpherePoint.of(value)
+
+
+def test_point_at_infinity_has_no_chart_value():
+    with pytest.raises(ZeroDivisionError):
+        SpherePoint.of("inf").chart
 
 
 def _monomials(z0, z1, k):

@@ -15,6 +15,7 @@ from monosphere.serialize import (
     dumps_report,
     encode,
     loads_document,
+    loads_payload,
     parse_payload,
     ratmap_from_json,
     sphere_from_json,
@@ -84,8 +85,17 @@ class TestDocumentRoundTrips:
         assert isinstance(parse_payload(encode(factor_sphere(S))), HoloSphere)
         t = sphere_to_tuple(factor_sphere(S))
         assert isinstance(parse_payload(encode(t)), CoeffTuple)
+        assert isinstance(parse_payload({"r0": [1, 0, 0], "r1": [0, 1, 0], "r2": [0, 0, 1]}), Su2Triple)
+        assert isinstance(parse_payload({"num": [[1, 0], [0, 1]], "den": [[0, 0], [1, 0]]}), RationalMap)
         with pytest.raises(SchemaError):
             parse_payload({"what": 1})
+
+    def test_loads_payload_reads_text(self):
+        S = random_curve()
+        back = loads_payload(dumps_report(encode(S)))
+        assert isinstance(back, SpectralMatrix) and np.array_equal(back.psi, S.psi)
+        with pytest.raises(SchemaError, match="must be a JSON object"):
+            loads_payload("[1, 2]")
 
     def test_extra_keys_tolerated(self):
         doc = encode(random_curve())
