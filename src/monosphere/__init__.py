@@ -36,7 +36,6 @@ from .centering import (
     centre_point,
     moment_map,
     norm2,
-    stability_check,
 )
 from .charge2 import (
     PonceletPolygon,

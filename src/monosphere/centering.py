@@ -171,19 +171,6 @@ def _ends_nonzero(v: np.ndarray) -> bool:
     return bool(scale > 0.0 and ends > STAB_TOL * scale)
 
 
-def stability_check(t: CoeffTuple) -> bool:
-    """True iff center_flow centres t: v_0 != 0, v_k != 0, the tuple is
-    not singular to rounding, and the centred tuple is full.  Fullness
-    is judged after the flow, as there, since the singular-value ratio is
-    not an SL(2) invariant.  Raises what center_flow raises besides
-    NotStable."""
-    try:
-        center_flow(t)
-    except NotStable:
-        return False
-    return True
-
-
 def _frame(n) -> Mobius:
     """U in SU(2) with X(n) = U diag(1, -1) U* for a unit vector n.
 

@@ -96,9 +96,6 @@ class Su2Triple:
         m = self.stack()
         return m @ m.T
 
-    def is_full(self) -> bool:
-        return fullness_check(self.stack())[1]
-
 
 # V = _C N: the rows of V are (v0, v1, v2), those of N are (r0, r1, r2).
 _C = np.array([[1.0, 0.0, 1j], [0.0, np.sqrt(2.0), 0.0], [-1.0, 0.0, 1j]]) / np.sqrt(2.0)
@@ -192,7 +189,7 @@ def mass_flow_check(nu: Su2Triple) -> MassFlowReport:
         derivative=derivative,
         max_derivative=max_derivative,
         first_order_invariant=bool(max_derivative < 1e-8 * scale),
-        full=nu.is_full(),
+        full=fullness_check(N)[1],
     )
 
 

@@ -16,7 +16,6 @@ from monosphere.centering import (
     centre_point,
     moment_map,
     norm2,
-    stability_check,
 )
 from monosphere.curves import SpectralMatrix, axial_spectral
 from monosphere.errors import MaxIterExceeded, NotStable
@@ -42,14 +41,19 @@ def _rand_su2(rng):
     )
 
 
+def _expm(h):
+    # exp of a traceless Hermitian 2 x 2 matrix: h^2 = d^2 I with d^2 = -det h,
+    # so exp(h) = cosh(d) I + (sinh(d) / d) h
+    d = math.sqrt(max(-np.linalg.det(h).real, 0.0))
+    return math.cosh(d) * np.eye(2) + (math.sinh(d) / d if d > 0.0 else 1.0) * np.asarray(h)
+
+
 def _rand_sl2(rng, spread=0.7):
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     h = (h + h.conj().T) / 2.0
     h -= np.trace(h).real / 2.0 * np.eye(2)
     h *= spread / max(np.linalg.norm(h), 1e-12)
-    from scipy.linalg import expm
-
-    return Mobius.from_matrix(expm(h))
+    return Mobius.from_matrix(_expm(h))
 
 
 def _gram_spectrum(t):
@@ -167,8 +171,6 @@ def test_moment_gradient_consistency():
 def test_gradient_and_hessian_match_central_differences():
     # F(p) = norm2(exp X(p) . t) has gradient 2 (mu_r, 2 Re mu_c, 2 Im mu_c)
     # and Hessian 4 Re <H_i v, H_j v> at p = 0
-    from scipy.linalg import expm
-
     rng = np.random.default_rng(41)
     for k in (1, 2, 4, 8, 16, 32):
         t = _rand_tuple(rng, k)
@@ -176,7 +178,7 @@ def test_gradient_and_hessian_match_central_differences():
         def F(p):
             # exp X(p), X(p) = [[p0, p1 - i p2], [p1 + i p2, -p0]]
             X = np.array([[p[0], complex(p[1], -p[2])], [complex(p[1], p[2]), -p[0]]])
-            return norm2(act_sl2(Mobius.from_matrix(expm(X)), t))
+            return norm2(act_sl2(Mobius.from_matrix(_expm(X)), t))
 
         mu = moment_map(t)
         n2, grad, hess = _jets(t.v)
@@ -201,25 +203,29 @@ def test_hessian_positive_definite_on_stable_tuples():
     rng = np.random.default_rng(43)
     for k in range(1, 33):
         t = _rand_tuple(rng, k)
-        assert stability_check(t)
+        center_flow(t)
         vals = np.linalg.eigvalsh(_jets(t.v)[2])
         assert vals[0] > 0.0
 
 
 # -- stability ----------------------------------------------------------------
+# center_flow decides stability: it centres a stable tuple and raises
+# NotStable on an unstable one.
 
 def test_stability_identity():
-    assert stability_check(sphere_to_tuple(HoloSphere(2, np.eye(3))))
+    center_flow(sphere_to_tuple(HoloSphere(2, np.eye(3))))
 
 
 def test_stability_rejects_zero_ends():
     t = _tuple_from_rows([[0.0, 0.0], [0.0, 1.0]])
-    assert not stability_check(t)
+    with pytest.raises(NotStable):
+        center_flow(t)
 
 
 def test_stability_rejects_rank_deficient():
     t = _tuple_from_rows([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    assert not stability_check(t)
+    with pytest.raises(NotStable):
+        center_flow(t)
 
 
 def test_unstable_norm_escapes_to_zero():
@@ -276,10 +282,8 @@ def test_flow_zero_moment_is_norm_minimum():
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         h = (h + h.conj().T) / 2.0
         h -= np.trace(h).real / 2.0 * np.eye(2)
-        from scipy.linalg import expm
-
         for s in (0.1, 0.01):
-            g = Mobius.from_matrix(expm(s * h))
+            g = Mobius.from_matrix(_expm(s * h))
             assert norm2(act_sl2(g, t)) >= base * (1.0 - 1e-9)
 
 
@@ -393,7 +397,7 @@ def test_stability_agrees_with_the_flow_on_the_moved_axial_charge32_tuple():
     # raw singular-value ratio 3.3e-13, below FULL_TOL; centred, it is full
     t = act_sl2(Mobius.from_matrix(MOVE), sphere_to_tuple(factor_sphere(axial_spectral(32, 0.5))))
     assert not fullness_check(t.v)[1]
-    assert stability_check(t)
+    center_flow(t)
 
 
 def test_flow_centres_moved_random_charge32_tuple():

@@ -42,7 +42,14 @@ from monosphere.projective import (
     proj_roots,
 )
 from monosphere.ratmap import spectral_slice
-from monosphere.spheres import CoeffTuple, eval_sphere, factor_sphere, spectral_from_sphere, tuple_to_sphere
+from monosphere.spheres import (
+    CoeffTuple,
+    eval_sphere,
+    factor_sphere,
+    fullness_check,
+    spectral_from_sphere,
+    tuple_to_sphere,
+)
 
 E = np.eye(3)
 ORTHONORMAL = Su2Triple(E[0], E[1], E[2])
@@ -161,7 +168,7 @@ class TestSu2Reduction:
             U, _ = np.linalg.qr(rng.standard_normal((3, 3)))
             W, _ = np.linalg.qr(rng.standard_normal((3, 3)))
             nu = Su2Triple(*(U @ np.diag([2.0, 0.7, 2.0 * ratio]) @ W.T))
-            assert nu.is_full()
+            assert fullness_check(nu.stack())[1]
             back = to_su2_triple(from_su2_triple(nu))
             gram = nu.gram()
             assert np.max(np.abs(back.gram() - gram)) <= 1e-12 * np.max(np.abs(gram))

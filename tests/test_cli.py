@@ -937,8 +937,8 @@ def test_flag_keys_are_ignored(tmp_path, job, value):
 
 
 def test_import_leaves_scipy_unloaded():
-    # numpy is the only runtime dependency; scipy serves the tests alone,
-    # and numpy.fft loads only when a degree integral runs
+    # numpy is the only runtime dependency, scipy serves only the benchmark
+    # harness, and numpy.fft loads only when a degree integral runs
     code = (
         "import sys, monosphere, monosphere.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.fft')))"

@@ -10,7 +10,7 @@ import pytest
 
 import test_acceptance as acceptance
 
-from monosphere import boundary, charge2
+from monosphere import axial, boundary, charge2
 from monosphere.charge2 import Su2Triple
 from monosphere.cli import main
 from monosphere.curves import SpectralMatrix, axial_spectral
@@ -97,6 +97,19 @@ def test_involution_first_order_invariant_reads_both_ways(tmp_path, monkeypatch,
 # Acceptance criteria: a monkeypatch under which the PASS line reads FAIL.
 
 
+def test_criterion_01_fails_on_a_nudged_entry(monkeypatch, capsys):
+    # Psi[0, 0] off the identity by 1e-11, past the 1e-12 bound
+    def nudged(k, m):
+        psi = axial_spectral(k, m).psi.copy()
+        psi[0, 0] += 1e-11
+        return SpectralMatrix(k, psi)
+
+    monkeypatch.setattr(acceptance, "axial_spectral", nudged)
+    with pytest.raises(AssertionError, match="criterion  1 FAIL"):
+        acceptance.test_criterion_01_axial_half_mass_curve()
+    assert "criterion  1 FAIL" in capsys.readouterr().out
+
+
 def test_criterion_02_fails_on_an_unconjugated_pairing(monkeypatch, capsys):
     # without the conjugate, q(antipode(w)) . q(z) is not psi(w, z)
     monkeypatch.setattr(
@@ -128,6 +141,21 @@ def test_criterion_04_fails_on_a_nudged_centred_tuple(monkeypatch, capsys):
     with pytest.raises(AssertionError, match="criterion  4 FAIL"):
         acceptance.test_criterion_04_centering_flow()
     assert "criterion  4 FAIL" in capsys.readouterr().out
+
+
+def test_criterion_05_fails_on_a_scaled_mu_r(monkeypatch, capsys):
+    # mu_r scaled by 1 + 1e-3 leaves the central difference of norm2 behind
+    # by 1e-3 |mu_r|, past the 1e-5 bound relative to norm2
+    moment = acceptance.moment_map
+
+    def scaled(t):
+        mu = moment(t)
+        return replace(mu, mu_r=mu.mu_r * (1.0 + 1e-3))
+
+    monkeypatch.setattr(acceptance, "moment_map", scaled)
+    with pytest.raises(AssertionError, match="criterion  5 FAIL"):
+        acceptance.test_criterion_05_moment_gradient()
+    assert "criterion  5 FAIL" in capsys.readouterr().out
 
 
 def test_criterion_06_fails_on_nudged_poles(monkeypatch, capsys):
@@ -194,6 +222,24 @@ def test_criterion_09_fails_on_a_moved_vertex(monkeypatch, capsys):
     with pytest.raises(AssertionError, match="criterion  9 FAIL"):
         acceptance.test_criterion_09_poncelet()
     assert "criterion  9 FAIL" in capsys.readouterr().out
+
+
+def test_criterion_10_fails_on_a_bracket_with_swapped_rows(monkeypatch, capsys):
+    # (r2 x r0, r1 x r2, r0 x r1) squared is no longer triple_product(nu) nu
+    bracket = acceptance.bracket
+    monkeypatch.setattr(acceptance, "bracket", lambda nu: Su2Triple(*bracket(nu).stack()[[1, 0, 2]]))
+    with pytest.raises(AssertionError, match="criterion 10 FAIL"):
+        acceptance.test_criterion_10_bracket_involution()
+    assert "criterion 10 FAIL" in capsys.readouterr().out
+
+
+def test_criterion_11_fails_on_an_unconjugated_adjoint(monkeypatch, capsys):
+    # H_z without its conjugate transpose: the exact residual of the sech
+    # field no longer vanishes
+    monkeypatch.setattr(axial, "_adjoint", lambda A: A)
+    with pytest.raises(AssertionError, match="criterion 11 FAIL"):
+        acceptance.test_criterion_11_bogomolny_residual()
+    assert "criterion 11 FAIL" in capsys.readouterr().out
 
 
 def test_criterion_12_fails_on_a_conjugated_design(monkeypatch, capsys):

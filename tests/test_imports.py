@@ -2,11 +2,13 @@
 module defines is read somewhere in the package (no linter is a test
 dependency, so this stands in for the unused-import and dead-code
 checks), arrays are made read-only in one place, the CLI reads its
-input in one place, the public API is pinned, and every package name
-the benchmark imports exists."""
+input in one place, the public API is pinned, every package name
+the benchmark imports exists, and the tests import no third-party
+module beyond their pinned set."""
 
 import ast
 import importlib
+import sys
 import types
 from pathlib import Path
 
@@ -143,7 +145,7 @@ PUBLIC_NAMES = set("""
     from_su2_triple fullness_check gauge_fields is_centred mass_flow_check mass_profile massless_curve
     metric_h metric_scale_residual moment_map norm2 normalize_reality p_sequence pairing
     poncelet positivity_check proj_roots project_map reconstruct_psi_from_metric sech_field
-    spectral_from_sphere spectral_slice sphere_of_sech sphere_to_tuple stability_check to_su2_triple
+    spectral_from_sphere spectral_slice sphere_of_sech sphere_to_tuple to_su2_triple
     triple_product tuple_to_sphere z_lattice zero_mass_field
 """.split())
 
@@ -157,7 +159,7 @@ def _public_names(module) -> set[str]:
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 68
+    assert len(PUBLIC_NAMES) == 67
     assert _public_names(monosphere) == PUBLIC_NAMES
 
 
@@ -210,3 +212,44 @@ def test_detects_a_missing_package_name():
     assert _missing_package_names(source) == [
         "monosphere.no_such_name", "monosphere.curves.gone", "monosphere.cli.no_such_helper"
     ]
+
+
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+# The third-party modules the tests may import; the test modules may also
+# import one another.
+TEST_DEPENDENCIES = {"hypothesis", "monosphere", "mpmath", "numpy", "pytest"}
+
+
+def _foreign_imports(source: str, local: set[str]) -> list[str]:
+    """The top-level modules that source imports anywhere (function-local
+    imports and importorskip or import_module by a literal name included)
+    that are neither the standard library, local nor TEST_DEPENDENCIES."""
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append(node.module.split(".")[0])
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) in ("importorskip", "import_module")
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            imported.append(node.args[0].value.split(".")[0])
+    allowed = set(sys.stdlib_module_names) | local | TEST_DEPENDENCIES
+    return [name for name in imported if name not in allowed]
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_tests_import_only_their_pinned_dependencies(path):
+    assert _foreign_imports(path.read_text(encoding="utf-8"), {p.stem for p in TESTS}) == []
+
+
+def test_detects_a_function_local_foreign_import():
+    source = (
+        "import math, numpy as np\nfrom . import sibling\nimport test_other\n"
+        "def f(h):\n    from scipy.linalg import expm\n    import sympy\n    return expm(h)\n"
+        "def g():\n    return pytest.importorskip('scipy.linalg'), importlib.import_module('json')\n"
+    )
+    assert _foreign_imports(source, {"test_other"}) == ["scipy", "sympy", "scipy"]
