@@ -73,7 +73,7 @@ EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class Mobius:
-    """Element of SL(2,C); determinant 1 within DET_TOL."""
+    """Element of SL(2,C): finite entries, determinant 1 within DET_TOL."""
 
     a: complex
     b: complex
@@ -83,15 +83,19 @@ class Mobius:
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
         scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d), 1.0)
-        if abs(det - 1.0) > DET_TOL * scale * scale:
+        # a NaN entry makes det NaN, which fails the comparison
+        if not (math.isfinite(scale) and abs(det - 1.0) <= DET_TOL * scale * scale):
             raise ValueError(f"determinant {det} is not 1")
 
     @staticmethod
     def from_matrix(m) -> "Mobius":
+        """m scaled to determinant 1; refused if singular or not finite."""
         m = np.asarray(m, dtype=complex)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        s = np.sqrt(det)
-        m = m / s
+        with np.errstate(all="ignore"):
+            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        if not (np.all(np.isfinite(m)) and np.isfinite(det) and det != 0.0):
+            raise ValueError(f"determinant {det} cannot be scaled to 1")
+        m = m / np.sqrt(det)
         return Mobius(complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1]))
 
     def matrix(self) -> np.ndarray:

@@ -64,11 +64,7 @@ def _finite(x: float):
 
 
 def _parse_point(text: str, name: str) -> SpherePoint:
-    """A chart value or 'inf'; an infinite part is the point at infinity,
-    and a NaN part, which a complex literal spells only as 'nan', is a
-    SchemaError."""
-    if "nan" in text.lower():
-        raise SchemaError(f"{name}: not a number: {text!r}")
+    """A chart value or 'inf' (SpherePoint.of); a refused text is a SchemaError."""
     try:
         return SpherePoint.of(text)
     except ValueError as exc:

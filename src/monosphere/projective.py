@@ -50,21 +50,19 @@ class SpherePoint:
 
     @staticmethod
     def of(value) -> "SpherePoint":
-        """Coerce a chart value, 'inf', or an existing point."""
+        """Coerce a chart value, 'inf', or an existing point; a NaN part is refused."""
         if isinstance(value, SpherePoint):
             return value
-        if value is None:
-            raise ValueError("not a sphere point: None")
-        if isinstance(value, str):
-            if value.strip().lower() in ("inf", "infinity", "oo"):
-                return SpherePoint(0.0 + 0.0j, 1.0 + 0.0j)
-            return SpherePoint.of(complex(value))
-        if isinstance(value, (int, float, complex, np.integer, np.floating, np.complexfloating)):
-            c = complex(value)
-            if math.isinf(c.real) or math.isinf(c.imag):
-                return SpherePoint(0.0 + 0.0j, 1.0 + 0.0j)
-            return SpherePoint(1.0 + 0.0j, c)
-        raise ValueError(f"not a sphere point: {value!r}")
+        if isinstance(value, str) and value.strip().lower() in ("inf", "infinity", "oo"):
+            return SpherePoint(0.0 + 0.0j, 1.0 + 0.0j)
+        if not isinstance(value, (str, int, float, complex, np.integer, np.floating, np.complexfloating)):
+            raise ValueError(f"not a sphere point: {value!r}")
+        c = complex(value)
+        if math.isnan(c.real) or math.isnan(c.imag):
+            raise ValueError(f"not a number: {value!r}")
+        if math.isinf(c.real) or math.isinf(c.imag):
+            return SpherePoint(0.0 + 0.0j, 1.0 + 0.0j)
+        return SpherePoint(1.0 + 0.0j, c)
 
     @staticmethod
     def from_pair(z0, z1) -> "SpherePoint":

@@ -161,13 +161,12 @@ def project_map(q: HoloSphere, w, L: ProjLine) -> RationalMap:
 def find_line(q: HoloSphere, w) -> tuple[ProjLine, int]:
     """Self-consistent projection line at w, the span of q(w) and q(antipode(w)).
 
-    u1 is q(w) and u2 the part of q(antipode(w)) orthogonal to it.  That
-    part never degenerates: its norm, the sine of the angle between the
-    two values, is at least sigma_min/sigma_max of Q times that between
-    v(w) and v(antipode(w)), which is at least sqrt(3)/2, and
-    require_full keeps the ratio above FULL_TOL.  The line is already
-    self-consistent (module docstring), so no sweep is run: the second
-    entry of the returned (line, sweeps) is always 0.
+    u1 is q(w) and u2 the part of q(antipode(w)) orthogonal to it.  Its
+    norm is at least sigma_min/sigma_max of Q W^-1 (W the binomial
+    weights), which require_full keeps above FULL_TOL, since W v(w) and
+    W v(antipode(w)) are orthogonal.  The line is already self-consistent
+    (module docstring), so no sweep is run: the second entry of the
+    returned (line, sweeps) is always 0.
     """
     require_full(q)
     w = SpherePoint.of(w)

@@ -8,8 +8,9 @@ with strictly positive real diagonal (a Cholesky factor), unique among
 factors of a positive definite Psi.
 
 The same data in tuple form: q(z) = sum_j sqrt(binom(k, j)) v_j z^j,
-so column j of Q is sqrt(binom(k, j)) v_j.  The binomial weights make
-the SU(2) action on tuples norm-preserving (module centering).
+so Q W^-1 = v^T with W = diag(sqrt(binom(k, j))).  The weights make
+the SU(2) action on tuples norm-preserving (module centering), so
+fullness is read in this one frame for spheres and tuples alike.
 
 The pairing <q(antipode(w)), q(z)> is computed with the conjugation
 folded through the antipode, so it is holomorphic in both arguments
@@ -107,7 +108,8 @@ def fullness_check(m) -> tuple[float, bool]:
 
     Full (Q invertible) implies the map is an embedding; the linearly
     full condition is exactly invertibility of the coefficient matrix.
-    The same test applies to a tuple's rows and a charge-2 triple.
+    It is read in the weighted frame, where SU(2) acts unitarily: a
+    tuple's rows, a charge-2 triple or a sphere's Q W^-1 (require_full).
     """
     svals = np.linalg.svd(m, compute_uv=False)
     top = max(svals[0], 1e-300)
@@ -115,7 +117,8 @@ def fullness_check(m) -> tuple[float, bool]:
 
 
 def require_full(q: HoloSphere) -> None:
-    ratio, ok = fullness_check(q.Q)
+    """NotFull unless fullness_check passes the sphere's tuple, Q W^-1."""
+    ratio, ok = fullness_check(q.Q / binom_weights(q.k))
     if not ok:
         raise NotFull(f"coefficient matrix is singular (sv ratio {ratio:.2e})")
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -111,6 +112,24 @@ def test_rep_matrix_matches_exact_expansion_at_charge32(g):
                     for t in range(max(0, m + j - k), min(j, m) + 1)
                 )
                 assert abs(complex(P[j, m]) - complex(exact)) <= 1e-13 * abs(complex(exact))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Mobius(float("nan"), 0.0, 0.0, 1.0),
+        lambda: Mobius(float("inf"), 0.0, 0.0, 1.0),
+        lambda: Mobius.from_matrix([[1.0, 0.0], [0.0, 0.0]]),
+    ],
+    ids=["nan", "inf", "singular-matrix"],
+)
+def test_mobius_refuses_what_is_not_in_sl2(make):
+    # all three constructed: NaN fails no comparison, inf > inf is False,
+    # and from_matrix divided by sqrt(0) into a NaN Mobius
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_su2_preserves_norm():

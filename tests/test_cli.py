@@ -674,6 +674,32 @@ class TestCharge2Commands:
         assert report["error"]["code"] == "DomainViolation"
 
 
+@pytest.mark.parametrize("k", [2, 8, 32])
+@pytest.mark.parametrize("s", [5e-11, 2e-10])
+def test_fullness_is_read_on_the_tuple_by_every_command(tmp_path, k, s):
+    # the centred tuple diag(1, ..., s, ..., 1), s at index k/2, and its
+    # sphere: below FULL_TOL = 1e-10 ratmap and lattice refuse the sphere
+    # as NotFull and center the tuple as NotStable, above it they run
+    v = np.ones(k + 1)
+    v[k // 2] = s
+    t = CoeffTuple(k, np.diag(v))
+    sphere = encode(tuple_to_sphere(t))
+    runs = {
+        "ratmap": run_cli(tmp_path, ["ratmap", "--w", "0.3+0.1j"], sphere),
+        "lattice": run_cli(tmp_path, ["charge2", "lattice"], sphere),
+        "center": run_cli(tmp_path, ["center"], encode(t)),
+    }
+    errors = {name: report.get("error", {}).get("code") for name, (_, report) in runs.items()}
+    if s < 1e-10:
+        assert errors == {"ratmap": "NotFull", "lattice": "NotFull", "center": "NotStable"}
+    else:
+        assert errors == {"ratmap": None, "lattice": None if k == 2 else "DomainViolation", "center": None}
+        assert runs["center"][1]["iterations"] == 0
+    assert {name: code for name, (code, _) in runs.items()} == {
+        name: 0 if error is None else 2 for name, error in errors.items()
+    }
+
+
 class TestFieldCommands:
     def test_residual_report(self, tmp_path):
         code, report = run_cli(tmp_path, ["field", "residual", "--grid", "4"])

@@ -196,6 +196,24 @@ def test_sphere_point_refuses_what_is_not_a_point(value):
         SpherePoint.of(value)
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (float("nan"), "not a number: nan"),
+        ("nan", "not a number: 'nan'"),
+        (complex(1.0, float("nan")), "not a number: (1+nanj)"),
+        ("inf+nanj", "not a number: 'inf+nanj'"),
+    ],
+    ids=["float", "text", "complex", "infinite-and-nan-text"],
+)
+def test_sphere_point_refuses_nan(value, message):
+    # each returned a point, and chordal(nan, 0.5) was nan; a NaN part is
+    # refused before the infinity test, so inf+nanj is no point at infinity
+    with pytest.raises(ValueError) as info:
+        SpherePoint.of(value)
+    assert str(info.value) == message
+
+
 def test_point_at_infinity_has_no_chart_value():
     with pytest.raises(ZeroDivisionError):
         SpherePoint.of("inf").chart

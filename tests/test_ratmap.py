@@ -19,7 +19,7 @@ from monosphere.ratmap import (
     project_map,
     spectral_slice,
 )
-from monosphere.spheres import HoloSphere, eval_sphere, factor_sphere
+from monosphere.spheres import HoloSphere, binom_weights, eval_sphere, factor_sphere
 
 
 def identity_sphere(k):
@@ -281,22 +281,24 @@ class TestFindLine:
 
     @pytest.mark.parametrize("k", [1, 2, 8, 32])
     def test_nearly_parallel_values_still_span_a_line(self, k):
-        # Q = U (I - (1 - s) n n*) with n in the span of v(w) and
-        # v(antipode(w)) squeezes q(w) and q(antipode(w)) towards one
-        # direction, and s just above FULL_TOL keeps Q full: the part of
-        # q(antipode(w)) orthogonal to q(w) stays at least
-        # (sqrt(3)/2) s, far from vanishing
+        # Q = U (I - (1 - s) n n*) W with n in the span of W v(w) and
+        # W v(antipode(w)) squeezes q(w) and q(antipode(w)) towards one
+        # direction, and s just above FULL_TOL keeps the tuple Q W^-1
+        # full: W v(w) and W v(antipode(w)) are orthogonal, so the part
+        # of q(antipode(w)) orthogonal to q(w) stays at least s, far from
+        # vanishing
         rng = np.random.default_rng(k)
         w = 0.4 - 0.7j
-        a, b = hom_vector(w, k), hom_vector(antipode(w), k)
+        W = binom_weights(k)
+        a, b = W * hom_vector(w, k), W * hom_vector(antipode(w), k)
         n = a / np.linalg.norm(a) + (0.3 + 0.8j) * b / np.linalg.norm(b)
         n /= np.linalg.norm(n)
         U = np.linalg.qr(rng.standard_normal((k + 1, k + 1)) + 1j * rng.standard_normal((k + 1, k + 1)))[0]
         s = 1.001e-10
-        q = HoloSphere(k, U @ (np.eye(k + 1) - (1.0 - s) * np.outer(n, n.conj())))
+        q = HoloSphere(k, U @ (np.eye(k + 1) - (1.0 - s) * np.outer(n, n.conj())) * W)
         qw, qa = eval_sphere(q, w), eval_sphere(q, antipode(w))
         u, v = qw / np.linalg.norm(qw), qa / np.linalg.norm(qa)
-        assert 0.866 * s <= np.linalg.norm(v - np.vdot(u, v) * u) <= 1e-8
+        assert s <= np.linalg.norm(v - np.vdot(u, v) * u) <= 1e-8
         line, _ = find_line(q, w)
         assert abs(np.linalg.norm(line.u1) - 1.0) < 1e-12 and abs(np.linalg.norm(line.u2) - 1.0) < 1e-12
         assert abs(np.vdot(line.u1, line.u2)) < 1e-12

@@ -3,16 +3,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from monosphere.curves import SpectralMatrix, eval_psi
-from monosphere.errors import NotPositiveDefinite
+from monosphere.centering import Mobius, act_sl2, center_flow
+from monosphere.charge2 import to_su2_triple, z_lattice
+from monosphere.curves import SpectralMatrix, axial_spectral, eval_psi
+from monosphere.errors import MonosphereError, NotFull, NotPositiveDefinite, NotStable
 from monosphere.projective import antipode
+from monosphere.ratmap import find_line
 from monosphere.spheres import (
+    FULL_TOL,
     CoeffTuple,
     HoloSphere,
+    binom_weights,
     eval_sphere,
     factor_sphere,
     fullness_check,
     pairing,
+    require_full,
     spectral_from_sphere,
     sphere_to_tuple,
     tuple_to_sphere,
@@ -186,3 +192,132 @@ def test_tuple_refuses_charge_below_one(k, v):
     # k = 0 was "centred" by center_flow
     with pytest.raises(ValueError, match="charge k must be >= 1"):
         CoeffTuple(k, v)
+
+
+# -- one fullness verdict, read in the weighted frame -------------------------
+
+W_POINT = 0.3 + 0.1j
+
+
+def _rand_su2(rng):
+    x = rng.standard_normal(4)
+    x /= np.linalg.norm(x)
+    return Mobius(complex(x[0], x[1]), complex(x[2], x[3]), complex(-x[2], x[3]), complex(x[0], -x[1]))
+
+
+def _rotated(q, u):
+    return tuple_to_sphere(act_sl2(u, sphere_to_tuple(q)))
+
+
+def _weighted_ratio(q):
+    return fullness_check(sphere_to_tuple(q).v)[0]
+
+
+def _verdict(call):
+    """The class name of the package error that call raises, or None."""
+    try:
+        call()
+    except MonosphereError as exc:
+        return type(exc).__name__
+    return None
+
+
+def _flow(q):
+    """The Gram spectrum of q's centred tuple, or the class name of the
+    package error that center_flow raises."""
+    try:
+        t = center_flow(sphere_to_tuple(q)).tuple_centred
+    except MonosphereError as exc:
+        return type(exc).__name__
+    return np.linalg.eigvalsh(np.conj(t.v) @ t.v.T)
+
+
+def _centred_random_sphere(k):
+    rng = np.random.default_rng(100 + k)
+    A = rng.standard_normal((k + 1, k + 1)) + 1j * rng.standard_normal((k + 1, k + 1))
+    q = factor_sphere(SpectralMatrix(k, A @ A.conj().T + (k + 1) * np.eye(k + 1)))
+    return tuple_to_sphere(center_flow(sphere_to_tuple(q)).tuple_centred)
+
+
+def _probe_sphere(k):
+    # Q = diag(c_j sqrt(C(k, j))) with c_0 = 1e-6: raw Q ratio 4.1e-11 at
+    # k = 32, but its tuple diag(c_j) reads 1e-6
+    c = np.ones(k + 1)
+    c[0] = 1e-6
+    return HoloSphere(k, np.diag(c * binom_weights(k)))
+
+
+def _centred_diagonal_sphere(k, s):
+    # the centred tuple diag(1, ..., s, ..., 1), s at index k/2: ratio s
+    v = np.ones(k + 1)
+    v[k // 2] = s
+    return tuple_to_sphere(CoeffTuple(k, np.diag(v)))
+
+
+SPHERES = {
+    "axial": lambda k: factor_sphere(axial_spectral(k, 0.5)),
+    "centred-random": _centred_random_sphere,
+    "probe": _probe_sphere,
+}
+
+
+def _assert_rotations_keep_the_verdicts(q, k, seed, check_ratio=True):
+    ratio = _weighted_ratio(q)
+    verdicts = [_verdict(lambda: require_full(q)), _verdict(lambda: find_line(q, W_POINT))]
+    flow = _flow(q)
+    lattice_not_full = k == 2 and _verdict(lambda: z_lattice(q, 1.0)) == "NotFull"
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        r = _rotated(q, _rand_su2(rng))
+        if check_ratio:
+            assert abs(_weighted_ratio(r) - ratio) <= 1e-6 * ratio
+        assert [_verdict(lambda: require_full(r)), _verdict(lambda: find_line(r, W_POINT))] == verdicts
+        got = _flow(r)
+        if isinstance(flow, str):
+            assert got == flow
+        else:
+            assert not isinstance(got, str) and np.max(np.abs(got - flow)) <= 1e-10 * flow[-1]
+        if k == 2:
+            assert (_verdict(lambda: z_lattice(r, 1.0)) == "NotFull") == lattice_not_full
+    return verdicts
+
+
+@pytest.mark.parametrize("k", [2, 8, 16, 24, 32])
+@pytest.mark.parametrize("name", sorted(SPHERES))
+def test_su2_rotations_keep_every_fullness_verdict(name, k):
+    # a rotation turns the monopole about its centre; Q's raw ratio moves
+    # (the probe's spans 4.5e-11 to 4.4e-7 over these 20 rotations at
+    # k = 32, so find_line refused some of them), the tuple's does not
+    q = SPHERES[name](k)
+    assert _assert_rotations_keep_the_verdicts(q, k, seed=1000 * k + len(name)) == [None, None]
+
+
+@pytest.mark.parametrize("k", [2, 8, 32])
+def test_su2_rotations_keep_a_sphere_that_is_not_full_refused(k):
+    q = _centred_diagonal_sphere(k, 5e-11)
+    # rounding in act_sl2 moves a ratio of 5e-11 by 1e-6 to 3e-6 of it
+    assert _assert_rotations_keep_the_verdicts(q, k, seed=k, check_ratio=False) == ["NotFull", "NotFull"]
+
+
+@pytest.mark.parametrize("k", [2, 8, 32])
+@pytest.mark.parametrize("s", [5e-11, 2e-10])
+def test_sphere_fullness_on_both_sides_of_full_tol(k, s):
+    q = _centred_diagonal_sphere(k, s)
+    t = sphere_to_tuple(q)
+    assert abs(_weighted_ratio(q) - s) <= 1e-6 * s
+    if s < FULL_TOL:
+        with pytest.raises(NotFull):
+            find_line(q, W_POINT)
+        with pytest.raises(NotStable, match="centred tuple is not full"):
+            center_flow(t)
+        if k == 2:
+            with pytest.raises(NotFull):
+                z_lattice(q, 1.0)
+            with pytest.raises(NotFull):
+                to_su2_triple(t)
+    else:
+        find_line(q, W_POINT)
+        assert center_flow(t).iterations == 0
+        if k == 2:
+            z_lattice(q, 1.0)
+            to_su2_triple(t)
