@@ -71,20 +71,14 @@ def _parse_point(text: str, name: str) -> SpherePoint:
         raise SchemaError(f"{name}: {exc}") from exc
 
 
-def _parse_complex(text: str, name: str) -> complex:
-    try:
-        return complex(text)
-    except ValueError as exc:
-        raise SchemaError(f"{name}: not a complex literal: {text!r}") from exc
-
-
 def _check_flags(args) -> None:
     """Refuse a bad flag value (SchemaError) before any document is read,
     in this order: a --tol that is negative or not finite and a
     --max-iter below 0 (0 is legal for both), a boundary --grid without
-    --csv, a --grid below 1 or above GRID_MAX, a --w or --z0 that is
-    not a point of P^1 and a --z that is not a complex literal; the
-    three points are replaced by their parsed values."""
+    --csv, a --grid below 1 or above GRID_MAX, a --r that is not finite,
+    a --w, --z0 or --z that is not a point of P^1 and a --z at infinity;
+    --w and --z0 are replaced by their points and --z by its chart
+    value."""
     tol = getattr(args, "tol", None)
     if tol is not None and not 0.0 <= tol < math.inf:
         raise SchemaError(f"--tol must be finite and at least 0, got {tol}")
@@ -99,11 +93,15 @@ def _check_flags(args) -> None:
             raise SchemaError(f"--grid must be at least 1, got {grid}")
         if grid > GRID_MAX:
             raise SchemaError(f"--grid must be at most {GRID_MAX}, got {grid}")
-    for name in ("w", "z0"):
+    if hasattr(args, "r") and not math.isfinite(args.r):
+        raise SchemaError(f"--r must be finite, got {args.r}")
+    for name in ("w", "z0", "z"):
         if hasattr(args, name):
             setattr(args, name, _parse_point(getattr(args, name), f"--{name}"))
     if hasattr(args, "z"):
-        args.z = _parse_complex(args.z, "--z")
+        if args.z.is_infinity:
+            raise SchemaError("--z must be a finite chart value, got the point at infinity")
+        args.z = args.z.z1  # not .chart: z1 / (1 + 0j) turns -0.0 into 0.0
 
 
 def _mu_json(mu) -> dict:
@@ -386,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
         leaf.add_argument("--profile", choices=sorted(_PROFILES), default="sech")
     for leaf in (residual, mass):
         leaf.add_argument("--csv", help="grid CSV path")
-    sample.add_argument("--z", default="0", help="chart point (complex literal)")
-    sample.add_argument("--r", type=float, default=1.0, help="hyperbolic radius")
+    sample.add_argument("--z", default="0", help="chart point (finite complex literal)")
+    sample.add_argument("--r", type=float, default=1.0, help="hyperbolic radius (finite)")
 
     _leaf(sub, "pipeline", cmd_pipeline, curve, "--tol", "--max-iter")
     return parser

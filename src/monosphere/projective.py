@@ -205,8 +205,6 @@ def proj_roots(coeffs) -> list[SpherePoint]:
     deg = n
     while deg > 0 and abs(c[deg]) <= COEFF_TOL * scale:
         deg -= 1
-    if deg == 0 and abs(c[0]) <= COEFF_TOL * scale:
-        raise IdenticallyZero("polynomial vanishes identically")
     if deg <= 2:
         e = math.frexp(scale)[1]
         low = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in c[: deg + 1].tolist()]

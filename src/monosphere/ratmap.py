@@ -200,9 +200,9 @@ def massless_curve(f: RationalMap, tol: float = 1e-12) -> SpectralMatrix:
         raise DegenerateMap("map is constant (num proportional to den)")
     psi = hermitian_part(np.conj(C).T @ C)
     S = SpectralMatrix(n, psi)
-    # bidegree check: top row/column must survive
+    # bidegree check: the top row must survive (psi is exactly Hermitian, its column agrees)
     scale = np.max(np.abs(psi))
-    if np.max(np.abs(psi[n, :])) <= tol * scale or np.max(np.abs(psi[:, n])) <= tol * scale:
+    if np.max(np.abs(psi[n, :])) <= tol * scale:
         raise DegenerateMap("map degenerates below its nominal degree")
     sv = np.linalg.svd(f.sylvester(), compute_uv=False)
     if sv[-1] <= tol * sv[0]:

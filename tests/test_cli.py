@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -313,7 +315,7 @@ class TestValidationAndExitCodes:
             (["charge2", "pseq", "--w", "x"], "--w: complex() arg is a malformed string"),
             (["charge2", "poncelet", "--w", "nan"], "--w: not a number: 'nan'"),
             (["charge2", "lattice", "--z0", "nope"], "--z0: complex() arg is a malformed string"),
-            (["field", "sample", "--z", "nope"], "--z: not a complex literal: 'nope'"),
+            (["field", "sample", "--z", "nope"], "--z: complex() arg is a malformed string"),
         ],
         ids=["tol", "max-iter", "grid-without-csv", "grid-below-1", "grid-above-cap", "ratmap-w", "pseq-w",
              "poncelet-w", "lattice-z0", "sample-z"],
@@ -329,6 +331,19 @@ class TestValidationAndExitCodes:
         code, report = run_cli(tmp_path, argv)
         assert (code, report["error"]) == (2, {"code": "SchemaError", "message": message})
         assert not (tmp_path / "b.csv").exists()
+
+    def test_document_that_is_not_json_is_schema_error(self, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text('{"k": 1, "psi": [')
+        code, report = run_cli(tmp_path, ["check", "--input", str(path)])
+        assert (code, report["error"]["code"]) == (2, "SchemaError")
+        assert report["error"]["message"].startswith("invalid JSON: ")
+
+    def test_unwritable_csv_is_schema_error_on_the_output(self, tmp_path):
+        # the CSV path is a directory; the error report still goes to --output
+        code, report = run_cli(tmp_path, ["boundary", "--csv", str(tmp_path)], random_pd_curve())
+        assert (code, report["error"]["code"]) == (2, "SchemaError")
+        assert report["error"]["message"].startswith("cannot write CSV: ")
 
     @pytest.mark.parametrize("grid", ["99999999", "8"])
     def test_grid_boundary_will_not_read_is_refused(self, tmp_path, grid):
@@ -794,6 +809,31 @@ class TestFieldCommands:
         H = axial.H_matrix(sech_field(), 0.5 + 0.2j, 1.5)
         assert report["H"] == [[[x.real, x.imag] for x in row] for row in H.tolist()]
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--z", "nan"), ("--z", "nan+1j"), ("--z", "inf"), ("--z", "oo"), ("--z", "1e400"),
+         ("--r", "nan"), ("--r", "inf"), ("--r", "-inf"), ("--r", "1e400")],
+    )
+    def test_sample_refuses_a_non_finite_point_before_the_metric(self, tmp_path, monkeypatch, flag, value):
+        # the kernel's own refusals (DomainViolation) name no flag
+        calls = []
+        metric = axial._metric
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return metric(*args, **kwargs)
+
+        monkeypatch.setattr(axial, "_metric", counted)
+        code, report = run_cli(tmp_path, ["field", "sample", f"{flag}={value}"])
+        assert (code, report["error"]["code"]) == (2, "SchemaError")
+        assert report["error"]["message"].startswith(flag)
+        assert calls == []
+
+    def test_sample_keeps_the_sign_of_a_zero_chart_value(self, tmp_path):
+        code, report = run_cli(tmp_path, ["field", "sample", "--z", "-0.0"])
+        assert code == 0
+        assert [math.copysign(1.0, x) for x in report["z"]] == [-1.0, 1.0]
+
     def test_sample_report(self, tmp_path):
         code, report = run_cli(
             tmp_path, ["field", "sample", "--z", "0.5+0.2j", "--r", "1.5"]
@@ -960,6 +1000,61 @@ def test_flag_keys_are_ignored(tmp_path, job, value):
     code, report = run_cli(tmp_path, argv, flagged)
     assert code == 0
     assert (code, report) == run_cli(tmp_path, argv, doc)
+
+
+def _leaves(parser, path=()):
+    """(argv prefix, parser) of every leaf command under parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaves(sub, path + (name,))
+            return
+    yield list(path), parser
+
+
+# The point flags whose value may be the point at infinity.
+ACCEPTS_INFINITY = {"--w", "--z0"}
+
+
+def _numeric_flag_cases():
+    """(argv, flag) for NaN in every float flag and point flag of
+    every leaf, and for +-inf where the flag takes no infinity; a point
+    flag is a string flag that is neither a path nor a choice."""
+    cases = []
+    for prefix, leaf in _leaves(cli.build_parser()):
+        required = [f"{a.option_strings[0]}=1" for a in leaf._actions if a.required]
+        for action in leaf._actions:
+            point = action.type is None and action.nargs is None and not action.choices
+            if action.type is not float and not (point and action.dest not in ("input", "output", "csv")):
+                continue
+            flag = action.option_strings[0]
+            values = ["nan"] if flag in ACCEPTS_INFINITY else ["nan", "inf", "-inf"]
+            for value in values:
+                argv = prefix + [a for a in required if not a.startswith(flag + "=")] + [f"{flag}={value}"]
+                cases.append(pytest.param(argv, flag, id=f"{'-'.join(prefix)}{flag}={value}"))
+    return cases
+
+
+NUMERIC_FLAG_CASES = _numeric_flag_cases()
+
+
+def test_every_numeric_flag_is_covered():
+    flags = {case.values[1] for case in NUMERIC_FLAG_CASES}
+    assert flags == {"--tol", "--r", "--w", "--z0", "--z"}
+
+
+@pytest.mark.parametrize("argv, flag", NUMERIC_FLAG_CASES)
+def test_non_finite_numeric_flag_is_refused_at_the_flag_check(tmp_path, monkeypatch, argv, flag):
+    # neither the document nor the field kernel may be reached, so a flag
+    # added later cannot leave its check to the command
+    def fail(*args, **kwargs):
+        raise AssertionError("the flag check was passed")
+
+    monkeypatch.setattr(cli.ser, "read_document", fail)
+    monkeypatch.setattr(axial, "_metric", fail)
+    code, report = run_cli(tmp_path, argv)
+    assert (code, report["error"]["code"]) == (2, "SchemaError")
+    assert report["error"]["message"].startswith(flag)
 
 
 def test_import_leaves_scipy_unloaded():

@@ -217,7 +217,24 @@ def test_the_hermitian_part_carries_its_spectrum():
     assert not spectrum.eigenvalues.flags.writeable
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_spectral_matrix_refuses_a_charge_below_one(k):
+    with pytest.raises(ValueError, match="charge k must be >= 1"):
+        SpectralMatrix(k, np.eye(1))
+
+
 # -- axial family -------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "k, m, alpha, message",
+    [(-1, 0.5, 1.0, "charge k must be >= 1"), (2, -0.1, 1.0, "mass must be >= 0"),
+     (2, 0.5, 0.0, "alpha must be > 0"), (2, 0.5, -1.0, "alpha must be > 0")],
+    ids=["k-negative", "m-negative", "alpha-0", "alpha-negative"],
+)
+def test_axial_refuses_parameters_out_of_range(k, m, alpha, message):
+    with pytest.raises(ValueError, match=message):
+        axial_spectral(k, m, alpha)
+
 
 def test_axial_mass_half_charge2():
     S = axial_spectral(2, 0.5, 1.0)

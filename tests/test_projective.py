@@ -65,6 +65,12 @@ def test_proj_roots_constant_all_infinity():
     assert len(roots) == 2 and all(r.is_infinity for r in roots)
 
 
+@pytest.mark.parametrize("c0", [1e-300, 5e-324, -2.0j])
+def test_proj_roots_of_a_nonzero_constant_is_empty(c0):
+    # a lone coefficient is its own scale, so even a subnormal one is kept
+    assert proj_roots([c0]) == []
+
+
 def test_proj_roots_zero_polynomial():
     with pytest.raises(IdenticallyZero):
         proj_roots([0.0, 0.0])

@@ -132,6 +132,17 @@ class TestSpectralSlice:
         assert chordal(root, antipode(SpherePoint.of(w))) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "u1, u2, message",
+    [([1.0, 0.0], [0.0, 1.0 + 1e-9], "must be unit"), ([0.5, 0.0], [0.0, 1.0], "must be unit"),
+     ([1.0, 0.0], [1e-9, 1.0], "must be orthogonal"), ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], "must be orthogonal")],
+    ids=["u2-long", "u1-short", "off-by-1e-9", "parallel"],
+)
+def test_proj_line_refuses_a_basis_that_is_not_orthonormal(u1, u2, message):
+    with pytest.raises(ValueError, match=message):
+        ProjLine(np.array(u1), np.array(u2))
+
+
 class TestProjectMap:
     def test_identity_k1_gives_z(self):
         q = identity_sphere(1)
