@@ -38,8 +38,12 @@ the P-sequence's vertical lines, its transpose for the horizontal
 ones, and Psi itself, against the conjugate pair, for the z-lattice,
 whose slice <q(z), q(.)> is the vertical line of the curve at
 antipode(z).  Both share one walk loop (_walk), which stops at the
-chordal return to the start; SpherePoints are built only for the
-points a public function returns and for metric_scale_residual.
+chordal return to the start.  A P-sequence reads everything off one C
+(_bidegree): its start, its lines, its residual (the horizontal line
+at z taken at w, _residual) and, for a Poncelet polygon, the centring
+test and the conic.  The winding and the triple algebra run in scalar
+arithmetic too, and SpherePoints are built only for the points a
+public function returns.
 
 The map pi(w, z) = (wz, w + z) is the quotient by the factor swap: it
 takes a centred curve onto a conic read off C, and the line w = s
@@ -56,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centering import moment_map, norm2
-from .curves import SpectralMatrix, bidegree, metric_scale_residual
+from .curves import SpectralMatrix, bidegree
 from .errors import (
     BranchPoint,
     ConstraintViolated,
@@ -136,15 +140,24 @@ def to_su2_triple(t: CoeffTuple) -> Su2Triple:
     return Su2Triple(L[1], L[0], L[2])
 
 
+def _cross(a, b) -> tuple[float, float, float]:
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def bracket(nu: Su2Triple) -> Su2Triple:
     """(r1 x r2, r2 x r0, r0 x r1), the su(2) bracket direction."""
-    N = nu.stack()
-    return Su2Triple(*np.cross(N[[1, 2, 0]], N[[2, 0, 1]]))
+    r0, r1, r2 = nu.r0.tolist(), nu.r1.tolist(), nu.r2.tolist()
+    return Su2Triple(_cross(r1, r2), _cross(r2, r0), _cross(r0, r1))
 
 
 def triple_product(nu: Su2Triple) -> float:
     """<r0, r1 x r2>; bracket(bracket(nu)) equals this times nu."""
-    return float(nu.r0 @ np.cross(nu.r1, nu.r2))
+    return _dot(nu.r0.tolist(), _cross(nu.r1.tolist(), nu.r2.tolist()))
 
 
 def _quartic(G: np.ndarray) -> np.ndarray:
@@ -321,9 +334,39 @@ class PSequence:
     max_residual: float
 
 
+def _bidegree(S: SpectralMatrix) -> np.ndarray:
+    """bidegree(Psi) of Psi scaled by the power of two of its largest
+    entry: exact, so every line, root and ratio of values is that of
+    Psi, and no reading of a large curve overflows."""
+    return bidegree(np.ldexp(S.psi.view(float), -math.frexp(np.abs(S.psi).max())[1]).view(complex))
+
+
+def _residual(C: np.ndarray, points: list) -> float:
+    """metric_scale_residual over the pairs ((w0, w1), (z0, z1)) of points,
+    read off C = _bidegree(S): the horizontal line at z taken at w, at
+    unit representatives, over |C|_F.  Every entry of C is below 1, so
+    the value at a finite point is finite; NaN when Psi is zero or not
+    finite, and at a lone point that is not finite."""
+    norm = float(np.linalg.norm(C))
+    if not 0.0 < norm < math.inf:
+        return math.nan
+    rows, values = C.tolist(), []
+    for (w0, w1), (z0, z1) in points:
+        nw, nz = math.hypot(abs(w0), abs(w1)), math.hypot(abs(z0), abs(z1))
+        c0, c1, c2 = _line(rows, z0 / nz, z1 / nz)
+        w0, w1 = w0 / nw, w1 / nw
+        values.append(abs(w0 * w0 * c0 + w0 * w1 * c1 + w1 * w1 * c2))
+    return max(values) / norm
+
+
 def start_point(S: SpectralMatrix, w) -> tuple[SpherePoint, SpherePoint]:
     """(w, z) on the curve: z the first root of the vertical line at w,
     finite roots ordered by chart value to 12 decimals, infinity last."""
+    return _start(_bidegree(S), w)
+
+
+def _start(C: np.ndarray, w) -> tuple[SpherePoint, SpherePoint]:
+    """start_point on the curve of C = _bidegree(S)."""
     w = SpherePoint.of(w)
 
     def key(p: SpherePoint):
@@ -331,19 +374,19 @@ def start_point(S: SpectralMatrix, w) -> tuple[SpherePoint, SpherePoint]:
             return (1, 0.0, 0.0)
         return (0, round(p.chart.real, 12), round(p.chart.imag, 12))
 
-    return w, min(proj_roots(hom_vector(w, S.k) @ bidegree(S.psi)), key=key)
+    return w, min(proj_roots(hom_vector(w, len(C) - 1) @ C), key=key)
 
 
-def _p_walk(S: SpectralMatrix, p0, max_steps: int, tol: float) -> tuple[list, int | None]:
+def _p_walk(C: np.ndarray, p0, max_steps: int, tol: float) -> tuple[list, int | None]:
     """The visited points, as pairs ((w0, w1), (z0, z1)), and the period
-    of the P-sequence walk from p0; see p_sequence."""
-    if S.k != 2:
+    of the P-sequence walk from p0 on the curve of C = _bidegree(S); see
+    p_sequence."""
+    if len(C) != 3:
         raise DomainViolation("P-sequences are a charge-2 construction")
-    p0 = (SpherePoint.of(p0[0]), SpherePoint.of(p0[1]))
-    res0 = metric_scale_residual(S, *p0)
-    if res0 > CURVE_TOL:
+    p0 = (_pair(SpherePoint.of(p0[0])), _pair(SpherePoint.of(p0[1])))
+    res0 = _residual(C, [p0])
+    if not res0 <= CURVE_TOL:
         raise NotOnCurve(f"start point residual {res0:.2e} exceeds {CURVE_TOL:.0e}")
-    C = bidegree(S.psi)
     vertical, horizontal = C.T.tolist(), C.tolist()
 
     def step(points):
@@ -352,7 +395,7 @@ def _p_walk(S: SpectralMatrix, p0, max_steps: int, tol: float) -> tuple[list, in
             return w, _vieta_step(_line(vertical, *w), z, tol)
         return _vieta_step(_line(horizontal, *z), w, tol), z
 
-    return _walk([(_pair(p0[0]), _pair(p0[1]))], step, max_steps, tol)
+    return _walk([p0], step, max_steps, tol)
 
 
 def p_sequence(
@@ -369,12 +412,12 @@ def p_sequence(
     (z fixed) after an odd one, and counts toward the period; closure at
     the first return to p0 in the product chordal metric.  max_residual
     is metric_scale_residual over every point visited, the return
-    included, in one array pass.
+    included, read off the walk's own C (_residual).
     """
-    visited, period = _p_walk(S, p0, max_steps, tol)
-    points = [(SpherePoint(*w), SpherePoint(*z)) for w, z in visited]
-    worst = metric_scale_residual(S, *zip(*points))
-    return PSequence(points[:period], period is not None, period, worst)
+    C = _bidegree(S)
+    visited, period = _p_walk(C, p0, max_steps, tol)
+    points = [(SpherePoint(*w), SpherePoint(*z)) for w, z in visited[:period]]
+    return PSequence(points, period is not None, period, _residual(C, visited))
 
 
 def _winding(points: list) -> int:
@@ -384,24 +427,29 @@ def _winding(points: list) -> int:
     The w of a walk on a centred curve are the orbit of a rotation of
     the sphere: on the unit sphere they circle their mean, about the
     axis of the orbit's vector area.  On an axial curve this is the
-    winding of arg w about 0.  Each row of the (3, n) arrays below is one
-    coordinate, so cross and dot products are sums of row products.
+    winding of arg w about 0.  A step turns by the angle between
+    consecutive offsets from the mean, signed about the axis.
     """
-    z0, z1 = np.array([w for w, _ in points]).T
-    p = 2.0 * z0.conj() * z1
-    n0, n1 = z0.real**2 + z0.imag**2, z1.real**2 + z1.imag**2
-    x = np.array([p.real, p.imag, n1 - n0]) / (n0 + n1)  # w on the unit sphere
-    d = x - x.sum(axis=1, keepdims=True) / len(points)
-    nxt = np.concatenate((d[:, 1:], d[:, :1]), axis=1)
-    (a0, a1, a2), (b0, b1, b2) = d, nxt
-    turns = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-    axis = turns.sum(axis=1)
-    if not axis.any():
+    x = []  # w on the unit sphere
+    for (z0, z1), _ in points:
+        p = 2.0 * z0.conjugate() * z1
+        n0, n1 = z0.real * z0.real + z0.imag * z0.imag, z1.real * z1.real + z1.imag * z1.imag
+        n = n0 + n1
+        x.append((p.real / n, p.imag / n, (n1 - n0) / n))
+    mean = [sum(c) / len(x) for c in zip(*x)]
+    d = [(a - mean[0], b - mean[1], c - mean[2]) for a, b, c in x]
+    pairs = list(zip(d, d[1:] + d[:1]))
+    turns = [_cross(a, b) for a, b in pairs]
+    axis = [sum(c) for c in zip(*turns)]
+    if not any(axis):
         raise NoEstimate("the walk's w does not turn")
-    steps = np.arctan2(axis @ turns / math.hypot(*axis), (d * nxt).sum(axis=0))
-    if (abs(abs(steps) - math.pi) <= 1e-9).any():
-        raise NoEstimate("a step of w turns by pi")
-    return round(float(steps.sum()) / (2.0 * math.pi))
+    norm, total = math.hypot(*axis), 0.0
+    for (a, b), turn in zip(pairs, turns):
+        step = math.atan2(_dot(axis, turn) / norm, _dot(a, b))
+        if abs(abs(step) - math.pi) <= 1e-9:
+            raise NoEstimate("a step of w turns by pi")
+        total += step
+    return round(total / (2.0 * math.pi))
 
 
 def estimate_mass(S: SpectralMatrix, max_steps: int = 60) -> float:
@@ -417,10 +465,10 @@ def estimate_mass(S: SpectralMatrix, max_steps: int = 60) -> float:
     """
     if S.k != 2:
         raise DomainViolation("P-sequences are a charge-2 construction")
-    found = []
+    C, found = _bidegree(S), []
     for w in MASS_STARTS:
         try:
-            visited, period = _p_walk(S, start_point(S, w), max_steps, CLOSURE_TOL)
+            visited, period = _p_walk(C, _start(C, w), max_steps, CLOSURE_TOL)
         except MonosphereError as exc:
             raise NoEstimate(f"start w = {w} failed: {exc}") from exc
         if period is None:
@@ -437,9 +485,12 @@ def estimate_mass(S: SpectralMatrix, max_steps: int = 60) -> float:
 def is_centred(S: SpectralMatrix) -> bool:
     """Invariance under the factor swap, which transposes the bidegree
     coefficients C = bidegree(Psi): C is symmetric."""
-    scale = max(float(np.max(np.abs(S.psi))), 1e-300)
-    C = bidegree(S.psi)
-    return bool(np.max(np.abs(C - C.T)) <= CONSTRAINT_TOL * scale)
+    return _centred(_bidegree(S))
+
+
+def _centred(C: np.ndarray) -> bool:
+    """is_centred on the curve of C = _bidegree(S)."""
+    return bool(np.max(np.abs(C - C.T)) <= CONSTRAINT_TOL * max(float(np.max(np.abs(C))), 1e-300))
 
 
 @dataclass(frozen=True)
@@ -455,16 +506,15 @@ def _conic_rows(pts: list[tuple[complex, complex]]) -> np.ndarray:
     return np.array([[u * u, u * v, v * v, u, v, 1.0] for u, v in pts], dtype=complex)
 
 
-def _conic(S: SpectralMatrix) -> np.ndarray:
+def _conic(C: np.ndarray) -> np.ndarray:
     """Coefficients (u^2, uv, v^2, u, v, 1) of the image of a centred
     charge-2 curve under (w, z) -> (wz, w + z), largest entry 1.
 
-    w^2 psi(w, z) = sum c[a, b] w^a z^b with c = bidegree(Psi), symmetric
-    on a centred curve and taken as its symmetric part;
-    w^2 + z^2 = v^2 - 2u rewrites it in u, v.
+    w^2 psi(w, z) = sum c[a, b] w^a z^b with c = bidegree(Psi) (any
+    multiple, C among them), symmetric on a centred curve and taken as
+    its symmetric part; w^2 + z^2 = v^2 - 2u rewrites it in u, v.
     """
-    c = bidegree(S.psi)
-    c = (c + c.T) / 2.0
+    c = (C + C.T) / 2.0
     coef = np.array([c[2, 2], c[2, 1], c[2, 0], c[1, 1] - 2.0 * c[2, 0], c[1, 0], c[0, 0]])
     return coef / coef[np.argmax(np.abs(coef))]
 
@@ -473,22 +523,23 @@ def poncelet(S: SpectralMatrix, p0, max_steps: int = 40, tol: float = CLOSURE_TO
     """Polygon pi(P-sequence) inscribed in the conic pi(curve), edges tangent to v^2 = 4u.
 
     Requires a centred curve, whose image under pi(w, z) = (wz, w + z)
-    is the conic _conic(S).  vertex_residuals measure each vertex image
+    is the conic _conic(C).  vertex_residuals measure each vertex image
     against it.  The edge through consecutive vertices with shared
     coordinate s lies on pi(w = s), the line u = s v - s^2, which meets
     the parabola in the double point v = 2s: tangency holds by
     construction and is not reported.
     """
-    if not is_centred(S):
+    C = _bidegree(S)
+    if not _centred(C):
         raise NotCentred("curve is not swap-invariant")
-    visited, period = _p_walk(S, p0, max_steps, tol)
+    visited, period = _p_walk(C, p0, max_steps, tol)
     verts = []
     for (w0, w1), (z0, z1) in visited[:period]:
         if w0 == 0.0 or z0 == 0.0:
             raise DomainViolation("vertex at infinity has no affine image")
         w, z = w1 / w0, z1 / z0
         verts.append((w * z, w + z))
-    conic = _conic(S)
+    conic = _conic(C)
     rows = _conic_rows(verts)
     vres = np.abs(rows @ conic) / (np.linalg.norm(rows, axis=1) * np.linalg.norm(conic))
     return PonceletPolygon(vertices=verts, conic=conic, vertex_residuals=vres, closed=period is not None)

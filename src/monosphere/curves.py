@@ -47,8 +47,7 @@ class SpectralMatrix:
     psi: np.ndarray
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("charge k must be >= 1")
+        object.__setattr__(self, "k", require_charge(self.k))
         object.__setattr__(self, "psi", frozen(self.psi, complex, (self.k + 1, self.k + 1), "psi"))
 
     @cached_property
@@ -65,6 +64,16 @@ class SpectralMatrix:
         vals = frozen(np.linalg.eigvalsh(herm.psi), float, (self.k + 1,), "eigenvalues")
         herm.__dict__["_eigh"] = (None, vals)  # None, not herm: no reference cycle
         return herm, vals
+
+
+def require_charge(k) -> int:
+    """The charge k as an int; ValueError unless it is an int or a numpy
+    integer (not a bool) of at least 1."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"charge k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError("charge k must be >= 1")
+    return int(k)
 
 
 def hermitian_part(psi: np.ndarray) -> np.ndarray:
@@ -114,6 +123,8 @@ def metric_scale_residual(S: SpectralMatrix, w, z) -> float:
     Scale-invariant residual for `is this point on the curve'.  w and z
     are points, or equal-length lists or tuples of points: the residual
     is then the largest over the pairs (w[i], z[i]), in one array pass.
+    Psi is first scaled by the power of two of its largest entry, which
+    is exact and keeps its norm finite on a large curve.
     """
     pairs = zip(w, z) if isinstance(w, (list, tuple)) else [(w, z)]
     # per pair, w and z at unit length; hom_vector(a : b) is v(a)
@@ -124,7 +135,8 @@ def metric_scale_residual(S: SpectralMatrix, w, z) -> float:
     c /= np.hypot(m[..., :1], m[..., 1:])
     v = vander(c, S.k)
     hom = v[::-1, ..., 0] * v[..., 1]
-    return float(abs((hom[..., 0] * (bidegree(S.psi) @ hom[..., 1])).sum(axis=0)).max() / np.linalg.norm(S.psi))
+    psi = np.ldexp(S.psi.view(float), -np.frexp(np.max(np.abs(S.psi)))[1]).view(complex)
+    return float(abs((hom[..., 0] * (bidegree(psi) @ hom[..., 1])).sum(axis=0)).max() / np.linalg.norm(psi))
 
 
 def normalize_reality(S: SpectralMatrix, tol: float = HERM_TOL) -> SpectralMatrix:
@@ -221,8 +233,7 @@ def axial_spectral(k: int, m: float, alpha: float = 1.0) -> SpectralMatrix:
     m = 0 yields the degenerate massless matrix
     diag(1, 0, ..., 0, alpha^k).
     """
-    if k < 1:
-        raise ValueError("charge k must be >= 1")
+    k = require_charge(k)
     if m < 0:
         raise ValueError("mass must be >= 0")
     if alpha <= 0:

@@ -213,7 +213,8 @@ def proj_roots(coeffs) -> list[SpherePoint]:
         finite = sorted((z + 0.0 for z in finite), key=lambda z: (z.real, z.imag))
     else:
         finite = np.roots(c[deg::-1] if c.imag.any() else c.real[deg::-1])
-        finite = finite[np.lexsort((finite.imag, finite.real))]
-    pts = [SpherePoint.of(z) for z in finite]
+        finite = finite[np.lexsort((finite.imag, finite.real))].astype(complex).tolist()
+    # every root is finite once the scale is: no SpherePoint.of coercion
+    pts = [SpherePoint(1.0 + 0.0j, z) for z in finite]
     pts.extend(SpherePoint(0.0 + 0.0j, 1.0 + 0.0j) for _ in range(n - deg))
     return pts

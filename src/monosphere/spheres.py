@@ -26,7 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curves import HERM_TOL, SpectralMatrix, chart_pairing, hermitian_part, require_positive_definite
+from .curves import (
+    HERM_TOL, SpectralMatrix, chart_pairing, hermitian_part, require_charge, require_positive_definite
+)
 from .errors import NotFull
 from .projective import frozen, hom_vector
 
@@ -49,8 +51,7 @@ class HoloSphere:
     Q: np.ndarray
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("charge k must be >= 1")
+        object.__setattr__(self, "k", require_charge(self.k))
         object.__setattr__(self, "Q", frozen(self.Q, complex, (self.k + 1, self.k + 1), "Q"))
 
 
@@ -62,8 +63,7 @@ class CoeffTuple:
     v: np.ndarray
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("charge k must be >= 1")
+        object.__setattr__(self, "k", require_charge(self.k))
         object.__setattr__(self, "v", frozen(self.v, complex, (self.k + 1, self.k + 1), "v"))
 
 

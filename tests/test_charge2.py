@@ -7,6 +7,7 @@ from monosphere.centering import MomentValue, center_flow, moment_map, norm2
 from monosphere.charge2 import (
     CLOSURE_TOL,
     CONSTRAINT_TOL,
+    MASS_STARTS,
     MassFlowReport,
     PonceletPolygon,
     Su2Triple,
@@ -464,6 +465,16 @@ def test_walks_make_no_companion_solve(monkeypatch, i):
     assert calls == [4]
 
 
+def rotated_axial(m):
+    """The axial charge-2 curve of mass m moved by an SU(2) rotation."""
+    from monosphere.centering import Mobius, act_sl2
+    from monosphere.spheres import sphere_to_tuple
+
+    c, s = np.cos(0.6), np.sin(0.6) * np.exp(0.5j)
+    t = act_sl2(Mobius(c, -s, np.conj(s), c), sphere_to_tuple(factor_sphere(axial_spectral(2, m))))
+    return spectral_from_sphere(tuple_to_sphere(t))
+
+
 def triple_sphere():
     """The centred charge-2 sphere of a random real triple."""
     return tuple_to_sphere(from_su2_triple(Su2Triple(*np.random.default_rng(3).standard_normal((3, 3)))))
@@ -607,12 +618,7 @@ class TestEstimateMass:
     @pytest.mark.parametrize("m", [0.25, 0.5, 1.0, 1.5, 1 / 3])
     def test_rotated_axial_curve_keeps_its_mass(self, m):
         # w circles the rotated axis, not 0: its arg about 0 need not wind
-        from monosphere.centering import Mobius, act_sl2
-        from monosphere.spheres import sphere_to_tuple
-
-        c, s = np.cos(0.6), np.sin(0.6) * np.exp(0.5j)
-        t = act_sl2(Mobius(c, -s, np.conj(s), c), sphere_to_tuple(factor_sphere(axial_spectral(2, m))))
-        S = spectral_from_sphere(tuple_to_sphere(t))
+        S = rotated_axial(m)
         off_diagonal = np.abs(S.psi - np.diag(np.diag(S.psi)))
         assert is_centred(S) and np.max(off_diagonal) > 1e-2 * np.max(np.abs(S.psi))
         assert estimate_mass(S) == m
@@ -629,6 +635,14 @@ class TestEstimateMass:
         with pytest.raises(NoEstimate):
             estimate_mass(axial_spectral(2, 0.0))
 
+    def test_starts_that_disagree_have_no_estimate(self, monkeypatch):
+        import monosphere.charge2 as charge2
+
+        first = SpherePoint.of(MASS_STARTS[0]).z1
+        monkeypatch.setattr(charge2, "_winding", lambda pts: 2 if pts[0][0][1] == first else 1)
+        with pytest.raises(NoEstimate, match="starts disagree on the period and |winding|"):
+            estimate_mass(identity_curve())
+
     def test_walk_without_winding_has_no_estimate(self, monkeypatch):
         import monosphere.charge2 as charge2
 
@@ -639,6 +653,101 @@ class TestEstimateMass:
     def test_other_charge_is_domain_violation(self):
         with pytest.raises(DomainViolation):
             estimate_mass(SpectralMatrix(3, np.eye(4, dtype=complex)))
+
+
+class TestWinding:
+    def _winding(self, ws):
+        from monosphere.charge2 import _winding
+
+        return _winding([((p.z0, p.z1), None) for p in map(SpherePoint.of, ws)])
+
+    def test_axial_walk_winds_once(self):
+        # six w about 0 on the unit circle, a sixth of a turn each; the
+        # axis is the orbit's own, so either direction turns once about it
+        assert self._winding(np.exp(1j * np.pi / 3 * np.arange(6))) == 1
+        assert self._winding(np.exp(-1j * np.pi / 3 * np.arange(6))) == 1
+
+    @pytest.mark.parametrize("ws", [[0.0, "inf"], [0.5j], [2.0, 2.0, 2.0]], ids=["poles", "one-point", "fixed"])
+    def test_w_that_does_not_turn(self, ws):
+        # offsets from the mean all on one line, or all zero: no axis
+        with pytest.raises(NoEstimate, match="does not turn"):
+            self._winding(ws)
+
+    def test_a_step_by_pi(self):
+        # w = 1, -1 and 0.6 +- 0.8i on the equator have mean (0.3, 0, 0):
+        # the first two offsets from it are opposite, and the axis is not 0
+        with pytest.raises(NoEstimate, match="turns by pi"):
+            self._winding([1.0, -1.0, 0.6 + 0.8j, 0.6 - 0.8j])
+
+
+class TestCurveResidual:
+    """The walks read the scale-free residual of metric_scale_residual off
+    their own bidegree rows."""
+
+    def test_large_curve_reads_the_unscaled_residual(self):
+        # |Psi|_F of Psi times 1e307 overflows unless Psi is scaled first
+        S, w, z = axial_spectral(2, 0.5), 0.3 + 0.2j, 5.0
+        big = SpectralMatrix(2, S.psi * 1e307)
+        ref = metric_scale_residual(S, w, z)
+        assert ref > 0.4
+        assert abs(metric_scale_residual(big, w, z) - ref) <= 1e-15 * ref
+        with pytest.raises(NotOnCurve, match="start point residual 4.63e-01"):
+            p_sequence(big, (w, z))
+
+    @pytest.mark.parametrize("scale", [1e307, 1e-307])
+    def test_scaled_curve_walks_as_the_curve(self, scale):
+        S = axial_spectral(2, 1.5)
+        big = SpectralMatrix(2, S.psi * scale)
+        seq, ref = p_sequence(big, start_point(big, 0.9 + 0.1j)), p_sequence(S, start_point(S, 0.9 + 0.1j))
+        assert seq.period == ref.period == 10 and abs(seq.max_residual - ref.max_residual) <= 1e-15
+        for (w1, z1), (w2, z2) in zip(seq.points, ref.points):
+            assert chordal(w1, w2) <= 1e-14 and chordal(z1, z2) <= 1e-14
+        assert estimate_mass(big) == 1.5
+
+    @pytest.mark.parametrize("psi", [np.where(np.eye(3), 1.0, np.nan), np.zeros((3, 3))], ids=["nan", "zero"])
+    def test_curve_without_a_residual_is_not_a_start(self, psi):
+        # a NaN residual compared False against the tolerance and let the walk start
+        with pytest.raises(NotOnCurve, match="start point residual nan"):
+            p_sequence(SpectralMatrix(2, psi), (1.0, 1.0))
+
+    def test_non_finite_point_is_not_a_start(self):
+        with pytest.raises(NotOnCurve, match="start point residual nan"):
+            p_sequence(identity_curve(), (SpherePoint(1.0 + 0j, complex(np.nan, 0.0)), 1.0))
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["axial", "rotated"])
+    @pytest.mark.parametrize("m", [j / 4 for j in range(1, 13)] + [7.0])
+    def test_walk_residual_agrees_with_metric_scale_residual(self, m, rotated):
+        from monosphere.charge2 import _bidegree, _p_walk, _residual
+
+        S = rotated_axial(m) if rotated else axial_spectral(2, m)
+        C = _bidegree(S)
+        for w in MASS_STARTS:
+            visited, period = _p_walk(C, start_point(S, w), 60, CLOSURE_TOL)
+            assert period is not None
+            for wp, zp in visited:
+                ref = metric_scale_residual(S, SpherePoint(*wp), SpherePoint(*zp))
+                assert abs(_residual(C, [(wp, zp)]) - ref) <= 1e-15
+            seq = p_sequence(S, start_point(S, w), max_steps=60)
+            ref = metric_scale_residual(S, *zip(*[(SpherePoint(*a), SpherePoint(*b)) for a, b in visited]))
+            assert abs(seq.max_residual - ref) <= 1e-15
+
+    def test_each_walk_reads_the_curve_once(self, monkeypatch):
+        import monosphere.charge2 as charge2
+        import monosphere.curves as curves
+
+        calls = []
+        monkeypatch.setattr(charge2, "bidegree", lambda psi: calls.append("bidegree") or bidegree(psi))
+        public = curves.metric_scale_residual
+        for module in (curves, charge2):
+            monkeypatch.setattr(
+                module, "metric_scale_residual", lambda *a: calls.append("residual") or public(*a), raising=False
+            )
+        S = axial_spectral(2, 1.0)
+        p0 = start_point(S, 0.9 + 0.1j)
+        for walk in (lambda: estimate_mass(S), lambda: poncelet(S, p0), lambda: p_sequence(S, p0)):
+            calls.clear()
+            walk()
+            assert calls == ["bidegree"]
 
 
 def _fitted_conic(verts):

@@ -16,6 +16,7 @@ from monosphere.curves import (
 from monosphere.boundary import metric_h
 from monosphere.errors import NotHermitian, NotPositiveDefinite
 from monosphere.projective import antipode
+from monosphere.spheres import CoeffTuple, HoloSphere
 
 
 def _rand_hermitian_pd(rng, n):
@@ -221,6 +222,33 @@ def test_the_hermitian_part_carries_its_spectrum():
 def test_spectral_matrix_refuses_a_charge_below_one(k):
     with pytest.raises(ValueError, match="charge k must be >= 1"):
         SpectralMatrix(k, np.eye(1))
+
+
+# every charged value reads its k through one check
+CHARGED = {
+    "SpectralMatrix": lambda k: SpectralMatrix(k, np.eye(3)),
+    "HoloSphere": lambda k: HoloSphere(k, np.eye(3)),
+    "CoeffTuple": lambda k: CoeffTuple(k, np.eye(3)),
+    "axial_spectral": lambda k: axial_spectral(k, 0.5),
+}
+
+
+@pytest.mark.parametrize("make", list(CHARGED.values()), ids=list(CHARGED))
+@pytest.mark.parametrize("k", [2, np.int64(2), np.int32(2), np.uint8(2)], ids=["int", "int64", "int32", "uint8"])
+def test_an_integer_charge_is_stored_as_an_int(make, k):
+    value = make(k)
+    assert type(value.k) is int and value.k == 2
+
+
+@pytest.mark.parametrize("make", list(CHARGED.values()), ids=list(CHARGED))
+@pytest.mark.parametrize(
+    "k", [2.0, np.float64(2.0), 1.5, True, np.bool_(True), "2", None],
+    ids=["float", "float64", "fraction", "bool", "numpy-bool", "str", "none"],
+)
+def test_a_charge_that_is_not_an_integer_is_refused(make, k):
+    # 2.0 was kept as a float, and axial_spectral(1.5, m) failed on its roots
+    with pytest.raises(ValueError, match="charge k must be an integer, got"):
+        make(k)
 
 
 # -- axial family -------------------------------------------------------------

@@ -71,6 +71,21 @@ def test_proj_roots_of_a_nonzero_constant_is_empty(c0):
     assert proj_roots([c0]) == []
 
 
+@pytest.mark.parametrize(
+    "c, roots",
+    [([-6.0, 11.0, -6.0, 1.0], [1.0, 2.0, 3.0]), ([2.0, -3.0, 1.0], [1.0, 2.0]), ([3.0, 0.0, 0.0, 1.0, 0.0], None)],
+    ids=["real-cubic", "real-quadratic", "degree-deficient"],
+)
+def test_proj_roots_are_points_of_complex_pairs(c, roots):
+    # a real companion solve returns float roots; each point still holds
+    # the normalized pair of complex numbers that SpherePoint.of builds
+    got = proj_roots(c)
+    assert all(type(p.z0) is complex and type(p.z1) is complex for p in got)
+    assert got == [SpherePoint.of(p.z1) if p.z0 else SpherePoint.of("inf") for p in got]
+    if roots is not None:
+        assert _matched_gap([p.chart for p in got], roots) <= 1e-14
+
+
 def test_proj_roots_zero_polynomial():
     with pytest.raises(IdenticallyZero):
         proj_roots([0.0, 0.0])
