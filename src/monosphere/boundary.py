@@ -20,7 +20,9 @@ metric_h, connection_at_infinity and curvature_density take a point
 or an array of points and use the jets v(z), v'(z) of module
 projective: d_z h = v* Psi v' and d_z d_zbar h = v'* Psi v'.
 fields_at_infinity gives all three on an array from one evaluation of
-the jets.
+the jets.  They read the curve's scaled form Psi 2^-e (module curves):
+A_z and F_density are scale-free, and h is scaled back exactly with
+ldexp(h, e), so a large curve reads as the unscaled one.
 
 The degree integral is split across two charts at |z| = 1: the 1/z
 chart carries the same formulas with the index-reversed matrix
@@ -54,20 +56,25 @@ def _scalar_or_array(out: np.ndarray, z, kind: type):
 
 def metric_h(S: SpectralMatrix, z):
     """h(z) = v(z)* Psi v(z); real and positive for positive definite
-    Psi.  A float at a point, an array on an array."""
-    h = hermitian_form(S.psi, vander(z, S.k))
-    return _scalar_or_array(h, z, float)
+    Psi.  A float at a point, an array on an array; inf where h 2^-e
+    overflows."""
+    e, unit, _ = S._scaled
+    with np.errstate(over="ignore"):
+        return _scalar_or_array(np.ldexp(hermitian_form(unit, vander(z, S.k)), e), z, float)
 
 
 def fields_at_infinity(S: SpectralMatrix, z):
     """h, A_z and F_density at z, or at every point of the array z, from
     one evaluation of the jets v, v' and of h, d_z h and d_z d_zbar h:
     what metric_h, connection_at_infinity and curvature_density give."""
+    e, unit, _ = S._scaled
     v = vander(z, S.k)
     dv = vander_derivative(v)
-    psi_dv = np.tensordot(S.psi, dv, 1)
-    h, hz, hzz = hermitian_form(S.psi, v), np.vecdot(v, psi_dv, axis=0), np.vecdot(dv, psi_dv, axis=0).real
-    return h, hz / (2.0 * h), (hzz * h - np.abs(hz) ** 2) / h**2
+    psi_dv = np.tensordot(unit, dv, 1)
+    h, hz, hzz = hermitian_form(unit, v), np.vecdot(v, psi_dv, axis=0), np.vecdot(dv, psi_dv, axis=0).real
+    with np.errstate(over="ignore"):
+        h_units = np.ldexp(h, e)
+    return h_units, hz / (2.0 * h), (hzz * h - np.abs(hz) ** 2) / h**2
 
 
 def connection_at_infinity(S: SpectralMatrix, z):
@@ -125,16 +132,15 @@ def degree_integral(S: SpectralMatrix, tol: float = DEGREE_TOL) -> tuple[float, 
     and the kernel, not the curve.  Each patch is therefore evaluated
     once, on 2k + 2 nodes (_patch).  Returns (I_z + I_1/z, bound), the
     bound being the sum of the patches' rounding bounds; it grows with
-    cond(Psi), since h >= lambda_min |v|^2.  Psi is first scaled by the
-    power of two that brings its largest entry into [1/2, 1), so no
+    cond(Psi), since h >= lambda_min |v|^2.  The patches read the
+    curve's scaled form, whose largest entry is in [1/2, 1), so no
     sample overflows and, the scaling being exact, neither the value nor
     the bound moves.  Raises NonFiniteResult when h vanishes at a node,
     and QuadratureNotConverged, carrying the bound as best, when the
     bound exceeds tol.
     """
     require_hermitian(S)
-    exponent = np.frexp(np.max(np.abs(S.psi)))[1]
-    unit = np.ldexp(S.psi.view(float), -exponent).view(complex)
+    _, unit, _ = S._scaled
     (flux_z, bound_z), (flux_inv, bound_inv) = _patch(unit), _patch(unit[::-1, ::-1])
     bound = bound_z + bound_inv
     if not bound <= tol:

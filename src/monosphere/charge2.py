@@ -33,17 +33,17 @@ next line's binary quadratic, so the other root follows from Vieta's
 sum of the roots (_vieta_step) with no root solve.  The walks run on
 normalized homogeneous pairs (z0, z1) of Python complex numbers, and
 every line is the quadratic form of (z0^2, z0 z1, z1^2) against one
-3 x 3 matrix read once as nested lists (_line): C = bidegree(Psi) for
-the P-sequence's vertical lines, its transpose for the horizontal
-ones, and Psi itself, against the conjugate pair, for the z-lattice,
-whose slice <q(z), q(.)> is the vertical line of the curve at
-antipode(z).  Both share one walk loop (_walk), which stops at the
-chordal return to the start.  A P-sequence reads everything off one C
-(_bidegree): its start, its lines, its residual (the horizontal line
-at z taken at w, _residual) and, for a Poncelet polygon, the centring
-test and the conic.  The winding and the triple algebra run in scalar
-arithmetic too, and SpherePoints are built only for the points a
-public function returns.
+3 x 3 matrix read once as nested lists (_line): the bidegree C of the
+curve's scaled form (module curves) for the P-sequence's vertical
+lines, its transpose for the horizontal ones, and Psi itself, against
+the conjugate pair, for the z-lattice, whose slice <q(z), q(.)> is the
+vertical line of the curve at antipode(z).  Both share one walk loop
+(_walk), which stops at the chordal return to the start.  A P-sequence
+reads everything off the one C its curve value holds: its start, its
+lines, its residual (the horizontal line at z taken at w, _residual)
+and, for a Poncelet polygon, the centring test and the conic.  The
+winding and the triple algebra run in scalar arithmetic too, and
+SpherePoints are built only for the points a public function returns.
 
 The map pi(w, z) = (wz, w + z) is the quotient by the factor swap: it
 takes a centred curve onto a conic read off C, and the line w = s
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centering import moment_map, norm2
-from .curves import SpectralMatrix, bidegree
+from .curves import SpectralMatrix
 from .errors import (
     BranchPoint,
     ConstraintViolated,
@@ -219,7 +219,7 @@ def _line(rows: list, z0: complex, z1: complex) -> tuple[complex, complex, compl
     quadratic c0 x0^2 + c1 x0 x1 + c2 x1^2 of the line through (z0 : z1).
 
     rows is C^T (as nested lists) for the vertical line at w = (z0 : z1)
-    of C = bidegree(Psi), C for its horizontal line at z, and Psi^T with
+    of the scaled form's C, C for its horizontal line at z, and Psi^T with
     the conjugate pair for the slice <q(z), q(.)> of the sphere of Psi.
     """
     h0, h1, h2 = z0 * z0, z0 * z1, z1 * z1
@@ -334,16 +334,9 @@ class PSequence:
     max_residual: float
 
 
-def _bidegree(S: SpectralMatrix) -> np.ndarray:
-    """bidegree(Psi) of Psi scaled by the power of two of its largest
-    entry: exact, so every line, root and ratio of values is that of
-    Psi, and no reading of a large curve overflows."""
-    return bidegree(np.ldexp(S.psi.view(float), -math.frexp(np.abs(S.psi).max())[1]).view(complex))
-
-
 def _residual(C: np.ndarray, points: list) -> float:
     """metric_scale_residual over the pairs ((w0, w1), (z0, z1)) of points,
-    read off C = _bidegree(S): the horizontal line at z taken at w, at
+    read off the scaled form's C: the horizontal line at z taken at w, at
     unit representatives, over |C|_F.  Every entry of C is below 1, so
     the value at a finite point is finite; NaN when Psi is zero or not
     finite, and at a lone point that is not finite."""
@@ -362,11 +355,6 @@ def _residual(C: np.ndarray, points: list) -> float:
 def start_point(S: SpectralMatrix, w) -> tuple[SpherePoint, SpherePoint]:
     """(w, z) on the curve: z the first root of the vertical line at w,
     finite roots ordered by chart value to 12 decimals, infinity last."""
-    return _start(_bidegree(S), w)
-
-
-def _start(C: np.ndarray, w) -> tuple[SpherePoint, SpherePoint]:
-    """start_point on the curve of C = _bidegree(S)."""
     w = SpherePoint.of(w)
 
     def key(p: SpherePoint):
@@ -374,15 +362,16 @@ def _start(C: np.ndarray, w) -> tuple[SpherePoint, SpherePoint]:
             return (1, 0.0, 0.0)
         return (0, round(p.chart.real, 12), round(p.chart.imag, 12))
 
-    return w, min(proj_roots(hom_vector(w, len(C) - 1) @ C), key=key)
+    return w, min(proj_roots(hom_vector(w, S.k) @ S._scaled[2]), key=key)
 
 
-def _p_walk(C: np.ndarray, p0, max_steps: int, tol: float) -> tuple[list, int | None]:
+def _p_walk(S: SpectralMatrix, p0, max_steps: int, tol: float) -> tuple[list, int | None]:
     """The visited points, as pairs ((w0, w1), (z0, z1)), and the period
-    of the P-sequence walk from p0 on the curve of C = _bidegree(S); see
-    p_sequence."""
-    if len(C) != 3:
+    of the P-sequence walk from p0 on the curve S, read off its scaled
+    form's C; see p_sequence."""
+    if S.k != 2:
         raise DomainViolation("P-sequences are a charge-2 construction")
+    C = S._scaled[2]
     p0 = (_pair(SpherePoint.of(p0[0])), _pair(SpherePoint.of(p0[1])))
     res0 = _residual(C, [p0])
     if not res0 <= CURVE_TOL:
@@ -414,10 +403,9 @@ def p_sequence(
     is metric_scale_residual over every point visited, the return
     included, read off the walk's own C (_residual).
     """
-    C = _bidegree(S)
-    visited, period = _p_walk(C, p0, max_steps, tol)
+    visited, period = _p_walk(S, p0, max_steps, tol)
     points = [(SpherePoint(*w), SpherePoint(*z)) for w, z in visited[:period]]
-    return PSequence(points, period is not None, period, _residual(C, visited))
+    return PSequence(points, period is not None, period, _residual(S._scaled[2], visited))
 
 
 def _winding(points: list) -> int:
@@ -465,10 +453,10 @@ def estimate_mass(S: SpectralMatrix, max_steps: int = 60) -> float:
     """
     if S.k != 2:
         raise DomainViolation("P-sequences are a charge-2 construction")
-    C, found = _bidegree(S), []
+    found = []
     for w in MASS_STARTS:
         try:
-            visited, period = _p_walk(C, _start(C, w), max_steps, CLOSURE_TOL)
+            visited, period = _p_walk(S, start_point(S, w), max_steps, CLOSURE_TOL)
         except MonosphereError as exc:
             raise NoEstimate(f"start w = {w} failed: {exc}") from exc
         if period is None:
@@ -484,12 +472,8 @@ def estimate_mass(S: SpectralMatrix, max_steps: int = 60) -> float:
 
 def is_centred(S: SpectralMatrix) -> bool:
     """Invariance under the factor swap, which transposes the bidegree
-    coefficients C = bidegree(Psi): C is symmetric."""
-    return _centred(_bidegree(S))
-
-
-def _centred(C: np.ndarray) -> bool:
-    """is_centred on the curve of C = _bidegree(S)."""
+    coefficients C of the scaled form: C is symmetric."""
+    C = S._scaled[2]
     return bool(np.max(np.abs(C - C.T)) <= CONSTRAINT_TOL * max(float(np.max(np.abs(C))), 1e-300))
 
 
@@ -529,17 +513,16 @@ def poncelet(S: SpectralMatrix, p0, max_steps: int = 40, tol: float = CLOSURE_TO
     the parabola in the double point v = 2s: tangency holds by
     construction and is not reported.
     """
-    C = _bidegree(S)
-    if not _centred(C):
+    if not is_centred(S):
         raise NotCentred("curve is not swap-invariant")
-    visited, period = _p_walk(C, p0, max_steps, tol)
+    visited, period = _p_walk(S, p0, max_steps, tol)
     verts = []
     for (w0, w1), (z0, z1) in visited[:period]:
         if w0 == 0.0 or z0 == 0.0:
             raise DomainViolation("vertex at infinity has no affine image")
         w, z = w1 / w0, z1 / z0
         verts.append((w * z, w + z))
-    conic = _conic(C)
+    conic = _conic(S._scaled[2])
     rows = _conic_rows(verts)
     vres = np.abs(rows @ conic) / (np.linalg.norm(rows, axis=1) * np.linalg.norm(conic))
     return PonceletPolygon(vertices=verts, conic=conic, vertex_residuals=vres, closed=period is not None)

@@ -15,9 +15,12 @@ is then strictly positive: h is the restriction of psi to the
 antidiagonal w = antipode(z), the real slice picked out by the real
 structure tau(w, z) = (antipode(z), antipode(w)).
 
-Every reading of psi goes through bidegree(Psi), the coefficients
-C[a, b] of w^a z^b in the bidegree-(k, k) polynomial (-w)^k psi(w, z):
-this module alone knows the fold v(-1/w).  Evaluation is then
+Every reading of psi goes through one scaled form, SpectralMatrix._scaled:
+Psi 2^-e, 2^e the power of two just above max|Psi|, and its bidegree C,
+the coefficients C[a, b] of w^a z^b in (-w)^k psi(w, z).  This module
+alone knows the fold v(-1/w) and the scaling, which is exact: roots,
+lines and ratios of values are those of Psi, no reading of a large curve
+overflows, and a value with units is ldexp(value, e).  Evaluation is
 hom_vector(w) . C hom_vector(z), homogeneous so that w = infinity and
 z = infinity are ordinary points; see eval_psi for the scale convention
 at the chart-degenerate arguments w = 0 and z = infinity.  The vertical
@@ -27,6 +30,7 @@ C hom_vector(z), and the factor swap (w, z) -> (z, w) transposes C.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,9 +56,18 @@ class SpectralMatrix:
 
     @cached_property
     def _hermitian_gap(self) -> tuple[float, float]:
-        """max|Psi - Psi^*| and the scale max(max|Psi|, 1e-300)."""
+        """max|Psi - Psi^*| and the scale max(max|Psi|, 1e-300), NaN or inf for a non-finite entry."""
         psi = self.psi
-        return float(np.max(np.abs(psi - np.conj(psi).T))), max(float(np.max(np.abs(psi))), 1e-300)
+        with np.errstate(invalid="ignore"):
+            return float(np.max(np.abs(psi - np.conj(psi).T))), max(float(np.max(np.abs(psi))), 1e-300)
+
+    @cached_property
+    def _scaled(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(e, Psi 2^-e, bidegree(Psi 2^-e)) with 2^e the power of two just
+        above max|Psi| (e = 0 for the zero matrix and a non-finite one)."""
+        e = math.frexp(float(np.abs(self.psi).max()))[1]
+        unit = frozen(np.ldexp(self.psi.view(float), -e).view(complex), complex, self.psi.shape, "psi")
+        return e, unit, frozen(bidegree(unit), complex, unit.shape, "bidegree")
 
     @cached_property
     def _eigh(self) -> tuple[SpectralMatrix | None, np.ndarray]:
@@ -72,7 +85,7 @@ def require_charge(k) -> int:
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise ValueError(f"charge k must be an integer, got {k!r}")
     if k < 1:
-        raise ValueError("charge k must be >= 1")
+        raise ValueError(f"charge k must be >= 1, got {k!r}")
     return int(k)
 
 
@@ -94,16 +107,6 @@ def bidegree(psi: np.ndarray) -> np.ndarray:
     return vander(-1.0, psi.shape[0] - 1)[:, None] * psi[::-1]
 
 
-def chart_pairing(M: np.ndarray, w, z) -> complex:
-    """hom_vector(w) . bidegree(M) hom_vector(z) divided by (-w1)^k where
-    w1 != 0 and by z0^k where z0 != 0 (for w != 0 and finite z, the value
-    sum_{i,j} M[i,j] (-1/w)^i z^j)."""
-    w, z = SpherePoint.of(w), SpherePoint.of(z)
-    scale = (-w.z1 if w.z1 != 0.0 else 1.0) * (z.z0 if z.z0 != 0.0 else 1.0)
-    k = M.shape[0] - 1
-    return complex(hom_vector(w, k) @ bidegree(M) @ hom_vector(z, k) / scale**k)
-
-
 def eval_psi(S: SpectralMatrix, w, z) -> complex:
     """Evaluate the pairing psi(w, z).
 
@@ -112,9 +115,15 @@ def eval_psi(S: SpectralMatrix, w, z) -> complex:
     its finite limit sum_j Psi[0,j] z^j.  At the chart-degenerate
     arguments (w = 0 or z = infinity) the value returned is the
     homogeneous degree-k representative; it is well defined up to scale
-    and zero-set membership is unaffected.
+    and zero-set membership is unaffected.  It is read off the scaled
+    form and scaled back exactly, so a large curve reads as the unscaled
+    one.
     """
-    return chart_pairing(S.psi, w, z)
+    e, _, C = S._scaled
+    w, z = SpherePoint.of(w), SpherePoint.of(z)
+    scale = (-w.z1 if w.z1 != 0.0 else 1.0) * (z.z0 if z.z0 != 0.0 else 1.0)
+    value = hom_vector(w, S.k) @ C @ hom_vector(z, S.k) / scale**S.k
+    return complex(*np.ldexp((value.real, value.imag), e))
 
 
 def metric_scale_residual(S: SpectralMatrix, w, z) -> float:
@@ -122,9 +131,8 @@ def metric_scale_residual(S: SpectralMatrix, w, z) -> float:
 
     Scale-invariant residual for `is this point on the curve'.  w and z
     are points, or equal-length lists or tuples of points: the residual
-    is then the largest over the pairs (w[i], z[i]), in one array pass.
-    Psi is first scaled by the power of two of its largest entry, which
-    is exact and keeps its norm finite on a large curve.
+    is then the largest over the pairs (w[i], z[i]), in one array pass,
+    read off the scaled form, whose norm is finite on a large curve.
     """
     pairs = zip(w, z) if isinstance(w, (list, tuple)) else [(w, z)]
     # per pair, w and z at unit length; hom_vector(a : b) is v(a)
@@ -135,8 +143,8 @@ def metric_scale_residual(S: SpectralMatrix, w, z) -> float:
     c /= np.hypot(m[..., :1], m[..., 1:])
     v = vander(c, S.k)
     hom = v[::-1, ..., 0] * v[..., 1]
-    psi = np.ldexp(S.psi.view(float), -np.frexp(np.max(np.abs(S.psi)))[1]).view(complex)
-    return float(abs((hom[..., 0] * (bidegree(psi) @ hom[..., 1])).sum(axis=0)).max() / np.linalg.norm(psi))
+    _, psi, C = S._scaled
+    return float(abs((hom[..., 0] * (C @ hom[..., 1])).sum(axis=0)).max() / np.linalg.norm(psi))
 
 
 def normalize_reality(S: SpectralMatrix, tol: float = HERM_TOL) -> SpectralMatrix:
@@ -158,19 +166,21 @@ def normalize_reality(S: SpectralMatrix, tol: float = HERM_TOL) -> SpectralMatri
     if mags.max() == 0.0:
         raise NotPositiveDefinite("zero matrix")
     i, j = np.unravel_index(np.argmax(mags), psi.shape)
-    c = np.conj(psi[j, i]) / psi[i, j]
-    phase = np.exp(1j * np.angle(c) / 2.0)
-    if (phase * psi[-1, -1]).real < 0:
-        phase = -phase
-    rotated = phase * psi
+    with np.errstate(invalid="ignore"):  # a NaN or inf entry is NotHermitian below
+        c = np.conj(psi[j, i]) / psi[i, j]
+        phase = np.exp(1j * np.angle(c) / 2.0)
+        if (phase * psi[-1, -1]).real < 0:
+            phase = -phase
+        rotated = phase * psi
     R = S if rotated.tobytes() == psi.tobytes() else SpectralMatrix(S.k, rotated)
     return require_positive_definite(R, tol).hermitian
 
 
 def require_hermitian(S: SpectralMatrix, tol: float = HERM_TOL) -> None:
-    """NotHermitian unless max|Psi - Psi^*| <= tol max|Psi|."""
+    """NotHermitian unless max|Psi - Psi^*| <= tol max|Psi| < inf, so
+    a Psi with a NaN or inf entry is refused too."""
     gap, scale = S._hermitian_gap
-    if gap > tol * scale:
+    if not gap <= tol * scale < math.inf:
         raise NotHermitian("matrix is not Hermitian within tolerance")
 
 

@@ -56,9 +56,9 @@ class ProjLine:
     def __post_init__(self):
         u1 = frozen(self.u1, complex, (np.size(self.u1),), "u1")  # a vector of any length
         u2 = frozen(self.u2, complex, u1.shape, "u2")
-        if abs(np.linalg.norm(u1) - 1.0) > 1e-12 or abs(np.linalg.norm(u2) - 1.0) > 1e-12:
+        if not (abs(np.linalg.norm(u1) - 1.0) <= 1e-12 and abs(np.linalg.norm(u2) - 1.0) <= 1e-12):
             raise ValueError("line basis vectors must be unit")
-        if abs(np.vdot(u1, u2)) > 1e-12:
+        if not abs(np.vdot(u1, u2)) <= 1e-12:
             raise ValueError("line basis vectors must be orthogonal")
         object.__setattr__(self, "u1", u1)
         object.__setattr__(self, "u2", u2)

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .charge2 import Su2Triple
-from .curves import SpectralMatrix
+from .curves import SpectralMatrix, require_charge
 from .errors import SchemaError
 from .projective import SpherePoint
 from .ratmap import RationalMap
@@ -88,9 +88,10 @@ def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
 
 def _read_charge(d: dict) -> int:
     _require("k" in d, "missing charge field 'k'")
-    k = d["k"]
-    _require(isinstance(k, int) and not isinstance(k, bool) and k >= 1, f"k must be an integer >= 1, got {k!r}")
-    return k
+    try:
+        return require_charge(d["k"])
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def _square_from_json(d: dict, kind: str, field: str) -> tuple[int, np.ndarray]:

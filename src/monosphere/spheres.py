@@ -13,9 +13,8 @@ the SU(2) action on tuples norm-preserving (module centering), so
 fullness is read in this one frame for spheres and tuples alike.
 
 The pairing <q(antipode(w)), q(z)> is computed with the conjugation
-folded through the antipode, so it is holomorphic in both arguments
-and coincides with eval_psi of the associated curve: both read psi off
-curves.bidegree.
+folded through the antipode, so it is holomorphic in both arguments:
+it is eval_psi of the curve conj(Q)^T Q.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .curves import (
-    HERM_TOL, SpectralMatrix, chart_pairing, hermitian_part, require_charge, require_positive_definite
+    HERM_TOL, SpectralMatrix, eval_psi, hermitian_part, require_charge, require_positive_definite
 )
 from .errors import NotFull
 from .projective import frozen, hom_vector
@@ -94,12 +93,11 @@ def pairing(q: HoloSphere, w, z) -> complex:
     """<q(antipode(w)), q(z)>, holomorphic in both w and z.
 
     The conjugation of the first slot is folded through the antipode,
-    no conjugate of w ever taken: the value is read off
-    bidegree(conj(Q)^T Q) against hom_vector(w) and hom_vector(z).
-    Matches eval_psi(spectral_from_sphere(q), w, z) including the chart
-    scale convention.
+    no conjugate of w ever taken: the value is eval_psi of conj(Q)^T Q
+    as it is (spectral_from_sphere takes its Hermitian part), including
+    the chart scale convention.
     """
-    return chart_pairing(np.conj(q.Q).T @ q.Q, w, z)
+    return eval_psi(SpectralMatrix(q.k, np.conj(q.Q).T @ q.Q), w, z)
 
 
 def fullness_check(m) -> tuple[float, bool]:

@@ -84,6 +84,20 @@ def test_curvature_nonnegative_and_fd_consistent():
         assert curvature_density(S, zz) >= 0.0
 
 
+def test_a_large_curve_has_the_fields_of_the_curve():
+    # on Psi itself, h_zzbar h and |h_z|^2 overflowed, and A_z and F with them
+    S = SpectralMatrix(3, _rand_hermitian_pd(np.random.default_rng(4), 4))
+    big = SpectralMatrix(3, S.psi * 2.0**1000)
+    z = np.array([0.5 + 0.2j, -1.3j, 4.0, 0.0, 5.0 - 3.0j])
+    assert connection_at_infinity(big, z).tolist() == connection_at_infinity(S, z).tolist()
+    assert curvature_density(big, z).tolist() == curvature_density(S, z).tolist()
+    assert metric_h(big, z).tolist() == (metric_h(S, z) * 2.0**1000).tolist()
+    assert metric_h(big, 4.0) == metric_h(S, 4.0) * 2.0**1000
+    assert curvature_density(big, 4.0) == curvature_density(S, 4.0)
+    far = 30.0 - 7.0j  # h of the large curve overflows there; A_z and F do not
+    assert metric_h(big, far) == np.inf and curvature_density(big, far) == curvature_density(S, far)
+
+
 def test_degree_integral_charges_1_2():
     rng = np.random.default_rng(5)
     for k in (1, 2):

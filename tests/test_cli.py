@@ -587,6 +587,22 @@ class TestTransformChain:
         assert rows[:, 3].tolist() == a_z.real.tolist() and rows[:, 4].tolist() == a_z.imag.tolist()
         assert rows[:, 5].tolist() == boundary.curvature_density(S, z).tolist()
 
+    def test_boundary_csv_of_a_large_curve_is_that_of_the_curve(self, tmp_path):
+        # the fields were evaluated on Psi itself, and F_density came out NaN
+        S = axial_spectral(3, 0.5)
+        rows = {}
+        for scale in (1.0, 2.0**900):
+            csv_path = tmp_path / f"{scale:.0e}.csv"
+            doc = encode(SpectralMatrix(3, S.psi * scale))
+            code, report = run_cli(tmp_path, ["boundary", "--csv", str(csv_path)], doc)
+            assert code == 0 and report["status"] == "ok"
+            lines = csv_path.read_text().splitlines()[1:]
+            rows[scale] = np.array([[float(x) for x in line.split(",")] for line in lines])
+        small, large = rows.values()
+        assert not np.isnan(large).any()
+        assert large[:, 2].tolist() == (small[:, 2] * 2.0**900).tolist()
+        assert large[:, [0, 1, 3, 4, 5]].tolist() == small[:, [0, 1, 3, 4, 5]].tolist()
+
 
 class TestRatmapAndMassless:
     def test_ratmap_report(self, tmp_path):

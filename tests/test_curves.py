@@ -13,10 +13,10 @@ from monosphere.curves import (
     positivity_check,
     require_positive_definite,
 )
-from monosphere.boundary import metric_h
+from monosphere.boundary import degree_integral, metric_h
 from monosphere.errors import NotHermitian, NotPositiveDefinite
 from monosphere.projective import antipode
-from monosphere.spheres import CoeffTuple, HoloSphere
+from monosphere.spheres import CoeffTuple, HoloSphere, factor_sphere
 
 
 def _rand_hermitian_pd(rng, n):
@@ -70,6 +70,24 @@ def test_eval_at_infinity_is_top_row():
     z = 0.7 - 0.2j
     expect = sum(S.psi[0, j] * z**j for j in range(3))
     assert abs(eval_psi(S, "inf", z) - expect) < 1e-13
+
+
+@pytest.mark.parametrize("seed", [None, 3], ids=["axial", "random"])
+def test_a_large_curve_reads_as_the_curve(seed):
+    # psi(w, z) at large |w| and |z| fits in a double, its homogeneous
+    # representative over Psi times 2^1000 does not
+    rng = np.random.default_rng(seed)
+    S = axial_spectral(2, 0.5) if seed is None else SpectralMatrix(2, _rand_hermitian_pd(rng, 3))
+    big = SpectralMatrix(2, S.psi * 2.0**1000)
+    for w, z in [(3.0, 5.0), (1e3, 1e2), (1e4, 2.0), (-2e3 + 1e3j, 40.0), (0.0, "inf"), ("inf", 0.5j)]:
+        assert eval_psi(big, w, z) == eval_psi(S, w, z) * 2.0**1000
+        assert metric_scale_residual(big, w, z) == metric_scale_residual(S, w, z)
+
+
+def test_eval_psi_of_a_curve_near_the_largest_double():
+    S = axial_spectral(2, 0.5)
+    value, ref = eval_psi(SpectralMatrix(2, S.psi * 1e307), 3, 5), eval_psi(S, 3, 5) * 1e307
+    assert np.isfinite(value) and abs(value - ref) <= 1e-15 * abs(ref)
 
 
 def test_metric_scale_residual_pointwise_and_over_sequences():
@@ -167,6 +185,27 @@ def test_positivity_degenerate_massless():
 def test_positivity_requires_hermitian():
     with pytest.raises(NotHermitian):
         positivity_check(SpectralMatrix(1, np.array([[1.0, 1.0], [0.0, 1.0]])))
+
+
+_NON_FINITE = {
+    "nan-diagonal": [[np.nan, 0], [0, 1]],
+    "nan-off-diagonal": [[1, np.nan], [0, 1]],
+    "inf-diagonal": [[np.inf, 0], [0, 1]],
+    "inf-off-diagonal": [[1, np.inf], [0, 1]],
+    "inf-pair": [[1, complex(0, np.inf)], [complex(0, -np.inf), 1]],
+}
+
+
+@pytest.mark.parametrize("psi", _NON_FINITE.values(), ids=_NON_FINITE.keys())
+@pytest.mark.parametrize(
+    "read", [curve_spectrum, require_positive_definite, normalize_reality, factor_sphere, degree_integral],
+    ids=lambda f: f.__name__,
+)
+def test_a_non_finite_curve_is_not_hermitian(read, psi):
+    # a NaN gap compared False against the tolerance, and LAPACK read
+    # eigenvalues off the NaN matrix
+    with pytest.raises(NotHermitian, match="not Hermitian within tolerance"):
+        read(SpectralMatrix(1, psi))
 
 
 def test_curve_spectrum_report():

@@ -1,7 +1,8 @@
 """Every name a module imports is used in it, every private name a
 module defines is read somewhere in the package (no linter is a test
 dependency, so this stands in for the unused-import and dead-code
-checks), arrays are made read-only in one place, the CLI reads its
+checks), arrays are made read-only in one place, a curve is scaled and
+folded into its bidegree coefficients in one place, the CLI reads its
 input in one place, the public API is pinned, every package name
 the benchmark imports exists, and the tests import no third-party
 module beyond their pinned set."""
@@ -71,19 +72,26 @@ def test_detects_an_unread_private_name():
     assert _unread_private_names(sources) == ["_a", "_C"]
 
 
-def _setflags_users(source: str) -> list[str]:
-    """The top-level definitions of source that reach for setflags, by
-    name, or by line for a statement."""
+def _users(source: str, name: str) -> list[str]:
+    """The top-level definitions of source that reach for name, as a
+    name or an attribute, by name, or by line for a statement."""
     return [
         getattr(node, "name", f"line {node.lineno}")
         for node in ast.parse(source).body
-        if any(isinstance(n, ast.Attribute) and n.attr == "setflags" for n in ast.walk(node))
+        if any(
+            isinstance(n, ast.Attribute) and n.attr == name or isinstance(n, ast.Name) and n.id == name
+            for n in ast.walk(node)
+        )
     ]
 
 
+def _package_users(name: str) -> dict[str, list[str]]:
+    users = {p.name: _users(p.read_text(encoding="utf-8"), name) for p in PACKAGE}
+    return {module: found for module, found in users.items() if found}
+
+
 def test_only_frozen_sets_array_flags():
-    users = {p.name: _setflags_users(p.read_text(encoding="utf-8")) for p in PACKAGE}
-    assert {name: found for name, found in users.items() if found} == {"projective.py": ["frozen"]}
+    assert _package_users("setflags") == {"projective.py": ["frozen"]}
 
 
 def test_detects_a_setflags_call():
@@ -91,7 +99,23 @@ def test_detects_a_setflags_call():
         "class A:\n    def f(self, m):\n        m.setflags(write=False)\n\n"
         "def frozen(m):\n    m.setflags(write=False)\n\nflags = m.setflags\n"
     )
-    assert _setflags_users(source) == ["A", "frozen", "line 8"]
+    assert _users(source, "setflags") == ["A", "frozen", "line 8"]
+
+
+def test_only_the_curve_form_scales_psi_and_reads_its_bidegree():
+    # SpectralMatrix._scaled is the one scaled form of a curve; proj_roots
+    # scales one polynomial of its own
+    assert _package_users("frexp") == {"curves.py": ["SpectralMatrix"], "projective.py": ["proj_roots"]}
+    assert _package_users("bidegree") == {"curves.py": ["SpectralMatrix"]}
+
+
+def test_detects_a_second_scaled_form():
+    source = (
+        "import math\nfrom .curves import bidegree\n\n"
+        "def _bidegree(S):\n"
+        "    return bidegree(np.ldexp(S.psi.view(float), -math.frexp(np.abs(S.psi).max())[1]).view(complex))\n"
+    )
+    assert _users(source, "frexp") == _users(source, "bidegree") == ["_bidegree"]
 
 
 def _cli_input_faults(source: str) -> list[str]:

@@ -135,8 +135,10 @@ class TestSpectralSlice:
 @pytest.mark.parametrize(
     "u1, u2, message",
     [([1.0, 0.0], [0.0, 1.0 + 1e-9], "must be unit"), ([0.5, 0.0], [0.0, 1.0], "must be unit"),
-     ([1.0, 0.0], [1e-9, 1.0], "must be orthogonal"), ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], "must be orthogonal")],
-    ids=["u2-long", "u1-short", "off-by-1e-9", "parallel"],
+     ([1.0, 0.0], [1e-9, 1.0], "must be orthogonal"), ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], "must be orthogonal"),
+     ([np.nan, 0.0], [0.0, 1.0], "must be unit"), ([1.0, 0.0], [np.nan, 1.0], "must be unit"),
+     ([np.inf, 0.0], [0.0, 1.0], "must be unit"), ([1.0, 0.0], [0.0, -np.inf], "must be unit")],
+    ids=["u2-long", "u1-short", "off-by-1e-9", "parallel", "nan-u1", "nan-u2", "inf-u1", "inf-u2"],
 )
 def test_proj_line_refuses_a_basis_that_is_not_orthonormal(u1, u2, message):
     with pytest.raises(ValueError, match=message):

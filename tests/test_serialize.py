@@ -110,6 +110,16 @@ class TestSchemaValidation:
             with pytest.raises(SchemaError):
                 curve_from_json({"k": bad_k, "psi": [[[1, 0]]]})
 
+    @pytest.mark.parametrize(
+        "bad_k, message",
+        [(0, "charge k must be >= 1, got 0"), (1.5, "charge k must be an integer, got 1.5"),
+         (True, "charge k must be an integer, got True"), (None, "charge k must be an integer, got None")],
+    )
+    def test_bad_charge_is_refused_by_the_one_charge_check(self, bad_k, message):
+        with pytest.raises(SchemaError) as info:
+            curve_from_json({"k": bad_k, "psi": [[[1, 0]]]})
+        assert str(info.value) == message
+
     def test_shape_mismatch(self):
         doc = encode(random_curve(k=2))
         doc["k"] = 3

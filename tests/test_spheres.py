@@ -113,6 +113,15 @@ def test_pairing_without_the_conjugate_misses_eval_psi():
         assert abs(a - b) > 1e-3 * max(1.0, abs(b))
 
 
+def test_pairing_of_a_large_sphere_is_that_of_the_sphere():
+    # conj(Q)^T Q grows by 2^1000, and its homogeneous representative at
+    # large |w| overflowed though the value fits in a double
+    q = factor_sphere(SpectralMatrix(2, _rand_hermitian_pd(np.random.default_rng(5), 3)))
+    big = HoloSphere(2, q.Q * 2.0**500)
+    for w, z in [(3.0, 5.0), (1e4, 2.0), (1e3, 1e2), (0.0, "inf"), ("inf", 0.5j)]:
+        assert pairing(big, w, z) == pairing(q, w, z) * 2.0**1000
+
+
 def test_pairing_holomorphic_at_degenerate_charts():
     q = _sech_raw_sphere()
     S = spectral_from_sphere(q)
